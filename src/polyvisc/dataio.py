@@ -209,14 +209,17 @@ def save_dataset(ds: ExperimentalDataset, path) -> None:
 
 
 def save_curve(curve: CreepCurve, path) -> None:
-    """Write a strain curve with one comment marker per stress segment."""
+    """Write a strain curve with one comment marker per stress segment.
+
+    Each segment is written on its ``sample_times`` grid, both ends included,
+    so a boundary time appears twice: pre-jump, then post-jump.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,strain\n")
         for seg in curve.segments:
             fh.write(f"# segment {seg.index} stress_pa={seg.stress!r}\n")
-            lam = seg.sol.ys[:, 0]
-            eps = lam - 1.0 if curve.strain_measure == "engineering" else np.log(lam)
-            for t, e in zip(seg.sol.ts, eps):
+            ts = seg.sample_times()
+            for t, e in zip(ts, curve.strain_in_segment(seg.index, ts)):
                 fh.write(f"{t:.9f},{e:.9f}\n")
 
 
@@ -245,19 +248,18 @@ def make_synthetic_dataset(
     noise: float = 0.0,
     seed: int = 0,
     temperature_c: Optional[float] = None,
-    rtol: float = 1e-8,
 ) -> ExperimentalDataset:
     """Sample a simulated creep/recovery curve, optionally with noise.
 
     Noise is multiplicative Gaussian (relative standard deviation ``noise``)
-    with a fixed seed so generated datasets are reproducible. The default
-    ``rtol`` matches the fitting objective's, so a zero-noise dataset is an
-    exact fixed point of the fit.
+    with a fixed seed so generated datasets are reproducible. The fitting
+    objective evaluates the same closed-form solution, so a zero-noise
+    dataset is an exact fixed point of the fit.
     """
     segments = [CreepSegment(stress, t_load)]
     if t_unload > 0.0:
         segments.append(CreepSegment(0.0, t_unload))
-    curve = simulate_creep(segments, mp, rtol=rtol)
+    curve = simulate_creep(segments, mp)
 
     ts_load = np.linspace(0.0, t_load, n_load)
     eps_load = curve.strain_in_segment(0, ts_load)

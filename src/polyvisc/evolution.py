@@ -280,7 +280,7 @@ def replay_uniaxial(
     """Re-drive a solved scalar creep history through the tensor integrator.
 
     Each constant-stress segment becomes a uniaxial protocol whose stretch
-    comes from the scalar solution's dense output, with the scalar flow
+    comes from the scalar closed-form solution, with the scalar flow
     rule (resolved through the module, so test fixtures can intercept it)
     supplying the rate at that stretch. B_p starts at the scalar prediction
     diag(B, B^-1/2, B^-1/2) of the first segment and jumps elastically at
@@ -300,10 +300,8 @@ def replay_uniaxial(
             b_p = SymTensor3.from_matrix(jump @ b_p.as_matrix() @ jump.T, check=False)
 
         protocol = uniaxial_protocol(
-            lam=lambda t, _s=seg: float(_s.lam_at(t)),
-            lam_dot=lambda t, _s=seg: _uniaxial.lambda_rate(
-                float(_s.lam_at(t)), _s.b, 0.0, mp
-            ),
+            lam=seg.lam_at,
+            lam_dot=lambda t, _s=seg: _uniaxial.lambda_rate(_s.lam_at(t), _s.b, 0.0, mp),
             span=(seg.t_start, seg.t_end),
         )
         traj = drive(protocol, mp, EvolutionState(b_p), rtol=rtol, atol=atol)

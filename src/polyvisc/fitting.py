@@ -6,8 +6,8 @@ measured strains, split into loading and unloading phases:
     error = w * sqrt(sum((e_sim - e_exp)^2) / sum(e_exp^2))   [load]
           + (1-w) * (same for the unload phase)
 
-Simulated strains are interpolated from the creep solver's dense output at
-the experimental time stamps, so the objective is smooth in the parameters.
+Simulated strains come from the closed-form creep solution at the
+experimental time stamps, so the objective is smooth in the parameters.
 Minimization runs over the logarithms of (mu_p_bar, mu_g_bar, eta), which
 keeps the parameters positive without constraint handling.
 """
@@ -21,13 +21,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .material import MaterialParams
-from .odesolve import IntegrationError
 from .tensors import DomainError
 from .uniaxial import CreepSegment, simulate_creep
 
 # Objective value reported when the simulation fails for a parameter set;
 # large enough that the simplex always retreats from it.
 PENALTY = 1e6
+
+# The simplex stops once its objective spread is below
+# min(ftol, max(_FTOL_REL * |f_best|, _FTOL_FLOOR)): relative to the best
+# value, so a small but non-zero minimum is resolved to a fixed fraction of
+# itself, with an absolute floor for minima at 0.
+_FTOL_REL = 1e-4
+_FTOL_FLOOR = 1e-14
 
 
 @dataclass
@@ -80,7 +86,6 @@ class FitConfig:
     ftol: float = 1e-12  # objective spread at termination
     max_iter: int = 2000
     step: float = 0.25  # initial simplex spread (log-parameter units)
-    rtol: float = 1e-8  # creep solver tolerance inside the objective
 
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
@@ -121,7 +126,6 @@ def creep_error(
     mp: MaterialParams,
     ds: ExperimentalDataset,
     w: float,
-    rtol: float = 1e-8,
 ) -> float:
     """Weighted relative misfit of the simulated creep curve to the dataset.
 
@@ -140,14 +144,14 @@ def creep_error(
         segments.append(CreepSegment(0.0, t_end - t_u))
 
     try:
-        curve = simulate_creep(segments, mp, rtol=rtol)
+        curve = simulate_creep(segments, mp)
         eps_sim_load = curve.strain_in_segment(0, ds.t_load)
         term = w * _phase_term(eps_sim_load, ds.eps_load)
         if ds.has_unload and w < 1.0:
             eps_sim_unload = curve.strain_in_segment(1, ds.t_unload)
             term += (1.0 - w) * _phase_term(eps_sim_unload, ds.eps_unload)
         return term
-    except (IntegrationError, DomainError, ValueError):
+    except (DomainError, ValueError):
         return PENALTY
 
 
@@ -175,10 +179,12 @@ def nelder_mead(
 
     Standard coefficients (reflection 1, expansion 2, contraction 0.5,
     shrink 0.5). Terminates when the simplex diameter drops below ``xtol``
-    and the objective spread below ``ftol``, or at the iteration cap
-    (reported via ``converged``). The diameter is measured in the search
-    coordinates, which callers are expected to scale (the creep fit runs
-    over log-parameters, so xtol is a relative parameter tolerance there).
+    and the objective spread below both ``ftol`` and a fraction
+    ``_FTOL_REL`` of the best value (floored at ``_FTOL_FLOOR``), or at the
+    iteration cap (reported via ``converged``). The diameter is measured in
+    the search coordinates, which callers are expected to scale (the creep
+    fit runs over log-parameters, so xtol is a relative parameter tolerance
+    there).
     The returned vertex is never worse than f(x0).
     """
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -202,7 +208,8 @@ def nelder_mead(
         fvals = fvals[order]
 
         diam = float(np.max(np.abs(verts[1:] - verts[0])))
-        if diam < xtol and (fvals[-1] - fvals[0]) < ftol:
+        spread_tol = min(ftol, max(_FTOL_REL * abs(fvals[0]), _FTOL_FLOOR))
+        if diam < xtol and (fvals[-1] - fvals[0]) < spread_tol:
             converged = True
             break
 
@@ -264,7 +271,7 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
             mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
         except ValueError:
             return PENALTY
-        return creep_error(mp, ds, cfg.weight, rtol=cfg.rtol)
+        return creep_error(mp, ds, cfg.weight)
 
     res = nelder_mead(
         objective,

@@ -1,8 +1,9 @@
 """Adaptive embedded Runge-Kutta integration with dense output.
 
 Implements the Dormand-Prince 5(4) pair with the standard quartic
-interpolant and PI step-size control. One integrator serves both the scalar
-creep equation and the six-component tensor evolution; an optional
+interpolant and PI step-size control. It integrates the six-component
+tensor evolution (the scalar creep equation is solved in closed form in
+``uniaxial``); an optional
 ``step_hook`` lets callers monitor or adjust the state after every accepted
 step (used to police determinant drift during natural-configuration
 evolution).

@@ -30,7 +30,7 @@ def synthetic(mp, noise=0.0, seed=0, n_load=50, n_unload=20, stress=None):
 
 class TestCreepError:
     def test_self_consistency_is_zero(self):
-        # generator and objective share the default tolerance, so the true
+        # generator and objective share the closed-form solution, so the true
         # parameters reproduce the data exactly
         ds = synthetic(HFPE285)
         assert creep_error(HFPE285, ds, w=0.5) <= 1e-10
@@ -109,8 +109,8 @@ class TestCreepError:
 
     def test_simulation_failure_returns_penalty(self):
         ds = synthetic(HFPE285, n_load=5, n_unload=3)
-        # eta this small makes the creep ODE effectively singular at this span
-        bad = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=1e-8)
+        # eta this small overflows the creep rate: no finite solution exists
+        bad = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=1e-320)
         assert creep_error(bad, ds, w=0.5) == PENALTY
 
     def test_nonnegative(self):
@@ -188,6 +188,16 @@ class TestNelderMead:
             x0 = rng.uniform(-2.0, 2.0, size=3)
             res = nelder_mead(f, x0, step=0.2, max_iter=40)
             assert res.fun <= f(x0) + 1e-15
+
+    def test_resolves_small_nonzero_minimum(self):
+        # the spread stop is relative to the best value: a cone whose minimum
+        # is c = 5e-11 must be resolved to 1e-4 c, not to an absolute spread
+        c = 5e-11
+        x_star = np.array([0.3, -0.2, 0.1])
+        f = lambda x: math.sqrt(c * c + float(np.sum((x - x_star) ** 2)))
+        res = nelder_mead(f, np.zeros(3), step=0.25)
+        assert res.converged
+        assert res.fun - c <= 1e-4 * c
 
     def test_iteration_cap_reports_nonconvergence(self):
         rosen = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyvisc.dataio import get_preset, presets
 from polyvisc.material import MaterialParams
+from polyvisc.odesolve import OdeProblem, integrate
 from polyvisc.tensors import DomainError
 from polyvisc.uniaxial import (
     CreepSegment,
@@ -78,6 +82,12 @@ class TestSolveB:
         b = solve_B(-1.0e7, 3.76e8)
         assert 0.0 < b < 1.0
         assert b == pytest.approx(solve_B_bisect(-1.0e7, 3.76e8), rel=1e-12)
+
+    def test_extreme_compression_root(self):
+        # the root s = sqrt(B) ~ 1/2000 lies below any fixed positive lower bracket
+        mu_p = 3.76e8
+        s = math.sqrt(solve_B(-2000.0 * mu_p, mu_p))
+        assert abs(s**3 + 2000.0 * s - 1.0) <= 1e-12
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
@@ -159,7 +169,7 @@ class TestSimulateCreep:
             [CreepSegment(1.0e7, 5 * tau), CreepSegment(0.0, 5 * tau)], PMR15
         )
         unload = curve.segments[1]
-        lam = unload.sol.ys[:, 0]
+        lam = unload.lam_at(np.linspace(unload.t_start, unload.t_end, 200))
         assert np.all(np.diff(lam) <= 1e-15)
         assert np.all(lam >= 1.0 - 1e-12)
 
@@ -179,7 +189,7 @@ class TestSimulateCreep:
             [CreepSegment(1.0e7, 2 * tau), CreepSegment(0.0, tau)], PMR15
         )
         lam0 = curve.segments[0].lam_start
-        lam_end_load = float(curve.segments[0].sol.ys[-1, 0])
+        lam_end_load = curve.segments[0].lam_at(curve.segments[0].t_end)
         lam_start_unload = curve.segments[1].lam_start
         assert lam_start_unload == pytest.approx(lam_end_load / lam0, rel=1e-13)
 
@@ -199,15 +209,6 @@ class TestSimulateCreep:
         curve = simulate_creep([(1.0e7, 10.0)], PMR15)
         assert curve.segments[0].stress == 1.0e7
 
-    def test_dense_rate_matches_flow_rule(self):
-        tau = PMR15.retardation_time()
-        curve = simulate_creep([CreepSegment(1.0e7, 2 * tau)], PMR15)
-        seg = curve.segments[0]
-        ts = np.linspace(0.1 * tau, 1.9 * tau, 50)
-        dense = seg.lam_rate_at(ts)
-        exact = np.array([lambda_rate(float(seg.lam_at(t)), seg.b, 0.0, PMR15) for t in ts])
-        assert np.max(np.abs(dense - exact)) <= 1e-4 * np.max(np.abs(exact))
-
     def test_compressive_creep_mirrors_tension(self):
         # compression: lambda < 1, strain negative, recovery back toward zero
         tau = PMR15.retardation_time()
@@ -218,6 +219,87 @@ class TestSimulateCreep:
         load_eps = curve.strain_in_segment(0, np.linspace(0, 5 * tau, 50))
         assert np.all(np.diff(load_eps) <= 1e-15)  # creeps further negative
         assert abs(curve.epsilon[-1]) <= 1e-3 * np.max(np.abs(curve.epsilon))
+
+
+def _rk_reference(seg, lam0, mp):
+    rhs = lambda t, y: np.array([lambda_rate(y[0], seg.b, 0.0, mp)])
+    return integrate(OdeProblem(rhs=rhs, span=(seg.t_start, seg.t_end),
+                                y0=np.array([lam0]), rtol=1e-12, atol=1e-14))
+
+
+class TestClosedForm:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        preset=st.sampled_from(sorted(presets())),
+        decades=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        load=st.floats(-0.3, 0.3),
+        maxwell=st.booleans(),
+        durations=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+    )
+    @example(preset="pmr15_288", decades=(0.0, 0.0, 0.0), load=0.0, maxwell=False,
+             durations=(1.0, 1.0))
+    @example(preset="hfpe300", decades=(1.0, -1.0, 0.0), load=0.3, maxwell=True,
+             durations=(5.0, 5.0))
+    def test_matches_tight_runge_kutta(self, preset, decades, load, maxwell, durations):
+        # log-uniform parameters within a decade of a preset, loads in
+        # +-0.3 mu_p (compression included), a load segment and an unload
+        row = get_preset(preset)
+        base = (row.mu_p_bar, row.mu_g_bar, row.eta)
+        mu_p, mu_g, eta = (v * 10.0**d for v, d in zip(base, decades))
+        mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=0.0 if maxwell else mu_g, eta=eta)
+        tau = eta / (2.0 * (mp.mu_g_bar or mu_p))
+        curve = simulate_creep(
+            [(load * mu_p, durations[0] * tau), (0.0, durations[1] * tau)], mp
+        )
+        lam_rk = math.sqrt(curve.segments[0].b)
+        for seg in curve.segments:
+            if seg.index:
+                lam_rk *= math.sqrt(seg.b / curve.segments[seg.index - 1].b)
+            if lambda_rate(lam_rk, seg.b, 0.0, mp) == 0.0:  # the exact answer is lam_start
+                ts = np.linspace(seg.t_start, seg.t_end, 9)
+                assert np.all(seg.lam_at(ts) == seg.lam_start)
+                continue
+            ref = _rk_reference(seg, lam_rk, mp)
+            lam = seg.lam_at(ref.ts)
+            assert np.max(np.abs(lam / ref.ys[:, 0] - 1.0)) <= 1e-9
+            scalar = np.array([seg.lam_at(float(t)) for t in ref.ts[::7]])
+            assert np.max(np.abs(scalar / lam[::7] - 1.0)) <= 1e-14
+            lam_rk = float(ref.ys[-1, 0])
+
+    def test_maxwell_limit_is_exponential(self):
+        mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=0.0, eta=6.22e12)
+        seg = simulate_creep([(0.1 * mp.mu_p_bar, 1.0e5)], mp).segments[0]
+        rate = lambda_rate(seg.lam_start, seg.b, 0.0, mp) / seg.lam_start
+        ts = np.linspace(0.0, 1.0e5, 11)
+        assert np.allclose(seg.lam_at(ts), seg.lam_start * np.exp(rate * ts),
+                           rtol=1e-13, atol=0.0)
+
+    def test_asymptote_is_a_fixed_point(self):
+        seg = simulate_creep([(1.0e7, 1.0e4)], PMR15).segments[0]
+        initial_rate = lambda_rate(seg.lam_start, seg.b, 0.0, PMR15)
+        assert abs(lambda_rate(seg.lam_inf, seg.b, 0.0, PMR15)) <= 1e-12 * initial_rate
+        assert seg.lam_start < seg.lam_at(seg.t_end) < seg.lam_inf
+
+    def test_nonfinite_solution_is_a_domain_error(self):
+        # eta this small overflows the creep rate
+        mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=4.42e8, eta=1e-320)
+        with pytest.raises(DomainError):
+            simulate_creep([(1.0e7, 1.0e4)], mp)
+
+    def test_rejects_times_outside_segment(self):
+        seg = simulate_creep([(1.0e7, 1.0e4)], PMR15).segments[0]
+        with pytest.raises(ValueError):
+            seg.lam_at(2.0e4)
+        with pytest.raises(ValueError):
+            seg.lam_at(np.array([0.0, -1.0]))
+
+    def test_output_grid_ends_at_segment_ends(self):
+        curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 3.0e4)], PMR15)
+        assert curve.t[0] == 0.0
+        assert 1.0e4 in curve.t
+        assert curve.t[-1] == 4.0e4
+        assert np.all(np.diff(curve.t) > 0.0)
+        assert curve.t.size == curve.epsilon.size
 
 
 class TestAnalyticCurve:
