@@ -6,8 +6,10 @@ configuration: an incompressibility multiplier makes D_G exactly traceless,
 and a Sylvester-type solve inverts the symmetrized viscous term. The rate
 of B_p then follows from the frame-indifferent kinematic identity
 (``bp_rate``). Unimodularity of B_p is a consequence, not an input: the
-integrator monitors det(B_p) and aborts on drift rather than renormalizing
-(an optional projection exists behind a flag, default off).
+integrator monitors det(B_p) and aborts on drift rather than renormalizing.
+The right-hand side works on plain 3x3 matrices; the value types appear
+only at the public boundary (``dG_rate``, ``bp_rate``, ``Trajectory``),
+which calls the same matrix kernel.
 
 Stress reporting fixes the pressure by lateral traction-freeness for
 uniaxial motions and by tr(T) = 0 for shear; the convention used is
@@ -38,6 +40,12 @@ from .uniaxial import CreepCurve
 # Abort threshold for unimodularity drift of B_p along a trajectory.
 DET_DRIFT_LIMIT = 1e-6
 
+# B_p's canonical components (xx, yy, zz, xy, yz, xz) <-> its 3x3 matrix.
+_SYM_INDEX = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
+_ROWS = np.array([0, 1, 2, 0, 1, 0])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+_I3 = np.eye(3)
+
 
 @dataclass(frozen=True)
 class EvolutionState:
@@ -46,58 +54,64 @@ class EvolutionState:
     b_p: SymTensor3
 
 
-def _spd_decomp(b_p: SymTensor3, what: str):
-    d = eig_sym(b_p)
+def _spd_decomp(bpm: np.ndarray, what: str):
+    d = eig_sym(bpm)
     if not (d.eigenvalues[2] > 1e-12 * max(d.eigenvalues[0], 0.0)):
         raise DomainError(f"{what}: B_p lost positive definiteness {d.eigenvalues}")
     return d
 
 
-def _flow_direction(d, b_p: SymTensor3, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
+def _flow_direction(d, bpm: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """D_G (matrix) from the flow rule, given B_p's spectral decomposition.
 
     The multiplier c = (mu_g*tr(B_p^-1 B_G) - 3*mu_p) / tr(B_p^-1) enforces
     tr(D_G) = 0; the cancellation (c*I + mu_p*B_p - mu_g*B_G) runs before
     the 2/eta scaling so exact equilibria map to an exactly zero rate.
     """
-    q = d.frame
-    lam = np.array(d.eigenvalues)
-    bp_inv = q @ np.diag(1.0 / lam) @ q.T
+    bp_inv = d.spectral_map(1.0 / np.array(d.eigenvalues))
     mu_p, mu_g = mp.mu_p_bar, mp.mu_g_bar
-    c = (mu_g * float(np.tensordot(bp_inv, b_g)) - 3.0 * mu_p) / float(np.trace(bp_inv))
-    m = (2.0 / mp.eta) * (c * np.eye(3) + mu_p * b_p.as_matrix() - mu_g * b_g)
+    c = (mu_g * float(np.vdot(bp_inv, b_g)) - 3.0 * mu_p) / float(bp_inv.trace())
+    m = (2.0 / mp.eta) * (c * _I3 + mu_p * bpm - mu_g * b_g)
     return _sylvester_from_decomp(d, m)
 
 
-def _flow_terms(b_p: SymTensor3, b: np.ndarray, mp: MaterialParams):
+def _flow_terms(bpm: np.ndarray, b: np.ndarray, mp: MaterialParams):
     """Shared kernel: decompose B_p once, return (V, B_G, D_G) as matrices."""
-    d = _spd_decomp(b_p, "evolution")
-    q = d.frame
-    lam = np.array(d.eigenvalues)
-    sq = np.sqrt(lam)
-    v = q @ np.diag(sq) @ q.T
-    v_inv = q @ np.diag(1.0 / sq) @ q.T
+    d = _spd_decomp(bpm, "evolution")
+    sq = np.sqrt(d.eigenvalues)
+    v = d.spectral_map(sq)
+    v_inv = d.spectral_map(1.0 / sq)
     b_g = v_inv @ b @ v_inv
     b_g = 0.5 * (b_g + b_g.T)
-    return v, b_g, _flow_direction(d, b_p, b_g, mp)
+    return v, b_g, _flow_direction(d, bpm, b_g, mp)
+
+
+def _convected_rate(v: np.ndarray, bpm: np.ndarray, lmat: np.ndarray, d_g: np.ndarray) -> np.ndarray:
+    """L*B_p + B_p*L^T - 2*V*D_G*V (matrix)."""
+    lb = lmat @ bpm
+    return lb + lb.T - 2.0 * (v @ d_g @ v)
+
+
+def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialParams) -> np.ndarray:
+    """Rate of B_p's components ``y`` under total stretch B and velocity gradient L."""
+    bpm = y[_SYM_INDEX]
+    v, _, d_g = _flow_terms(bpm, b, mp)
+    return _convected_rate(v, bpm, lmat, d_g)[_ROWS, _COLS]
 
 
 def dG_rate(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> SymTensor3:
     """Natural-configuration stretching from the flow rule."""
-    d = _spd_decomp(b_p, "dG_rate")
-    return SymTensor3.from_matrix(
-        _flow_direction(d, b_p, b_g.as_matrix(), mp), check=False
-    )
+    bpm = b_p.as_matrix()
+    d = _spd_decomp(bpm, "dG_rate")
+    return SymTensor3.from_matrix(_flow_direction(d, bpm, b_g.as_matrix(), mp), check=False)
 
 
 def bp_rate(b_p: SymTensor3, vel_grad: Tensor3, d_g: SymTensor3) -> SymTensor3:
     """Rate of B_p: L*B_p + B_p*L^T - 2*V*D_G*V with V = B_p^(1/2)."""
-    d = _spd_decomp(b_p, "bp_rate")
-    q = d.frame
-    v = q @ np.diag(np.sqrt(d.eigenvalues)) @ q.T
-    lmat = vel_grad.as_matrix()
-    lb = lmat @ b_p.as_matrix()
-    rate = lb + lb.T - 2.0 * (v @ d_g.as_matrix() @ v)
+    bpm = b_p.as_matrix()
+    d = _spd_decomp(bpm, "bp_rate")
+    v = d.spectral_map(np.sqrt(d.eigenvalues))
+    rate = _convected_rate(v, bpm, vel_grad.as_matrix(), d_g.as_matrix())
     return SymTensor3.from_matrix(rate, check=False)
 
 
@@ -128,14 +142,13 @@ class Trajectory:
 
 def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
     """Stress and diagnostics for one mesh state."""
-    b_p = SymTensor3.from_components(y)
+    bpm = y[_SYM_INDEX]
     f = protocol.F(t)
     fm = f.as_matrix()
-    b = fm @ fm.T
-    v, b_g, d_g = _flow_terms(b_p, b, mp)
+    v, b_g, d_g = _flow_terms(bpm, fm @ fm.T, mp)
 
     if protocol.kind == "shear":
-        p = -mp.mu_p_bar * b_p.trace() / 3.0
+        p = -mp.mu_p_bar * float(bpm.trace()) / 3.0
         axial = np.array([1.0, 0.0, 0.0])
         convention = "tr T = 0"
     else:
@@ -144,23 +157,22 @@ def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarra
         if protocol.rotation is not None:
             lateral = protocol.rotation @ lateral
             axial = protocol.rotation @ axial
-        bpm = b_p.as_matrix()
         p = -mp.mu_p_bar * float(lateral @ bpm @ lateral)
         convention = "lateral traction-free"
 
-    t_mat = p * np.eye(3) + mp.mu_p_bar * b_p.as_matrix()
+    t_mat = p * _I3 + mp.mu_p_bar * bpm
     t_sym = SymTensor3.from_matrix(t_mat, check=False)
     t_ax = float(axial @ t_mat @ axial)
 
     # ||V D_G||_F^2 form keeps the dissipation non-negative in floats
     vd = v @ d_g
-    xi_m = mp.eta * float(np.tensordot(vd, vd))
+    xi_m = mp.eta * float(np.vdot(vd, vd))
     residual = check_dissipation_identity(
         t_sym, SymTensor3.from_matrix(b_g, check=False), SymTensor3.from_matrix(d_g, check=False),
         xi_m, mp,
     )
     eps_ax = math.log(protocol.axial_stretch(t)) if protocol.kind != "shear" else 0.0
-    return f, b_p, t_sym, eps_ax, t_ax, xi_m, residual, convention
+    return f, SymTensor3(*y.tolist()), t_sym, eps_ax, t_ax, xi_m, residual, convention
 
 
 def drive(
@@ -169,40 +181,26 @@ def drive(
     x0,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    project_unimodular: bool = False,
 ) -> Trajectory:
     """Integrate B_p under the protocol and record the trajectory.
 
     Aborts (attaching the partial trajectory to the error) if det(B_p)
-    drifts beyond DET_DRIFT_LIMIT, unless ``project_unimodular`` rescales
-    the state back onto det = 1 after every accepted step.
+    drifts beyond DET_DRIFT_LIMIT.
     """
     b_p0 = x0.b_p if isinstance(x0, EvolutionState) else x0
 
     def rhs(t, y):
-        b_p = SymTensor3.from_components(y)
-        f = protocol.F(t)
-        fm = f.as_matrix()
-        b = fm @ fm.T
-        v, _, d_g = _flow_terms(b_p, b, mp)
-        lmat = protocol.L(t).as_matrix()
-        lb = lmat @ b_p.as_matrix()
-        rate = lb + lb.T - 2.0 * (v @ d_g @ v)
-        return np.array(
-            [rate[0, 0], rate[1, 1], rate[2, 2], rate[0, 1], rate[1, 2], rate[0, 2]]
-        )
+        fm = protocol.F(t).as_matrix()
+        return _rate_kernel(y, fm @ fm.T, protocol.L(t).as_matrix(), mp)
 
     def step_hook(t, y):
-        det = SymTensor3.from_components(y).det()
-        if project_unimodular:
-            return y / det ** (1.0 / 3.0) if det > 0.0 else y
+        det = SymTensor3(*y.tolist()).det()
         if abs(det - 1.0) > DET_DRIFT_LIMIT:
             raise IntegrationError(
                 f"det(B_p) drifted to {det} at t = {t}; aborting instead of renormalizing",
                 t,
                 y,
             )
-        return None
 
     problem = OdeProblem(
         rhs=rhs, span=protocol.span, y0=b_p0.as_components(), rtol=rtol, atol=atol

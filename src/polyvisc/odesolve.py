@@ -3,10 +3,8 @@
 Implements the Dormand-Prince 5(4) pair with the standard quartic
 interpolant and PI step-size control. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
-``uniaxial``); an optional
-``step_hook`` lets callers monitor or adjust the state after every accepted
-step (used to police determinant drift during natural-configuration
-evolution).
+``uniaxial``); an optional ``step_hook`` monitors every accepted step (used
+to police determinant drift during natural-configuration evolution).
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ _MAX_FACTOR = 5.0
 _PI_BETA = 0.04  # PI controller damping exponent
 _EXPO = 0.2 - 0.75 * _PI_BETA
 _MIN_STEP_FRACTION = 1e-12  # of the span; below this the problem is stiff/singular
+_STATIONARY_STEP_FRACTION = 10 * _MIN_STEP_FRACTION  # least initial step of a stationary start
 _MAX_STEPS = 1_000_000
 
 DEFAULT_RTOL = 1e-8
@@ -100,17 +99,6 @@ class _Segment:
         # Horner-like form of the standard quartic interpolant
         return c[0] + s * (c[1] + (1.0 - s) * (c[2] + s * (c[3] + (1.0 - s) * c[4])))
 
-    def eval_derivative(self, t: float) -> np.ndarray:
-        # chain rule through u(s) = c0 + s*(c1 + (1-s)*(c2 + s*(c3 + (1-s)*c4)))
-        s = (t - self.t0) / self.h
-        c = self.coef
-        inner = c[3] + (1.0 - s) * c[4]
-        mid = c[2] + s * inner
-        d_inner = -c[4]
-        d_mid = inner + s * d_inner
-        du = c[1] + (1.0 - s) * mid + s * (-mid + (1.0 - s) * d_mid)
-        return du / self.h
-
 
 @dataclass
 class OdeSolution:
@@ -123,7 +111,7 @@ class OdeSolution:
     n_rejected: int = 0
     n_rhs: int = 0
 
-    def _eval(self, t, derivative: bool) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(tq < self.ts[0] - 1e-12) or np.any(tq > self.ts[-1] + 1e-12):
             raise ValueError("dense output queried outside the integration span")
@@ -132,17 +120,10 @@ class OdeSolution:
         idx = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, len(self.segments) - 1)
         for k, (ti, i) in enumerate(zip(tq, idx)):
             seg = self.segments[int(i)]
-            out[k] = seg.eval_derivative(ti) if derivative else seg.eval(ti)
+            out[k] = seg.eval(ti)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
-
-    def __call__(self, t) -> np.ndarray:
-        return self._eval(t, derivative=False)
-
-    def derivative(self, t) -> np.ndarray:
-        """Time derivative of the interpolant (the dense state's own slope)."""
-        return self._eval(t, derivative=True)
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
@@ -151,16 +132,23 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
 
 
 def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
-    """Automatic initial step selection (Hairer-Norsett-Wanner heuristic)."""
+    """Automatic initial step selection (Hairer-Norsett-Wanner heuristic).
+
+    A (near-)stationary start gives the heuristic no time scale. Its
+    fallback step, 1e-6, is raised to ``_STATIONARY_STEP_FRACTION`` of the
+    span on spans over 1e5, so it stays above the ``_MIN_STEP_FRACTION``
+    floor however long the span is.
+    """
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    stationary_step = max(1e-6, _STATIONARY_STEP_FRACTION * (t1 - t0))
+    h0 = stationary_step if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+        h1 = max(stationary_step, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t1 - t0)
@@ -168,13 +156,12 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
 
 def integrate(
     problem: OdeProblem,
-    step_hook: Optional[Callable[[float, np.ndarray], Optional[np.ndarray]]] = None,
+    step_hook: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> OdeSolution:
     """Integrate the problem over its span.
 
-    ``step_hook(t, y)`` runs after every accepted step; it may raise to
-    abort, or return a replacement state (e.g. a projection). Hook
-    replacements invalidate FSAL reuse for the next step.
+    ``step_hook(t, y)`` runs after every accepted step as a monitor; it may
+    raise to abort, and its return value is ignored.
     """
     rhs = problem.rhs
     t0, t1 = float(problem.span[0]), float(problem.span[1])
@@ -242,21 +229,15 @@ def integrate(
             seg = _Segment(t, h, np.array([y, dy, bspl, r4, r5]))
 
             t_new = t + h
-            f_new = k[6].copy()
             if step_hook is not None:
                 try:
-                    adjusted = step_hook(t_new, y_new)
+                    step_hook(t_new, y_new)
                 except IntegrationError as exc:
                     if exc.partial is None:
                         exc.partial = _partial()
                     raise
-                if adjusted is not None:
-                    # note: the dense segment keeps the pre-adjustment path
-                    y_new = np.asarray(adjusted, dtype=float)
-                    f_new = np.asarray(rhs(t_new, y_new), dtype=float)
-                    n_rhs += 1
             segments.append(seg)
-            t, y, f = t_new, y_new, f_new
+            t, y, f = t_new, y_new, k[6].copy()
             ts.append(t)
             ys.append(y.copy())
             n_accepted += 1

@@ -5,10 +5,11 @@ canonical order (xx, yy, zz, xy, yz, xz); general tensors as nine row-major
 components. Everything here is a plain immutable value type, so results are
 bit-reproducible and safe to share across threads.
 
-The spectral routines (Jacobi eigensolver, SPD square root, Sylvester-type
-solve) are the workhorses of the natural-configuration evolution equation:
-the flow rule requires solving A*X + X*A = M with A symmetric positive
-definite at every right-hand-side evaluation.
+The spectral routines (LAPACK ``eigh`` under a deterministic frame
+convention, SPD square root, Sylvester-type solve) are the workhorses of
+the natural-configuration evolution equation: the flow rule requires
+solving A*X + X*A = M with A symmetric positive definite at every
+right-hand-side evaluation.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ class DomainError(ValueError):
 # Smallest admissible eigenvalue relative to the largest one; guards the
 # square root and the Sylvester solve against near-singular input.
 SPD_EIG_FLOOR = 1e-12
-
-# Jacobi sweep controls: symmetric 3x3 always converges in a handful of
-# cyclic sweeps, so hitting the cap signals a defect, not hard input.
-_JACOBI_OFFDIAG_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -188,9 +184,6 @@ class Tensor3:
         c = self.components
         return c[0] + c[4] + c[8]
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.as_matrix()))
-
     def isfinite(self) -> bool:
         return all(math.isfinite(v) for v in self.components)
 
@@ -208,9 +201,12 @@ class SpectralDecomp:
     frame: np.ndarray
 
     def reconstruct(self) -> SymTensor3:
+        return SymTensor3.from_matrix(self.spectral_map(self.eigenvalues), check=False)
+
+    def spectral_map(self, values) -> np.ndarray:
+        """Q diag(values) Q^T for the frame Q: a function of the tensor, as a matrix."""
         q = self.frame
-        lam = np.diag(self.eigenvalues)
-        return SymTensor3.from_matrix(q @ lam @ q.T, check=False)
+        return (q * values) @ q.T
 
 
 def invariants(a: SymTensor3) -> tuple:
@@ -223,64 +219,34 @@ def invariants(a: SymTensor3) -> tuple:
     return (i1, i2, i3)
 
 
-def _jacobi_rotate(a: np.ndarray, q: np.ndarray, p: int, r: int) -> None:
-    """One Jacobi rotation zeroing a[p, r], accumulating the frame in q."""
-    apr = a[p, r]
-    if apr == 0.0:
-        return
-    theta = 0.5 * (a[r, r] - a[p, p]) / apr
-    # smaller root of t^2 + 2 theta t - 1 = 0, for numerical stability
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    rot = np.eye(3)
-    rot[p, p] = c
-    rot[r, r] = c
-    rot[p, r] = s
-    rot[r, p] = -s
-    a[:] = rot.T @ a @ rot
-    a[p, r] = 0.0
-    a[r, p] = 0.0
-    q[:] = q @ rot
+def eig_sym(a) -> SpectralDecomp:
+    """Spectral decomposition of a symmetric tensor by LAPACK ``eigh``.
 
-
-def eig_sym(a: SymTensor3) -> SpectralDecomp:
-    """Spectral decomposition of a symmetric tensor by cyclic Jacobi sweeps.
-
-    Eigenvalues are sorted descending. Each eigenvector's sign is fixed
-    so its largest-magnitude component is positive; the last column is
-    then flipped if needed to keep det(frame) = +1.
+    ``a`` is a SymTensor3 or its 3x3 matrix (taken as symmetric: only the
+    lower triangle is read). Eigenvalues are sorted descending. Each
+    eigenvector's sign is fixed so its largest-magnitude component is
+    positive; the last column is then flipped if needed to keep
+    det(frame) = +1. Non-finite input raises DomainError.
     """
-    m = a.as_matrix()
-    scale = np.linalg.norm(m)
-    q = np.eye(3)
-    if scale == 0.0:
-        return SpectralDecomp((0.0, 0.0, 0.0), q)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2)
-        if off <= _JACOBI_OFFDIAG_TOL * scale:
-            break
-        for p, r in ((0, 1), (0, 2), (1, 2)):
-            _jacobi_rotate(m, q, p, r)
-    else:
-        raise RuntimeError("Jacobi sweep cap exceeded on a symmetric 3x3 input")
-
-    vals = np.diag(m).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    q = q[:, order]
-
-    # deterministic sign convention
-    for i in range(3):
-        col = q[:, i]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0.0:
-            q[:, i] = -col
-    if np.linalg.det(q) < 0.0:
-        q[:, 2] = -q[:, 2]
-
-    return SpectralDecomp(tuple(float(v) for v in vals), q)
+    m = a.as_matrix() if isinstance(a, SymTensor3) else a
+    if not np.isfinite(m).all():
+        raise DomainError("eig_sym requires a finite tensor")
+    vals, vecs = np.linalg.eigh(m)
+    # eigh sorts ascending; the sign convention runs on plain lists, which
+    # costs less than numpy calls at this size
+    cols = vecs.T.tolist()[::-1]
+    for i, col in enumerate(cols):
+        if max(col, key=abs) < 0.0:
+            cols[i] = [-v for v in col]
+    e1, e2, e3 = cols
+    det = (
+        e3[0] * (e1[1] * e2[2] - e1[2] * e2[1])
+        + e3[1] * (e1[2] * e2[0] - e1[0] * e2[2])
+        + e3[2] * (e1[0] * e2[1] - e1[1] * e2[0])
+    )
+    if det < 0.0:
+        cols[2] = [-v for v in e3]
+    return SpectralDecomp(tuple(vals[::-1].tolist()), np.array(cols).T)
 
 
 def _require_spd(decomp: SpectralDecomp, what: str) -> None:
@@ -301,8 +267,7 @@ def sqrt_spd(a: SymTensor3) -> SymTensor3:
     """Unique SPD square root, via the spectral decomposition."""
     d = eig_sym(a)
     _require_spd(d, "sqrt_spd")
-    q = d.frame
-    root = q @ np.diag([math.sqrt(v) for v in d.eigenvalues]) @ q.T
+    root = d.spectral_map(np.sqrt(d.eigenvalues))
     return SymTensor3.from_matrix(root, check=False)
 
 
@@ -310,8 +275,7 @@ def inv_spd(a: SymTensor3) -> SymTensor3:
     """Inverse of an SPD tensor, via the spectral decomposition."""
     d = eig_sym(a)
     _require_spd(d, "inv_spd")
-    q = d.frame
-    inv = q @ np.diag([1.0 / v for v in d.eigenvalues]) @ q.T
+    inv = d.spectral_map(1.0 / np.array(d.eigenvalues))
     return SymTensor3.from_matrix(inv, check=False)
 
 
@@ -335,12 +299,3 @@ def sylvester_spd(a: SymTensor3, m: SymTensor3) -> SymTensor3:
     d = eig_sym(a)
     _require_spd(d, "sylvester_spd")
     return SymTensor3.from_matrix(_sylvester_from_decomp(d, m.as_matrix()), check=False)
-
-
-def oldroyd(adot: SymTensor3, vel_grad: Tensor3, a: SymTensor3) -> SymTensor3:
-    """Frame-indifferent rate: adot - L*A - A*L^T."""
-    lm = vel_grad.as_matrix()
-    am = a.as_matrix()
-    la = lm @ am
-    res = adot.as_matrix() - la - la.T
-    return SymTensor3.from_matrix(res, check=False)

@@ -188,6 +188,15 @@ class TestDriveRelax:
         captured = capsys.readouterr().out
         assert "T_axial(0)" in captured
 
+    def test_relax_unit_stretch_long_hold(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = run("relax", "--preset", "pmr15_288", "--lambda-hold", "1",
+                   "--hold-time", "2e6", "--out", str(out))
+        assert code == 0
+        traj = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+        assert traj[-1, 0] == 2.0e6
+        assert np.all(traj[:, 2] == 0.0)
+
     def test_drive_requires_amplitude(self):
         assert run("drive", "--preset", "pmr15_288") == 1
 
