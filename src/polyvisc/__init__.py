@@ -1,19 +1,19 @@
 """Finite-strain viscoelasticity for high-temperature polyimide resins.
 
-A natural-configuration constitutive kernel: 3-D evolution of the
-stress-free configuration, uniaxial creep/recovery simulation, the
-thermodynamic state functions behind it, and derivative-free fitting of
-the material parameters to experimental creep curves.
+A purely mechanical natural-configuration constitutive kernel: 3-D
+evolution of the stress-free configuration, uniaxial creep/recovery
+simulation, the stored energy and dissipation behind it, and
+derivative-free fitting of the material parameters to experimental creep
+curves.
 """
 
-from .material import MaterialParams, ThermalState
+from .material import MaterialParams
 from .tensors import SymTensor3, Tensor3
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MaterialParams",
-    "ThermalState",
     "SymTensor3",
     "Tensor3",
     "__version__",

@@ -377,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, ConfigError, FileNotFoundError) as exc:
+    except (DatasetError, ConfigError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (IntegrationError, DomainError) as exc:

@@ -10,7 +10,8 @@ Dataset CSV format (UTF-8, SI units):
     unload,70000.0,0.0021255
 
 Optional metadata lines: ``# t_unload_s=<v>`` (when the stress removal time
-is not the last load stamp) and ``# provenance=<text>``. Other comment
+is not the last load stamp; it must lie between the last load stamp and the
+first unload stamp) and ``# provenance=<text>``. Other comment
 lines are ignored.
 
 The presets bundle the published best-fit parameter sets for HFPE-II-52 at
@@ -21,6 +22,7 @@ multiplicative noise) stands in for them in tests and examples.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -104,7 +106,7 @@ def load_dataset(path) -> ExperimentalDataset:
     t_unload: List[float] = []
     eps_unload: List[float] = []
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -175,6 +177,18 @@ def load_dataset(path) -> ExperimentalDataset:
         )
     except ValueError as exc:
         raise DatasetError(str(exc)) from exc
+
+
+def _read_utf8(path) -> io.StringIO:
+    """The file's text, newlines translated as ``open`` would; raises
+    DatasetError on bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"line {lineno}: not UTF-8 text") from None
 
 
 def _parse_number(s: str, lineno: int, what: str) -> float:

@@ -64,6 +64,11 @@ class ExperimentalDataset:
             raise ValueError("stress must be finite")
         if self.t_unload.size and self.t_unload[0] < self.t_load[-1]:
             raise ValueError("unload times must not precede the load phase")
+        if self.unload_start is not None:
+            if not (self.t_load[-1] <= self.unload_start):
+                raise ValueError("unload start must not precede the last load stamp")
+            if self.t_unload.size and self.t_unload[0] < self.unload_start:
+                raise ValueError("unload times must not precede the unload start")
 
     @property
     def has_unload(self) -> bool:

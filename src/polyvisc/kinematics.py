@@ -1,9 +1,8 @@
 """Deformation protocols and configuration maps.
 
 A motion protocol prescribes the deformation gradient F(t) and velocity
-gradient L(t) of a strain-controlled experiment. Uniaxial extension and
-simple shear are built in; arbitrary sampled stretch histories are
-interpolated monotonically so replayed trajectories stay physical.
+gradient L(t) of a strain-controlled experiment: isochoric uniaxial
+extension or simple shear, each driven by a scalar history and its rate.
 
 ``natural_maps`` splits the total left stretch into the part carried by the
 natural configuration and the elastic part on top of it, using the symmetric
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .tensors import DomainError, SymTensor3, Tensor3, inv_spd, is_spd, sqrt_spd
 
@@ -68,9 +66,8 @@ def natural_maps(b: SymTensor3, b_p: SymTensor3) -> tuple:
 class MotionProtocol:
     """Strain-controlled motion over a time span.
 
-    ``kind`` is one of "uniaxial", "shear", or "sampled"; the driving
-    callables return the scalar stretch/shear and its rate at a time
-    inside ``span``.
+    ``kind`` is "uniaxial" or "shear"; the driving callables return the
+    scalar stretch/shear and its rate at a time inside ``span``.
     """
 
     kind: str
@@ -125,24 +122,3 @@ def shear_protocol(
 ) -> MotionProtocol:
     return MotionProtocol("shear", (float(span[0]), float(span[1])), gamma, gamma_dot)
 
-
-def sampled_uniaxial(times, stretches) -> MotionProtocol:
-    """Uniaxial protocol through sampled (t, lambda) pairs.
-
-    Uses monotone cubic interpolation so the interpolant never overshoots
-    the data; the rate comes from the interpolant's derivative.
-    """
-    t = np.asarray(times, dtype=float)
-    lam = np.asarray(stretches, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise DomainError("sampled protocol times must be strictly increasing")
-    if np.any(lam <= 0.0):
-        raise DomainError("sampled stretches must be positive")
-    interp = PchipInterpolator(t, lam)
-    dinterp = interp.derivative()
-    return MotionProtocol(
-        "sampled",
-        (float(t[0]), float(t[-1])),
-        lambda s: float(interp(s)),
-        lambda s: float(dinterp(s)),
-    )

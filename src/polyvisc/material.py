@@ -1,17 +1,9 @@
-"""Material parameters, thermodynamic state functions, stress, dissipation.
+"""Material parameters, stored energy, Cauchy stress and dissipation.
 
-The mechanical response is controlled by just three parameters: the two
-shear moduli ``mu_p_bar`` and ``mu_g_bar`` (Pa) and the viscosity ``eta``
-(Pa*s). ``mu_g_bar = 0`` degenerates to a fluid-like (non-recovering)
-response. An optional thermal block supplies the coefficients of the free
-energy's temperature part plus conductivity and density; those only affect
-the reported state functions (energy, entropy, heat capacity), never the
-stress or the creep curves, and default to placeholder values that are not
-fit to any data.
-
-Temperature-dependent moduli follow the affine law
-``mu_bar(theta) = (mu0 - mu1*theta)/theta_s``. Isothermal work stores the
-stress-scale moduli directly (``mu1 = 0``, ``mu0 = mu_bar*theta_s``).
+The model is purely mechanical and is controlled by three parameters: the
+two shear moduli ``mu_p_bar`` and ``mu_g_bar`` (Pa) and the viscosity
+``eta`` (Pa*s). ``mu_g_bar = 0`` degenerates to a fluid-like
+(non-recovering) response.
 """
 
 from __future__ import annotations
@@ -19,48 +11,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .tensors import DomainError, SymTensor3, is_spd
-
-KELVIN_OFFSET = 273.15
 
 
 class ConfigError(ValueError):
     """Non-physical or inconsistent material configuration."""
 
 
-# Placeholder thermal coefficients (NOT fit to data): generic polymer-scale
-# values so the state functions return finite, plausible numbers.
-DEFAULT_THETA_S = 293.15  # K
-DEFAULT_C1 = 0.0  # J/(kg K^2)
-DEFAULT_C2 = 1000.0  # J/(kg K)
-DEFAULT_A_S = 0.0  # J/kg
-DEFAULT_B_S = 0.0  # J/(kg K)
-DEFAULT_CONDUCTIVITY = 0.2  # W/(m K)
-DEFAULT_DENSITY = 1320.0  # kg/m^3
-
-
 @dataclass(frozen=True)
 class MaterialParams:
-    """Isothermal working set plus the optional thermal block."""
+    """The two shear moduli and the viscosity."""
 
     mu_p_bar: float  # Pa
     mu_g_bar: float  # Pa
     eta: float  # Pa*s
-
-    # thermal block
-    theta_s: float = DEFAULT_THETA_S  # K
-    mu_p1: float = 0.0  # Pa/K
-    mu_g1: float = 0.0  # Pa/K
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
-    a_s: float = DEFAULT_A_S
-    b_s: float = DEFAULT_B_S
-    conductivity: float = DEFAULT_CONDUCTIVITY
-    density: float = DEFAULT_DENSITY
 
     def __post_init__(self):
         if not (self.mu_p_bar > 0.0):
@@ -69,31 +36,6 @@ class MaterialParams:
             raise ConfigError(f"mu_g_bar must be non-negative, got {self.mu_g_bar}")
         if not (self.eta > 0.0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
-        if not (self.theta_s > 0.0):
-            raise ConfigError(f"theta_s must be positive, got {self.theta_s}")
-        if self.conductivity < 0.0:
-            raise ConfigError(f"conductivity must be non-negative, got {self.conductivity}")
-        if not (self.density > 0.0):
-            raise ConfigError(f"density must be positive, got {self.density}")
-
-    # Affine coefficients implied by the stored stress-scale moduli: the
-    # working moduli are the values at the reference temperature theta_s.
-    @property
-    def mu_p0(self) -> float:
-        return (self.mu_p_bar + self.mu_p1) * self.theta_s
-
-    @property
-    def mu_g0(self) -> float:
-        return (self.mu_g_bar + self.mu_g1) * self.theta_s
-
-    def mu_p_at(self, theta: float) -> float:
-        return mu_bar(self.mu_p0, self.mu_p1, theta, self.theta_s)
-
-    def mu_g_at(self, theta: float) -> float:
-        mu = (self.mu_g0 - self.mu_g1 * theta) / self.theta_s
-        if mu < 0.0:
-            raise ConfigError(f"mu_g_bar({theta} K) = {mu} Pa is negative")
-        return mu
 
     def is_maxwell(self) -> bool:
         return self.mu_g_bar == 0.0
@@ -105,32 +47,12 @@ class MaterialParams:
         return self.eta / (2.0 * self.mu_g_bar)
 
     def to_dict(self) -> dict:
-        return {
-            "mu_p_bar": self.mu_p_bar,
-            "mu_g_bar": self.mu_g_bar,
-            "eta": self.eta,
-            "thermal": {
-                "theta_s": self.theta_s,
-                "mu_p1": self.mu_p1,
-                "mu_g1": self.mu_g1,
-                "c1": self.c1,
-                "c2": self.c2,
-                "a_s": self.a_s,
-                "b_s": self.b_s,
-                "conductivity": self.conductivity,
-                "density": self.density,
-            },
-        }
-
-
-_THERMAL_KEYS = {
-    "theta_s", "mu_p1", "mu_g1", "c1", "c2", "a_s", "b_s", "conductivity", "density",
-}
+        return {"mu_p_bar": self.mu_p_bar, "mu_g_bar": self.mu_g_bar, "eta": self.eta}
 
 
 def params_from_dict(d: dict) -> MaterialParams:
     """Validate a parameter mapping; unknown keys are rejected."""
-    unknown = set(d) - {"mu_p_bar", "mu_g_bar", "eta", "thermal"}
+    unknown = set(d) - {"mu_p_bar", "mu_g_bar", "eta"}
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
     for key in ("mu_p_bar", "mu_g_bar", "eta"):
@@ -138,17 +60,10 @@ def params_from_dict(d: dict) -> MaterialParams:
             raise ConfigError(f"missing required parameter key: {key}")
         if not isinstance(d[key], (int, float)):
             raise ConfigError(f"parameter {key} must be a number")
-    thermal = d.get("thermal", {})
-    if not isinstance(thermal, dict):
-        raise ConfigError("thermal block must be an object")
-    bad = set(thermal) - _THERMAL_KEYS
-    if bad:
-        raise ConfigError(f"unknown thermal keys: {sorted(bad)}")
     return MaterialParams(
         mu_p_bar=float(d["mu_p_bar"]),
         mu_g_bar=float(d["mu_g_bar"]),
         eta=float(d["eta"]),
-        **{k: float(v) for k, v in thermal.items()},
     )
 
 
@@ -166,135 +81,31 @@ def save_params(mp: MaterialParams, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    """Temperature (K) and optional temperature gradient (K/m)."""
+def helmholtz(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> float:
+    """Stored energy per unit volume (J/m^3).
 
-    theta: float
-    grad_theta: Optional[tuple] = None
-
-    def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ConfigError(f"temperature must be positive, got {self.theta} K")
-
-
-def celsius_to_kelvin(t_c: float) -> float:
-    return t_c + KELVIN_OFFSET
-
-
-def mu_bar(mu0: float, mu1: float, theta: float, theta_s: float) -> float:
-    """Temperature-dependent modulus (mu0 - mu1*theta)/theta_s."""
-    if not (theta_s > 0.0):
-        raise ConfigError(f"theta_s must be positive, got {theta_s}")
-    mu = (mu0 - mu1 * theta) / theta_s
-    if mu < 0.0:
-        raise ConfigError(f"modulus ({mu} Pa) is negative at theta = {theta} K")
-    return mu
-
-
-def _check_state(b_p: SymTensor3, b_g: SymTensor3) -> None:
+    Neo-Hookean terms in the first invariants of B_p and B_G:
+    ``mu_p_bar/2 (tr B_p - 3) + mu_g_bar/2 (tr B_G - 3)``.
+    """
     if not is_spd(b_p):
         raise DomainError("B_p must be SPD")
     if not is_spd(b_g):
         raise DomainError("B_G must be SPD")
+    return 0.5 * mp.mu_p_bar * (b_p.trace() - 3.0) + 0.5 * mp.mu_g_bar * (b_g.trace() - 3.0)
 
 
-def helmholtz(b_p: SymTensor3, b_g: SymTensor3, th: ThermalState, mp: MaterialParams) -> float:
-    """Specific Helmholtz free energy (J/kg).
-
-    Sum of a purely thermal part and neo-Hookean terms in the first
-    invariants of B_G and B_p, each weighted by the temperature-dependent
-    modulus over twice the density.
-    """
-    _check_state(b_p, b_g)
-    th_diff = th.theta - mp.theta_s
-    thermal = (
-        mp.a_s
-        + (mp.b_s + mp.c2) * th_diff
-        - 0.5 * mp.c1 * th_diff * th_diff
-        - mp.c2 * th.theta * math.log(th.theta / mp.theta_s)
-    )
-    mech = (
-        mp.mu_g_at(th.theta) / (2.0 * mp.density) * (b_g.trace() - 3.0)
-        + mp.mu_p_at(th.theta) / (2.0 * mp.density) * (b_p.trace() - 3.0)
-    )
-    return thermal + mech
-
-
-def entropy(b_p: SymTensor3, b_g: SymTensor3, th: ThermalState, mp: MaterialParams) -> float:
-    """Specific entropy (J/(kg K)), the negative temperature derivative of the free energy."""
-    _check_state(b_p, b_g)
-    s_thermal = (
-        -(mp.b_s + mp.c2)
-        + mp.c1 * (th.theta - mp.theta_s)
-        + mp.c2 * math.log(th.theta / mp.theta_s)
-        + mp.c2
-    )
-    s_mech = (
-        mp.mu_g1 / (2.0 * mp.density * mp.theta_s) * (b_g.trace() - 3.0)
-        + mp.mu_p1 / (2.0 * mp.density * mp.theta_s) * (b_p.trace() - 3.0)
-    )
-    return s_thermal + s_mech
-
-
-def internal_energy(b_p: SymTensor3, b_g: SymTensor3, th: ThermalState, mp: MaterialParams) -> float:
-    """Specific internal energy (J/kg); equals helmholtz + theta*entropy."""
-    _check_state(b_p, b_g)
-    e_thermal = (
-        mp.a_s
-        - mp.b_s * mp.theta_s
-        + mp.c2 * (th.theta - mp.theta_s)
-        + 0.5 * mp.c1 * (th.theta**2 - mp.theta_s**2)
-    )
-    e_mech = (
-        mp.mu_g0 / (2.0 * mp.density * mp.theta_s) * (b_g.trace() - 3.0)
-        + mp.mu_p0 / (2.0 * mp.density * mp.theta_s) * (b_p.trace() - 3.0)
-    )
-    return e_thermal + e_mech
-
-
-def heat_capacity(th: ThermalState, mp: MaterialParams) -> float:
-    """Specific heat capacity c1*theta + c2 (J/(kg K))."""
-    return mp.c1 * th.theta + mp.c2
-
-
-def heat_flux(th: ThermalState, mp: MaterialParams) -> tuple:
-    """Fourier heat flux and the conduction dissipation rate.
-
-    Returns ``(q, xi_c)`` with ``q = -k grad(theta)`` (W/m^2) and
-    ``xi_c = k |grad theta|^2 / theta >= 0`` (W/m^3).
-    """
-    if mp.conductivity < 0.0:
-        raise ConfigError("conductivity must be non-negative")
-    g = np.zeros(3) if th.grad_theta is None else np.asarray(th.grad_theta, dtype=float)
-    q = -mp.conductivity * g
-    xi_c = mp.conductivity * float(g @ g) / th.theta
-    return q, xi_c
-
-
-def stress(b_p: SymTensor3, p: float, mp: MaterialParams, theta: Optional[float] = None) -> SymTensor3:
+def stress(b_p: SymTensor3, p: float, mp: MaterialParams) -> SymTensor3:
     """Cauchy stress T = p*I + mu_p_bar * B_p (Pa)."""
-    mu = mp.mu_p_bar if theta is None else mp.mu_p_at(theta)
-    return SymTensor3.identity() * p + b_p * mu
+    return SymTensor3.identity() * p + b_p * mp.mu_p_bar
 
 
-def dissipation_rate(
-    b_p: SymTensor3,
-    d_g: SymTensor3,
-    mp: MaterialParams,
-    th: Optional[ThermalState] = None,
-) -> tuple:
-    """Mechanical dissipation rate and entropy production.
+def dissipation_rate(b_p: SymTensor3, d_g: SymTensor3, mp: MaterialParams) -> float:
+    """Mechanical dissipation rate ``xi_m = eta * (D_G : B_p D_G)`` (W/m^3).
 
-    Returns ``(xi_m, zeta)``: ``xi_m = eta * (D_G : B_p D_G)`` (W/m^3) is a
-    positive quadratic form in D_G since B_p is SPD; the entropy production
-    is ``zeta = xi_m / (density * theta)``.
+    A positive quadratic form in D_G since B_p is SPD.
     """
     bd = b_p.as_matrix() @ d_g.as_matrix()
-    xi_m = mp.eta * float(np.tensordot(d_g.as_matrix(), bd))
-    theta = mp.theta_s if th is None else th.theta
-    zeta = xi_m / (mp.density * theta)
-    return xi_m, zeta
+    return mp.eta * float(np.tensordot(d_g.as_matrix(), bd))
 
 
 # Relative residuals are reported against max(xi_m, this floor, W/m^3) so
@@ -308,7 +119,6 @@ def check_dissipation_identity(
     d_g: SymTensor3,
     xi_m: float,
     mp: MaterialParams,
-    th: Optional[ThermalState] = None,
 ) -> float:
     """Residual of the working identity (T - mu_g_bar*B_G) : D_G = xi_m.
 
@@ -318,9 +128,7 @@ def check_dissipation_identity(
     precision; inconsistent states do not. The pressure part of T drops out
     because D_G is traceless.
     """
-    theta = None if th is None else th.theta
-    mu_g = mp.mu_g_bar if theta is None else mp.mu_g_at(theta)
-    lhs = t_stress - b_g * mu_g
+    lhs = t_stress - b_g * mp.mu_g_bar
     # Contract deviatoric parts: the spherical terms vanish analytically
     # (D_G is traceless), and dropping them keeps machine-level trace noise
     # from swamping the residual near equilibrium.

@@ -1,7 +1,7 @@
-"""Adaptive embedded Runge-Kutta integration with dense output.
+"""Adaptive embedded Runge-Kutta integration.
 
-Implements the Dormand-Prince 5(4) pair with the standard quartic
-interpolant and PI step-size control. It integrates the six-component
+Implements the Dormand-Prince 5(4) pair with PI step-size control and
+returns the states on the accepted mesh. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
 ``uniaxial``); an optional ``step_hook`` monitors every accepted step (used
 to police determinant drift during natural-configuration evolution).
@@ -10,7 +10,7 @@ to police determinant drift during natural-configuration evolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,18 +30,6 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 # fifth-order minus embedded fourth-order weights (local error estimate)
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# dense-output coefficients for the extra interpolation polynomial term
-_D = np.array(
-    [
-        -12715105075 / 11282082432,
-        0.0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ]
 )
 
 _SAFETY = 0.9
@@ -86,44 +74,14 @@ class OdeProblem:
 
 
 @dataclass
-class _Segment:
-    """Dense-output polynomial for one accepted step."""
-
-    t0: float
-    h: float
-    coef: np.ndarray  # (5, dim): y0, dy, bspl, r4, r5
-
-    def eval(self, t: float) -> np.ndarray:
-        s = (t - self.t0) / self.h
-        c = self.coef
-        # Horner-like form of the standard quartic interpolant
-        return c[0] + s * (c[1] + (1.0 - s) * (c[2] + s * (c[3] + (1.0 - s) * c[4])))
-
-
-@dataclass
 class OdeSolution:
-    """Accepted mesh, states, and a dense evaluator over the span."""
+    """Accepted mesh, the states on it, and the solver's counters."""
 
     ts: np.ndarray
     ys: np.ndarray
-    segments: list = field(repr=False, default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
-
-    def __call__(self, t) -> np.ndarray:
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(tq < self.ts[0] - 1e-12) or np.any(tq > self.ts[-1] + 1e-12):
-            raise ValueError("dense output queried outside the integration span")
-        out = np.empty((tq.size, self.ys.shape[1]))
-        # segment i covers [ts[i], ts[i+1]]
-        idx = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, len(self.segments) - 1)
-        for k, (ti, i) in enumerate(zip(tq, idx)):
-            seg = self.segments[int(i)]
-            out[k] = seg.eval(ti)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
@@ -177,7 +135,6 @@ def integrate(
 
     ts = [t0]
     ys = [y.copy()]
-    segments: list = []
     n_accepted = 0
     n_rejected = 0
     err_prev = 1e-4  # PI controller memory
@@ -187,7 +144,7 @@ def integrate(
 
     def _partial():
         return OdeSolution(
-            ts=np.array(ts), ys=np.array(ys), segments=segments,
+            ts=np.array(ts), ys=np.array(ys),
             n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs,
         )
 
@@ -221,13 +178,6 @@ def integrate(
             continue
 
         if err <= 1.0:
-            # dense-output coefficients for this step
-            dy = y_new - y
-            bspl = h * k[0] - dy
-            r4 = dy - h * k[6] - bspl
-            r5 = h * (_D @ k)
-            seg = _Segment(t, h, np.array([y, dy, bspl, r4, r5]))
-
             t_new = t + h
             if step_hook is not None:
                 try:
@@ -236,7 +186,6 @@ def integrate(
                     if exc.partial is None:
                         exc.partial = _partial()
                     raise
-            segments.append(seg)
             t, y, f = t_new, y_new, k[6].copy()
             ts.append(t)
             ys.append(y.copy())
@@ -253,7 +202,6 @@ def integrate(
     return OdeSolution(
         ts=np.array(ts),
         ys=np.array(ys),
-        segments=segments,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs=n_rhs,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyvisc
 from polyvisc import cli
 from polyvisc.dataio import load_dataset, make_synthetic_dataset, save_dataset
 from polyvisc.material import MaterialParams
@@ -162,6 +167,38 @@ class TestFit:
         bad.write_text("segment,t_s,strain\nload,0,0.01\n")
         assert run("fit", "--data", str(bad), "--init", "hfpe285") == 2
 
+    @pytest.mark.parametrize(
+        "unload_start,unload_stamps,message",
+        [
+            (50.0, (150.0, 200.0), "unload start must not precede the last load stamp"),
+            (120.0, (110.0, 200.0), "unload times must not precede the unload start"),
+        ],
+        ids=["before_last_load", "after_first_unload"],
+    )
+    def test_inconsistent_unload_start_is_data_error(
+        self, tmp_path, capsys, unload_start, unload_stamps, message
+    ):
+        # every trial would be penalised, and the fit would report the
+        # initial guess as converged
+        bad = tmp_path / "bad.csv"
+        rows = ["load,0,0.0088", "load,100,0.0100"]
+        rows += [f"unload,{t},0.004" for t in unload_stamps]
+        bad.write_text(
+            f"# stress_pa=1.0e7\n# t_unload_s={unload_start}\nsegment,t_s,strain\n"
+            + "\n".join(rows) + "\n"
+        )
+        assert run("fit", "--data", str(bad), "--init", "pmr15_288") == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + "segment,t_s,strain\n".encode("utf-16-le"))
+        assert run("fit", "--data", str(bad), "--init", "hfpe285") == 2
+        assert "line 1: not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_is_data_error(self, tmp_path):
+        assert run("fit", "--data", str(tmp_path), "--init", "hfpe285") == 2
+
 
 class TestDriveRelax:
     def test_drive_uniaxial(self, tmp_path, capsys):
@@ -239,3 +276,16 @@ class TestPresetsAndValidate:
 
     def test_no_subcommand(self):
         assert run() == 1
+
+
+class TestImport:
+    def test_cli_import_pulls_no_scipy(self):
+        # a cold start pays for every module the CLI imports
+        src = str(Path(polyvisc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        probe = ("import sys, polyvisc.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -251,14 +251,15 @@ class TestDrive:
         assert np.min(traj.xi_m) >= 0.0
         assert np.max(traj.identity_residual) <= 1e-8
 
-    def test_sampled_protocol_drive(self):
-        # tabulated stretch history through the monotone interpolant
-        from polyvisc.kinematics import sampled_uniaxial
-
+    def test_ramp_hold_protocol_drive(self):
+        # ramp to 1.01 over half a retardation time, then hold to 3 tau
         tau = PMR15.retardation_time()
-        knots_t = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 3.0]) * tau
-        knots_lam = np.array([1.0, 1.004, 1.008, 1.01, 1.01, 1.01])
-        protocol = sampled_uniaxial(knots_t, knots_lam)
+        ramp = 0.5 * tau
+        protocol = uniaxial_protocol(
+            lambda t: 1.0 + 0.01 * min(t / ramp, 1.0),
+            lambda t: 0.01 / ramp if t < ramp else 0.0,
+            (0.0, 3.0 * tau),
+        )
         traj = drive(protocol, PMR15, EvolutionState(SymTensor3.identity()))
         assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
         assert np.min(traj.xi_m) >= 0.0

@@ -6,7 +6,6 @@ import pytest
 from polyvisc.kinematics import (
     constant_stretch,
     natural_maps,
-    sampled_uniaxial,
     shear_protocol,
     uniaxial_F,
     uniaxial_L,
@@ -128,23 +127,6 @@ class TestProtocols:
         assert abs(f - np.eye(3)).sum() == pytest.approx(0.2)
         assert p.L(2.0).as_matrix()[0, 1] == pytest.approx(0.1)
         assert np.linalg.det(p.F(2.0).as_matrix()) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sampled_hits_nodes_and_is_monotone(self):
-        t = np.array([0.0, 1.0, 2.5, 4.0])
-        lam = np.array([1.0, 1.2, 1.25, 1.3])
-        p = sampled_uniaxial(t, lam)
-        for ti, li in zip(t, lam):
-            assert p.axial_stretch(ti) == pytest.approx(li, rel=1e-12)
-        # monotone interpolation never overshoots the data range
-        fine = np.linspace(0.0, 4.0, 400)
-        vals = np.array([p.axial_stretch(s) for s in fine])
-        assert vals.min() >= 1.0 - 1e-12 and vals.max() <= 1.3 + 1e-12
-
-    def test_sampled_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            sampled_uniaxial([0.0, 1.0, 1.0], [1.0, 1.1, 1.2])
-        with pytest.raises(DomainError):
-            sampled_uniaxial([0.0, 1.0], [1.0, -0.1])
 
     def test_rotated_protocol(self):
         rng = np.random.default_rng(17)

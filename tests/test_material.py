@@ -7,17 +7,10 @@ import pytest
 from polyvisc.material import (
     ConfigError,
     MaterialParams,
-    ThermalState,
-    celsius_to_kelvin,
     check_dissipation_identity,
     dissipation_rate,
-    entropy,
-    heat_capacity,
-    heat_flux,
     helmholtz,
-    internal_energy,
     load_params,
-    mu_bar,
     params_from_dict,
     save_params,
     stress,
@@ -29,143 +22,16 @@ from test_tensors import random_spd, random_sym
 PMR15 = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=4.42e8, eta=6.22e12)
 
 
-def thermal_params(**overrides):
-    defaults = dict(
-        mu_p_bar=4.0e8, mu_g_bar=1.0e9, eta=1.0e13,
-        mu_p1=2.0e8, mu_g1=5.0e8, c1=1.2, c2=900.0, a_s=150.0, b_s=30.0,
-    )
-    defaults.update(overrides)
-    return MaterialParams(**defaults)
-
-
-def random_state(rng):
-    return random_spd(rng, cond_max=10.0), random_spd(rng, cond_max=10.0)
-
-
-class TestMuBar:
-    def test_temperature_independent(self):
-        assert mu_bar(2.0e8, 0.0, 450.0, 293.15) == 2.0e8 / 293.15
-
-    def test_vanishing_boundary(self):
-        assert mu_bar(3.0e8, 1.0e6, 300.0, 293.15) == 0.0
-
-    def test_negative_raises(self):
-        with pytest.raises(ConfigError):
-            mu_bar(3.0e8, 1.0e6, 301.0, 293.15)
-
-    def test_direct_arithmetic(self):
-        assert mu_bar(2.93e11, 0.0, 500.0, 293.15) == pytest.approx(
-            999488316.5614873, rel=1e-12
-        )
-
-    def test_params_affine_law(self):
-        mp = thermal_params()
-        assert mp.mu_p_at(mp.theta_s) == pytest.approx(mp.mu_p_bar, rel=1e-12)
-        # one kelvin above reference drops the modulus by mu_p1/theta_s
-        drop = mp.mu_p_bar - mp.mu_p_at(mp.theta_s + 1.0)
-        assert drop == pytest.approx(mp.mu_p1 / mp.theta_s, rel=1e-9)
-
-
 class TestStateFunctions:
     def test_helmholtz_reference_state(self):
-        mp = thermal_params()
-        th = ThermalState(mp.theta_s)
         i = SymTensor3.identity()
-        assert helmholtz(i, i, th, mp) == pytest.approx(mp.a_s, rel=1e-12)
+        assert helmholtz(i, i, PMR15) == 0.0
 
     def test_helmholtz_mechanical_part(self):
-        mp = thermal_params(c1=0.0, c2=0.0, a_s=0.0, b_s=0.0, mu_p1=0.0, mu_g1=0.0)
-        th = ThermalState(mp.theta_s)
-        b_p = SymTensor3.diag(3.0, 1.0, 1.0)  # trace 5
-        psi = helmholtz(b_p, SymTensor3.identity(), th, mp)
-        assert psi == pytest.approx(mp.mu_p_bar / mp.density, rel=1e-12)
-
-    def test_legendre_identity(self):
-        # psi = eps - theta*s at random states
-        rng = np.random.default_rng(61)
-        mp = thermal_params()
-        for _ in range(50):
-            b_p, b_g = random_state(rng)
-            th = ThermalState(rng.uniform(250.0, 700.0))
-            psi = helmholtz(b_p, b_g, th, mp)
-            eps = internal_energy(b_p, b_g, th, mp)
-            s = entropy(b_p, b_g, th, mp)
-            assert psi == pytest.approx(eps - th.theta * s, rel=1e-10, abs=1e-10)
-
-    def test_entropy_reference_state(self):
-        mp = thermal_params()
+        b = SymTensor3.diag(3.0, 1.0, 1.0)  # trace 5
         i = SymTensor3.identity()
-        assert entropy(i, i, ThermalState(mp.theta_s), mp) == pytest.approx(
-            -mp.b_s, rel=1e-12
-        )
-
-    def test_entropy_matches_finite_difference(self):
-        rng = np.random.default_rng(67)
-        mp = thermal_params()
-        for _ in range(20):
-            b_p, b_g = random_state(rng)
-            theta = rng.uniform(250.0, 700.0)
-            h = 1e-3 * theta
-            dpsi = helmholtz(b_p, b_g, ThermalState(theta + h), mp) - helmholtz(
-                b_p, b_g, ThermalState(theta - h), mp
-            )
-            s_fd = -dpsi / (2.0 * h)
-            s = entropy(b_p, b_g, ThermalState(theta), mp)
-            assert s == pytest.approx(s_fd, rel=1e-6)
-
-    def test_entropy_linear_in_invariant(self):
-        mp = thermal_params()
-        th = ThermalState(400.0)
-        i = SymTensor3.identity()
-        b_g = SymTensor3.diag(2.0, 1.0, 1.0)  # trace 4: one unit above identity
-        slope = entropy(i, b_g, th, mp) - entropy(i, i, th, mp)
-        assert slope == pytest.approx(mp.mu_g1 / (2.0 * mp.density * mp.theta_s), rel=1e-9)
-
-    def test_internal_energy_reference(self):
-        mp = thermal_params()
-        i = SymTensor3.identity()
-        e = internal_energy(i, i, ThermalState(mp.theta_s), mp)
-        assert e == pytest.approx(mp.a_s - mp.b_s * mp.theta_s, rel=1e-12)
-
-    def test_heat_capacity(self):
-        mp = thermal_params(c1=0.0)
-        assert heat_capacity(ThermalState(500.0), mp) == mp.c2
-        mp2 = thermal_params()
-        assert heat_capacity(ThermalState(400.0), mp2) == mp2.c1 * 400.0 + mp2.c2
-
-    def test_heat_capacity_matches_energy_derivative(self):
-        rng = np.random.default_rng(71)
-        mp = thermal_params()
-        i = SymTensor3.identity()
-        for _ in range(10):
-            theta = rng.uniform(250.0, 700.0)
-            h = 1e-3 * theta
-            de = internal_energy(i, i, ThermalState(theta + h), mp) - internal_energy(
-                i, i, ThermalState(theta - h), mp
-            )
-            assert de / (2.0 * h) == pytest.approx(
-                heat_capacity(ThermalState(theta), mp), rel=1e-6
-            )
-
-
-class TestHeatFlux:
-    def test_zero_gradient(self):
-        q, xi_c = heat_flux(ThermalState(500.0), thermal_params())
-        assert np.all(q == 0.0) and xi_c == 0.0
-
-    def test_direct_arithmetic(self):
-        mp = thermal_params(conductivity=0.2)
-        q, xi_c = heat_flux(ThermalState(500.0, grad_theta=(10.0, 0.0, 0.0)), mp)
-        assert np.allclose(q, [-2.0, 0.0, 0.0])
-        assert xi_c == pytest.approx(0.04, rel=1e-12)
-
-    def test_conduction_dissipation_nonnegative(self):
-        rng = np.random.default_rng(73)
-        mp = thermal_params()
-        for _ in range(100):
-            th = ThermalState(rng.uniform(10.0, 1000.0), grad_theta=rng.standard_normal(3) * 100)
-            _, xi_c = heat_flux(th, mp)
-            assert xi_c >= 0.0
+        assert helmholtz(b, i, PMR15) == pytest.approx(PMR15.mu_p_bar, rel=1e-12)
+        assert helmholtz(i, b, PMR15) == pytest.approx(PMR15.mu_g_bar, rel=1e-12)
 
 
 class TestStress:
@@ -202,24 +68,16 @@ class TestStress:
         diff = t1 - t2
         assert (diff - SymTensor3.identity() * 5.0e6).norm() <= 1e-9 * diff.norm()
 
-    def test_temperature_dependent_modulus_path(self):
-        mp = thermal_params()
-        b_p = SymTensor3.diag(1.2, 1.2**-0.5, 1.2**-0.5)
-        theta = mp.theta_s + 10.0
-        t = stress(b_p, 0.0, mp, theta=theta)
-        assert t.xx == pytest.approx(mp.mu_p_at(theta) * 1.2, rel=1e-12)
-        assert t.xx < stress(b_p, 0.0, mp).xx  # modulus softens with heating
-
 
 class TestDissipation:
     def test_zero_rate_at_equilibrium(self):
-        xi, zeta = dissipation_rate(SymTensor3.identity(), SymTensor3.zero(), PMR15)
-        assert xi == 0.0 and zeta == 0.0
+        xi = dissipation_rate(SymTensor3.identity(), SymTensor3.zero(), PMR15)
+        assert xi == 0.0
 
     def test_identity_reduces_to_frobenius(self):
         rng = np.random.default_rng(83)
         d_g = random_sym(rng)
-        xi, _ = dissipation_rate(SymTensor3.identity(), d_g, PMR15)
+        xi = dissipation_rate(SymTensor3.identity(), d_g, PMR15)
         assert xi == pytest.approx(PMR15.eta * d_g.ddot(d_g), rel=1e-12)
 
     def test_nonnegative(self):
@@ -227,9 +85,8 @@ class TestDissipation:
         for _ in range(300):
             b_p = random_spd(rng, cond_max=1e4)
             d_g = random_sym(rng)
-            xi, zeta = dissipation_rate(b_p, d_g, PMR15)
+            xi = dissipation_rate(b_p, d_g, PMR15)
             assert xi >= -1e-12 * PMR15.eta * d_g.ddot(d_g)
-            assert zeta == pytest.approx(xi / (PMR15.density * PMR15.theta_s), rel=1e-12)
 
     def test_identity_residual_zero_at_equilibrium(self):
         res = check_dissipation_identity(
@@ -251,7 +108,7 @@ class TestDissipation:
             b = random_spd(rng, cond_max=10.0)
             _, b_g = natural_maps(b, b_p)
             d_g = dG_rate(b_p, b_g, PMR15)
-            xi, _ = dissipation_rate(b_p, d_g, PMR15)
+            xi = dissipation_rate(b_p, d_g, PMR15)
             t = stress(b_p, -PMR15.mu_p_bar * b_p.yy, PMR15)
             res = check_dissipation_identity(t, b_g, d_g, xi, PMR15)
             assert res <= 1e-8
@@ -264,7 +121,7 @@ class TestDissipation:
         b_p = SymTensor3.diag(1.2, 1.2**-0.5, 1.2**-0.5)
         _, b_g = natural_maps(random_spd(rng, cond_max=5.0), b_p)
         d_g = dG_rate(b_p, b_g, PMR15)
-        xi, _ = dissipation_rate(b_p, d_g, PMR15)
+        xi = dissipation_rate(b_p, d_g, PMR15)
         t = stress(b_p, -PMR15.mu_p_bar * b_p.yy, PMR15)
         res = check_dissipation_identity(t, b_g, d_g * 1.1, xi, PMR15)
         assert res > 1e-3
@@ -287,18 +144,17 @@ class TestParams:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "params.json"
-        mp = thermal_params()
-        save_params(mp, path)
-        assert load_params(path) == mp
+        save_params(PMR15, path)
+        assert load_params(path) == PMR15
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             params_from_dict({"mu_p_bar": 1.0, "mu_g_bar": 1.0, "eta": 1.0, "nu": 0.3})
         with pytest.raises(ConfigError, match="missing"):
             params_from_dict({"mu_p_bar": 1.0, "mu_g_bar": 1.0})
-        with pytest.raises(ConfigError, match="unknown thermal"):
+        with pytest.raises(ConfigError, match=r"unknown parameter keys: \['thermal'\]"):
             params_from_dict(
-                {"mu_p_bar": 1.0, "mu_g_bar": 1.0, "eta": 1.0, "thermal": {"bogus": 1.0}}
+                {"mu_p_bar": 1.0, "mu_g_bar": 1.0, "eta": 1.0, "thermal": {"theta_s": 293.15}}
             )
 
     def test_load_params_file(self, tmp_path):
@@ -306,10 +162,3 @@ class TestParams:
         path.write_text(json.dumps({"mu_p_bar": 3.76e8, "mu_g_bar": 4.42e8, "eta": 6.22e12}))
         mp = load_params(path)
         assert mp.mu_p_bar == 3.76e8 and mp.eta == 6.22e12
-
-    def test_celsius_conversion(self):
-        assert celsius_to_kelvin(285.0) == pytest.approx(558.15)
-
-    def test_thermal_state_validation(self):
-        with pytest.raises(ConfigError):
-            ThermalState(0.0)
