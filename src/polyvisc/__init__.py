@@ -8,13 +8,12 @@ curves.
 """
 
 from .material import MaterialParams
-from .tensors import SymTensor3, Tensor3
+from .tensors import SymTensor3
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MaterialParams",
     "SymTensor3",
-    "Tensor3",
     "__version__",
 ]

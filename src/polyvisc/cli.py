@@ -137,16 +137,14 @@ def _parse_segment(text: str) -> uniaxial.CreepSegment:
         raise UsageError(str(exc)) from None
 
 
-def _default_durations(mp: MaterialParams, t_load, t_unload):
-    # documented default: 5 retardation times per phase
+def _duration(mp: MaterialParams, given: Optional[float], option: str) -> float:
+    """``given``, or the documented default of 5 retardation times."""
+    if given is not None:
+        return given
     tau = mp.retardation_time()
     if not np.isfinite(tau):
-        raise UsageError(
-            "the Maxwell limit has no retardation time; give --t-load/--t-unload "
-            "or --segment explicitly"
-        )
-    return (5.0 * tau if t_load is None else t_load,
-            5.0 * tau if t_unload is None else t_unload)
+        raise UsageError(f"the Maxwell limit has no retardation time; give {option} explicitly")
+    return 5.0 * tau
 
 
 def _cmd_simulate(args) -> int:
@@ -170,7 +168,8 @@ def _cmd_simulate(args) -> int:
             stress = dataio.get_preset(args.preset).fit_load_pa()
         else:
             raise UsageError("give --segment or --load-fraction")
-        t_load, t_unload = _default_durations(mp, args.t_load, args.t_unload)
+        t_load = _duration(mp, args.t_load, "--t-load")
+        t_unload = _duration(mp, args.t_unload, "--t-unload")
         segments = [uniaxial.CreepSegment(stress, t_load)]
         if t_unload > 0.0:
             segments.append(uniaxial.CreepSegment(0.0, t_unload))
@@ -264,12 +263,7 @@ def _cmd_drive(args) -> int:
     mp = _resolve_params(args)
     if args.amplitude is None:
         raise UsageError("--amplitude is required")
-    tau = mp.retardation_time()
-    duration = args.duration
-    if duration is None:
-        if not np.isfinite(tau):
-            raise UsageError("give --duration explicitly in the Maxwell limit")
-        duration = 5.0 * tau
+    duration = _duration(mp, args.duration, "--duration")
     ramp = args.ramp_time if args.ramp_time is not None else 0.5 * duration
     if not (0.0 < ramp <= duration):
         raise UsageError("--ramp-time must lie in (0, duration]")
@@ -297,9 +291,7 @@ def _cmd_drive(args) -> int:
 
         protocol = kinematics.uniaxial_protocol(lam, lam_dot, (0.0, duration))
 
-    traj = evolution.drive(
-        protocol, mp, evolution.EvolutionState(SymTensor3.identity()), rtol=args.rtol
-    )
+    traj = evolution.drive(protocol, mp, SymTensor3.identity(), rtol=args.rtol)
     _print_trajectory_summary(traj)
     if args.out:
         dataio.save_trajectory(traj, args.out)
@@ -311,12 +303,7 @@ def _cmd_relax(args) -> int:
     mp = _resolve_params(args)
     if args.lambda_hold is None:
         raise UsageError("--lambda-hold is required")
-    tau = mp.retardation_time()
-    hold = args.hold_time
-    if hold is None:
-        if not np.isfinite(tau):
-            raise UsageError("give --hold-time explicitly in the Maxwell limit")
-        hold = 5.0 * tau
+    hold = _duration(mp, args.hold_time, "--hold-time")
     traj = evolution.relax(args.lambda_hold, mp, hold, rtol=args.rtol)
     _print_trajectory_summary(traj)
     if args.out:

@@ -7,13 +7,14 @@ and a Sylvester-type solve inverts the symmetrized viscous term. The rate
 of B_p then follows from the frame-indifferent kinematic identity
 (``bp_rate``). Unimodularity of B_p is a consequence, not an input: the
 integrator monitors det(B_p) and aborts on drift rather than renormalizing.
-The right-hand side works on plain 3x3 matrices; the value types appear
-only at the public boundary (``dG_rate``, ``bp_rate``, ``Trajectory``),
-which calls the same matrix kernel.
+The right-hand side works on plain 3x3 matrices (F and L come from the
+protocol as arrays); symmetric tensors appear as ``SymTensor3`` only at the
+public boundary (``dG_rate``, ``bp_rate``, ``Trajectory``), which calls the
+same matrix kernel.
 
-Stress reporting fixes the pressure by lateral traction-freeness for
-uniaxial motions and by tr(T) = 0 for shear; the convention used is
-recorded on the trajectory.
+Stress and dissipation on the trajectory come from ``material``; this
+module only fixes the pressure, by lateral traction-freeness for uniaxial
+motions and by tr(T) = 0 for shear, and records the convention used.
 """
 
 from __future__ import annotations
@@ -26,12 +27,21 @@ import numpy as np
 
 from . import uniaxial as _uniaxial
 from .kinematics import MotionProtocol, constant_stretch, uniaxial_protocol
-from .material import MaterialParams, check_dissipation_identity
+from .material import (
+    MaterialParams,
+    check_dissipation_identity,
+    dissipation_rate,
+    pressure,
+    stress,
+)
 from .odesolve import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, OdeProblem, integrate
 from .tensors import (
+    _COLS,
+    _ROWS,
+    _SYM_INDEX,
     DomainError,
     SymTensor3,
-    Tensor3,
+    _require_spd,
     _sylvester_from_decomp,
     eig_sym,
 )
@@ -40,24 +50,12 @@ from .uniaxial import CreepCurve
 # Abort threshold for unimodularity drift of B_p along a trajectory.
 DET_DRIFT_LIMIT = 1e-6
 
-# B_p's canonical components (xx, yy, zz, xy, yz, xz) <-> its 3x3 matrix.
-_SYM_INDEX = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
-_ROWS = np.array([0, 1, 2, 0, 1, 0])
-_COLS = np.array([0, 1, 2, 1, 2, 2])
 _I3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class EvolutionState:
-    """Natural-configuration state; B_p must be SPD and unimodular."""
-
-    b_p: SymTensor3
 
 
 def _spd_decomp(bpm: np.ndarray, what: str):
     d = eig_sym(bpm)
-    if not (d.eigenvalues[2] > 1e-12 * max(d.eigenvalues[0], 0.0)):
-        raise DomainError(f"{what}: B_p lost positive definiteness {d.eigenvalues}")
+    _require_spd(d, what)
     return d
 
 
@@ -106,12 +104,12 @@ def dG_rate(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> SymTensor3:
     return SymTensor3.from_matrix(_flow_direction(d, bpm, b_g.as_matrix(), mp), check=False)
 
 
-def bp_rate(b_p: SymTensor3, vel_grad: Tensor3, d_g: SymTensor3) -> SymTensor3:
-    """Rate of B_p: L*B_p + B_p*L^T - 2*V*D_G*V with V = B_p^(1/2)."""
+def bp_rate(b_p: SymTensor3, vel_grad: np.ndarray, d_g: SymTensor3) -> SymTensor3:
+    """Rate of B_p: L*B_p + B_p*L^T - 2*V*D_G*V with V = B_p^(1/2); L is 3x3."""
     bpm = b_p.as_matrix()
     d = _spd_decomp(bpm, "bp_rate")
     v = d.spectral_map(np.sqrt(d.eigenvalues))
-    rate = _convected_rate(v, bpm, vel_grad.as_matrix(), d_g.as_matrix())
+    rate = _convected_rate(v, bpm, vel_grad, d_g.as_matrix())
     return SymTensor3.from_matrix(rate, check=False)
 
 
@@ -120,7 +118,7 @@ class Trajectory:
     """Time-sampled record of a driven material point."""
 
     t: np.ndarray
-    F: List[Tensor3] = field(repr=False)
+    F: np.ndarray = field(repr=False)  # (n, 3, 3)
     b_p: List[SymTensor3] = field(repr=False)
     stress: List[SymTensor3] = field(repr=False)
     eps_axial: np.ndarray = field(repr=False)
@@ -142,56 +140,47 @@ class Trajectory:
 
 def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
     """Stress and diagnostics for one mesh state."""
-    bpm = y[_SYM_INDEX]
+    b_p = SymTensor3(*y.tolist())
     f = protocol.F(t)
-    fm = f.as_matrix()
-    v, b_g, d_g = _flow_terms(bpm, fm @ fm.T, mp)
+    _, b_g, d_g = _flow_terms(y[_SYM_INDEX], f @ f.T, mp)
 
+    axial = np.array([1.0, 0.0, 0.0])
     if protocol.kind == "shear":
-        p = -mp.mu_p_bar * float(bpm.trace()) / 3.0
-        axial = np.array([1.0, 0.0, 0.0])
+        p = pressure(b_p, mp)
         convention = "tr T = 0"
     else:
         lateral = np.array([0.0, 1.0, 0.0])
-        axial = np.array([1.0, 0.0, 0.0])
         if protocol.rotation is not None:
             lateral = protocol.rotation @ lateral
             axial = protocol.rotation @ axial
-        p = -mp.mu_p_bar * float(lateral @ bpm @ lateral)
+        p = pressure(b_p, mp, lateral)
         convention = "lateral traction-free"
 
-    t_mat = p * _I3 + mp.mu_p_bar * bpm
-    t_sym = SymTensor3.from_matrix(t_mat, check=False)
-    t_ax = float(axial @ t_mat @ axial)
-
-    # ||V D_G||_F^2 form keeps the dissipation non-negative in floats
-    vd = v @ d_g
-    xi_m = mp.eta * float(np.vdot(vd, vd))
-    residual = check_dissipation_identity(
-        t_sym, SymTensor3.from_matrix(b_g, check=False), SymTensor3.from_matrix(d_g, check=False),
-        xi_m, mp,
-    )
-    eps_ax = math.log(protocol.axial_stretch(t)) if protocol.kind != "shear" else 0.0
-    return f, SymTensor3(*y.tolist()), t_sym, eps_ax, t_ax, xi_m, residual, convention
+    t_sym = stress(b_p, p, mp)
+    t_ax = float(axial @ t_sym.as_matrix() @ axial)
+    b_g, d_g = (SymTensor3.from_matrix(m, check=False) for m in (b_g, d_g))
+    xi_m = dissipation_rate(b_p, d_g, mp)
+    residual = check_dissipation_identity(t_sym, b_g, d_g, xi_m, mp)
+    eps_ax = math.log(protocol.drive(t)) if protocol.kind != "shear" else 0.0
+    return f, b_p, t_sym, eps_ax, t_ax, xi_m, residual, convention
 
 
 def drive(
     protocol: MotionProtocol,
     mp: MaterialParams,
-    x0,
+    b_p0: SymTensor3,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
-    """Integrate B_p under the protocol and record the trajectory.
+    """Integrate B_p from ``b_p0`` under the protocol and record the trajectory.
 
     Aborts (attaching the partial trajectory to the error) if det(B_p)
     drifts beyond DET_DRIFT_LIMIT.
     """
-    b_p0 = x0.b_p if isinstance(x0, EvolutionState) else x0
 
     def rhs(t, y):
-        fm = protocol.F(t).as_matrix()
-        return _rate_kernel(y, fm @ fm.T, protocol.L(t).as_matrix(), mp)
+        f = protocol.F(t)
+        return _rate_kernel(y, f @ f.T, protocol.L(t), mp)
 
     def step_hook(t, y):
         det = SymTensor3(*y.tolist()).det()
@@ -217,7 +206,7 @@ def drive(
 
 def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Trajectory:
     n = sol.ts.size
-    fs: List[Tensor3] = []
+    fs = np.empty((n, 3, 3))
     bps: List[SymTensor3] = []
     stresses: List[SymTensor3] = []
     eps_ax = np.empty(n)
@@ -228,7 +217,7 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
     convention = "lateral traction-free"
     for i, (t, y) in enumerate(zip(sol.ts, sol.ys)):
         f, b_p, t_sym, e, ta, x, r, convention = _sample(protocol, mp, t, y)
-        fs.append(f)
+        fs[i] = f
         bps.append(b_p)
         stresses.append(t_sym)
         eps_ax[i] = e
@@ -266,7 +255,7 @@ def relax(
         raise DomainError(f"hold stretch must be positive, got {lambda_hold}")
     protocol = constant_stretch(lambda_hold, (0.0, hold_time))
     b_p0 = SymTensor3.diag(lambda_hold**2, 1.0 / lambda_hold, 1.0 / lambda_hold)
-    return drive(protocol, mp, EvolutionState(b_p0), rtol=rtol, atol=atol)
+    return drive(protocol, mp, b_p0, rtol=rtol, atol=atol)
 
 
 def replay_uniaxial(
@@ -299,10 +288,10 @@ def replay_uniaxial(
 
         protocol = uniaxial_protocol(
             lam=seg.lam_at,
-            lam_dot=lambda t, _s=seg: _uniaxial.lambda_rate(_s.lam_at(t), _s.b, 0.0, mp),
+            lam_dot=lambda t, _s=seg: _uniaxial.lambda_rate(_s.lam_at(t), _s.b, mp),
             span=(seg.t_start, seg.t_end),
         )
-        traj = drive(protocol, mp, EvolutionState(b_p), rtol=rtol, atol=atol)
+        traj = drive(protocol, mp, b_p, rtol=rtol, atol=atol)
         trajectories.append(traj)
         b_p = traj.b_p[-1]
     return trajectories

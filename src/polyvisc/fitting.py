@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .material import MaterialParams
+from .material import ConfigError, MaterialParams
 from .tensors import DomainError
 from .uniaxial import CreepSegment, simulate_creep
 
@@ -28,10 +28,12 @@ from .uniaxial import CreepSegment, simulate_creep
 # large enough that the simplex always retreats from it.
 PENALTY = 1e6
 
-# The simplex stops once its objective spread is below
-# min(ftol, max(_FTOL_REL * |f_best|, _FTOL_FLOOR)): relative to the best
-# value, so a small but non-zero minimum is resolved to a fixed fraction of
-# itself, with an absolute floor for minima at 0.
+# The simplex stops once its diameter is below _XTOL and its objective
+# spread below min(_FTOL, max(_FTOL_REL * |f_best|, _FTOL_FLOOR)): relative
+# to the best value, so a small but non-zero minimum is resolved to a fixed
+# fraction of itself, with an absolute floor for minima at 0.
+_XTOL = 1e-8
+_FTOL = 1e-12
 _FTOL_REL = 1e-4
 _FTOL_FLOOR = 1e-14
 
@@ -56,6 +58,11 @@ class ExperimentalDataset:
         self.eps_unload = np.asarray(self.eps_unload, dtype=float)
         if self.t_load.size < 2:
             raise ValueError("load phase needs at least 2 samples")
+        for name in ("t_load", "eps_load", "t_unload", "eps_unload"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if self.t_load[0] < 0.0:
+            raise ValueError("load times must not precede the load start at t = 0")
         if np.any(np.diff(self.t_load) <= 0.0):
             raise ValueError("load times must be strictly increasing")
         if self.t_unload.size and np.any(np.diff(self.t_unload) <= 0.0):
@@ -87,8 +94,6 @@ class FitConfig:
 
     weight: float = 0.5
     initial: Optional[Sequence[float]] = None  # (mu_p_bar, mu_g_bar, eta)
-    xtol: float = 1e-8  # relative simplex diameter at termination
-    ftol: float = 1e-12  # objective spread at termination
     max_iter: int = 2000
     step: float = 0.25  # initial simplex spread (log-parameter units)
 
@@ -135,8 +140,9 @@ def creep_error(
     """Weighted relative misfit of the simulated creep curve to the dataset.
 
     With no unload samples the unload term is defined as zero and the
-    weight is forced to 1. Simulation failures return the PENALTY sentinel
-    instead of raising, so optimizers can retreat.
+    weight is forced to 1. A parameter set the simulation cannot solve
+    (DomainError) returns the PENALTY sentinel instead of raising, so
+    optimizers can retreat; any other error propagates.
     """
     if not ds.has_unload:
         w = 1.0
@@ -156,7 +162,7 @@ def creep_error(
             eps_sim_unload = curve.strain_in_segment(1, ds.t_unload)
             term += (1.0 - w) * _phase_term(eps_sim_unload, ds.eps_unload)
         return term
-    except (DomainError, ValueError):
+    except DomainError:
         return PENALTY
 
 
@@ -176,19 +182,17 @@ def nelder_mead(
     x0,
     *,
     step: float = 0.05,
-    xtol: float = 1e-8,
-    ftol: float = 1e-12,
     max_iter: int = 2000,
 ) -> SimplexResult:
     """Minimize f by the Nelder-Mead simplex method.
 
     Standard coefficients (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5). Terminates when the simplex diameter drops below ``xtol``
-    and the objective spread below both ``ftol`` and a fraction
+    shrink 0.5). Terminates when the simplex diameter drops below ``_XTOL``
+    and the objective spread below both ``_FTOL`` and a fraction
     ``_FTOL_REL`` of the best value (floored at ``_FTOL_FLOOR``), or at the
     iteration cap (reported via ``converged``). The diameter is measured in
     the search coordinates, which callers are expected to scale (the creep
-    fit runs over log-parameters, so xtol is a relative parameter tolerance
+    fit runs over log-parameters, so _XTOL is a relative parameter tolerance
     there).
     The returned vertex is never worse than f(x0).
     """
@@ -213,8 +217,8 @@ def nelder_mead(
         fvals = fvals[order]
 
         diam = float(np.max(np.abs(verts[1:] - verts[0])))
-        spread_tol = min(ftol, max(_FTOL_REL * abs(fvals[0]), _FTOL_FLOOR))
-        if diam < xtol and (fvals[-1] - fvals[0]) < spread_tol:
+        spread_tol = min(_FTOL, max(_FTOL_REL * abs(fvals[0]), _FTOL_FLOOR))
+        if diam < _XTOL and (fvals[-1] - fvals[0]) < spread_tol:
             converged = True
             break
 
@@ -274,18 +278,11 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
         mu_p, mu_g, eta = np.exp(logp)
         try:
             mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
-        except ValueError:
+        except ConfigError:
             return PENALTY
         return creep_error(mp, ds, cfg.weight)
 
-    res = nelder_mead(
-        objective,
-        x0,
-        step=cfg.step,
-        xtol=cfg.xtol,
-        ftol=cfg.ftol,
-        max_iter=cfg.max_iter,
-    )
+    res = nelder_mead(objective, x0, step=cfg.step, max_iter=cfg.max_iter)
     mu_p, mu_g, eta = np.exp(res.x)
     return FitResult(
         params=MaterialParams(mu_p_bar=float(mu_p), mu_g_bar=float(mu_g), eta=float(eta)),

@@ -1,8 +1,9 @@
 """Deformation protocols and configuration maps.
 
 A motion protocol prescribes the deformation gradient F(t) and velocity
-gradient L(t) of a strain-controlled experiment: isochoric uniaxial
-extension or simple shear, each driven by a scalar history and its rate.
+gradient L(t) of a strain-controlled experiment, each a plain 3x3 array:
+isochoric uniaxial extension or simple shear, each driven by a scalar
+history and its rate.
 
 ``natural_maps`` splits the total left stretch into the part carried by the
 natural configuration and the elastic part on top of it, using the symmetric
@@ -19,32 +20,32 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .tensors import DomainError, SymTensor3, Tensor3, inv_spd, is_spd, sqrt_spd
+from .tensors import DomainError, SymTensor3, inv_spd, is_spd, sqrt_spd
 
 
-def uniaxial_F(lam: float) -> Tensor3:
+def uniaxial_F(lam: float) -> np.ndarray:
     """Deformation gradient diag(lam, lam^-1/2, lam^-1/2) of isochoric uniaxial extension."""
     if not (lam > 0.0):
         raise DomainError(f"uniaxial stretch must be positive, got {lam}")
     lat = 1.0 / math.sqrt(lam)
-    return Tensor3.diag(lam, lat, lat)
+    return np.array([[lam, 0.0, 0.0], [0.0, lat, 0.0], [0.0, 0.0, lat]])
 
 
-def uniaxial_L(lam: float, lam_dot: float) -> Tensor3:
+def uniaxial_L(lam: float, lam_dot: float) -> np.ndarray:
     """Velocity gradient of uniaxial extension; traceless by construction."""
     if not (lam > 0.0):
         raise DomainError(f"uniaxial stretch must be positive, got {lam}")
     r = lam_dot / lam
-    return Tensor3.diag(r, -0.5 * r, -0.5 * r)
+    return np.array([[r, 0.0, 0.0], [0.0, -0.5 * r, 0.0], [0.0, 0.0, -0.5 * r]])
 
 
-def shear_F(gamma: float) -> Tensor3:
+def shear_F(gamma: float) -> np.ndarray:
     """Simple-shear deformation gradient (unit determinant)."""
-    return Tensor3((1.0, float(gamma), 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+    return np.array([[1.0, gamma, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def shear_L(gamma_dot: float) -> Tensor3:
-    return Tensor3((0.0, float(gamma_dot), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+def shear_L(gamma_dot: float) -> np.ndarray:
+    return np.array([[0.0, gamma_dot, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def natural_maps(b: SymTensor3, b_p: SymTensor3) -> tuple:
@@ -77,16 +78,16 @@ class MotionProtocol:
     # optional constant rotation applied to the motion (F -> Q F)
     rotation: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def F(self, t: float) -> Tensor3:
+    def F(self, t: float) -> np.ndarray:
         if self.kind == "shear":
             f = shear_F(self.drive(t))
         else:
             f = uniaxial_F(self.drive(t))
         if self.rotation is not None:
-            f = Tensor3.from_matrix(self.rotation @ f.as_matrix())
+            f = self.rotation @ f
         return f
 
-    def L(self, t: float) -> Tensor3:
+    def L(self, t: float) -> np.ndarray:
         if self.kind == "shear":
             l = shear_L(self.drive_rate(t))
         else:
@@ -94,11 +95,8 @@ class MotionProtocol:
         if self.rotation is not None:
             # constant Q contributes no spin: L -> Q L Q^T exactly
             q = self.rotation
-            l = Tensor3.from_matrix(q @ l.as_matrix() @ q.T)
+            l = q @ l @ q.T
         return l
-
-    def axial_stretch(self, t: float) -> float:
-        return self.drive(t)
 
 
 def uniaxial_protocol(

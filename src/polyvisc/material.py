@@ -37,9 +37,6 @@ class MaterialParams:
         if not (self.eta > 0.0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
 
-    def is_maxwell(self) -> bool:
-        return self.mu_g_bar == 0.0
-
     def retardation_time(self) -> float:
         """Creep time constant eta/(2 mu_g_bar); inf in the Maxwell limit."""
         if self.mu_g_bar == 0.0:
@@ -96,16 +93,35 @@ def helmholtz(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> float:
 
 def stress(b_p: SymTensor3, p: float, mp: MaterialParams) -> SymTensor3:
     """Cauchy stress T = p*I + mu_p_bar * B_p (Pa)."""
-    return SymTensor3.identity() * p + b_p * mp.mu_p_bar
+    mu = mp.mu_p_bar
+    return SymTensor3(p + mu * b_p.xx, p + mu * b_p.yy, p + mu * b_p.zz,
+                      mu * b_p.xy, mu * b_p.yz, mu * b_p.xz)
+
+
+def pressure(b_p: SymTensor3, mp: MaterialParams, normal=None) -> float:
+    """The pressure p of ``stress`` fixed by a boundary condition (Pa).
+
+    With a unit ``normal`` n, the traction-free one (n . T n = 0); without,
+    the one that makes T traceless.
+    """
+    if normal is None:
+        return -mp.mu_p_bar * b_p.trace() / 3.0
+    return -mp.mu_p_bar * float(normal @ b_p.as_matrix() @ normal)
 
 
 def dissipation_rate(b_p: SymTensor3, d_g: SymTensor3, mp: MaterialParams) -> float:
     """Mechanical dissipation rate ``xi_m = eta * (D_G : B_p D_G)`` (W/m^3).
 
-    A positive quadratic form in D_G since B_p is SPD.
+    Evaluated as ``eta * ||C^T D_G||_F^2`` with the Cholesky factor
+    B_p = C C^T, a sum of squares, so it is non-negative in floating point
+    too. Raises DomainError if B_p is not SPD (it has no Cholesky factor).
     """
-    bd = b_p.as_matrix() @ d_g.as_matrix()
-    return mp.eta * float(np.tensordot(d_g.as_matrix(), bd))
+    try:
+        c = np.linalg.cholesky(b_p.as_matrix())
+    except np.linalg.LinAlgError:
+        raise DomainError(f"dissipation_rate requires an SPD B_p, got {b_p}") from None
+    cd = c.T @ d_g.as_matrix()
+    return mp.eta * float(np.vdot(cd, cd))
 
 
 # Relative residuals are reported against max(xi_m, this floor, W/m^3) so

@@ -1,15 +1,19 @@
 """Exact-shape 3x3 tensor algebra.
 
-Symmetric tensors are stored as their six independent components in the
-canonical order (xx, yy, zz, xy, yz, xz); general tensors as nine row-major
-components. Everything here is a plain immutable value type, so results are
-bit-reproducible and safe to share across threads.
+Symmetric tensors are ``SymTensor3`` values holding their six independent
+components in the canonical order (xx, yy, zz, xy, yz, xz); this module
+owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
+components, ``_ROWS``/``_COLS`` pick the components out of a matrix).
+General tensors such as F and L are plain 3x3 numpy arrays. ``SymTensor3``
+is immutable, so results are bit-reproducible and safe to share across
+threads.
 
 The spectral routines (LAPACK ``eigh`` under a deterministic frame
 convention, SPD square root, Sylvester-type solve) are the workhorses of
 the natural-configuration evolution equation: the flow rule requires
 solving A*X + X*A = M with A symmetric positive definite at every
-right-hand-side evaluation.
+right-hand-side evaluation. Every SPD test is ``_spd_eigenvalues``, on the
+eigenvalue floor ``SPD_EIG_FLOOR``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ class DomainError(ValueError):
 # Smallest admissible eigenvalue relative to the largest one; guards the
 # square root and the Sylvester solve against near-singular input.
 SPD_EIG_FLOOR = 1e-12
+
+# Canonical components (xx, yy, zz, xy, yz, xz) <-> 3x3 matrix.
+_SYM_INDEX = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
+_ROWS = np.array([0, 1, 2, 0, 1, 0])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,12 @@ class SymTensor3:
         return SymTensor3(float(a), float(b), float(c), 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_matrix(m: np.ndarray, *, rtol: float = 1e-8, check: bool = True) -> "SymTensor3":
+    def from_matrix(m: np.ndarray, *, check: bool = True) -> "SymTensor3":
         """Build from a 3x3 matrix, averaging away floating-point asymmetry.
 
-        Raises DomainError if the asymmetric part exceeds ``rtol`` relative
-        to the matrix norm (the input was not actually symmetric). Internal
-        call sites whose results are symmetric by algebra pass
+        Raises DomainError if the asymmetric part exceeds 1e-8 of the matrix
+        norm (the input was not actually symmetric).
+        Internal call sites whose results are symmetric by algebra pass
         ``check=False``; the averaging still removes rounding skew.
         """
         m = np.asarray(m, dtype=float)
@@ -67,25 +76,13 @@ class SymTensor3:
         if check:
             skew = m - m.T
             scale = np.linalg.norm(m)
-            if scale > 0.0 and np.linalg.norm(skew) > rtol * scale:
+            if scale > 0.0 and np.linalg.norm(skew) > 1e-8 * scale:
                 raise DomainError("matrix is not symmetric within tolerance")
         s = 0.5 * (m + m.T)
-        return SymTensor3(s[0, 0], s[1, 1], s[2, 2], s[0, 1], s[1, 2], s[0, 2])
-
-    @staticmethod
-    def from_components(c) -> "SymTensor3":
-        """Build from a length-6 sequence in canonical order."""
-        xx, yy, zz, xy, yz, xz = (float(v) for v in c)
-        return SymTensor3(xx, yy, zz, xy, yz, xz)
+        return SymTensor3(*s[_ROWS, _COLS].tolist())
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.xx, self.xy, self.xz],
-                [self.xy, self.yy, self.yz],
-                [self.xz, self.yz, self.zz],
-            ]
-        )
+        return self.as_components()[_SYM_INDEX]
 
     def as_components(self) -> np.ndarray:
         """Canonical (xx, yy, zz, xy, yz, xz) vector."""
@@ -144,48 +141,6 @@ class SymTensor3:
 
     def __neg__(self) -> "SymTensor3":
         return self * -1.0
-
-    def isfinite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (self.xx, self.yy, self.zz, self.xy, self.yz, self.xz)
-        )
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    """General second-order tensor, nine row-major components."""
-
-    components: tuple
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Tensor3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        return Tensor3(tuple(float(v) for v in m.ravel()))
-
-    @staticmethod
-    def diag(a: float, b: float, c: float) -> "Tensor3":
-        return Tensor3((float(a), 0.0, 0.0, 0.0, float(b), 0.0, 0.0, 0.0, float(c)))
-
-    @staticmethod
-    def identity() -> "Tensor3":
-        return Tensor3.diag(1.0, 1.0, 1.0)
-
-    @staticmethod
-    def zero() -> "Tensor3":
-        return Tensor3((0.0,) * 9)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(self.components).reshape(3, 3)
-
-    def trace(self) -> float:
-        c = self.components
-        return c[0] + c[4] + c[8]
-
-    def isfinite(self) -> bool:
-        return all(math.isfinite(v) for v in self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,18 +204,20 @@ def eig_sym(a) -> SpectralDecomp:
     return SpectralDecomp(tuple(vals[::-1].tolist()), np.array(cols).T)
 
 
+def _spd_eigenvalues(eigenvalues) -> bool:
+    """The SPD test on descending eigenvalues: the smallest clears the floor."""
+    return eigenvalues[2] > SPD_EIG_FLOOR * max(eigenvalues[0], 0.0)
+
+
 def _require_spd(decomp: SpectralDecomp, what: str) -> None:
-    lo = decomp.eigenvalues[2]
-    hi = decomp.eigenvalues[0]
-    if not (lo > SPD_EIG_FLOOR * max(hi, 0.0)):
+    if not _spd_eigenvalues(decomp.eigenvalues):
         raise DomainError(
             f"{what} requires an SPD tensor (eigenvalues {decomp.eigenvalues})"
         )
 
 
 def is_spd(a: SymTensor3) -> bool:
-    d = eig_sym(a)
-    return d.eigenvalues[2] > SPD_EIG_FLOOR * max(d.eigenvalues[0], 0.0)
+    return _spd_eigenvalues(eig_sym(a).eigenvalues)
 
 
 def sqrt_spd(a: SymTensor3) -> SymTensor3:

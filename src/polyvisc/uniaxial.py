@@ -88,17 +88,15 @@ def solve_B(t11: float, mu_p_bar: float) -> float:
     return s * s
 
 
-def lambda_rate(lam: float, b: float, b_dot: float, mp: MaterialParams) -> float:
-    """Stretch rate of uniaxial extension at natural-configuration stretch b."""
+def lambda_rate(lam: float, b: float, mp: MaterialParams) -> float:
+    """Stretch rate of uniaxial extension at natural-configuration stretch b, held fixed."""
     if not (lam > 0.0 and b > 0.0):
         raise DomainError(f"lambda and B must be positive, got {lam}, {b}")
     mu_p, mu_g, eta = mp.mu_p_bar, mp.mu_g_bar, mp.eta
     frac = (mu_g * (lam**3 + 2.0 * b**3) - 3.0 * mu_p * b * b * lam) / (
         b * lam * (1.0 + 2.0 * b**1.5)
     )
-    return lam * (
-        b_dot / (2.0 * b) - (mu_g * lam * lam / b - mu_p * b - frac) / (eta * b)
-    )
+    return -lam * ((mu_g * lam * lam / b - mu_p * b - frac) / (eta * b))
 
 
 def _flow_constants(b: float, mp: MaterialParams):
@@ -296,11 +294,6 @@ class CreepCurve:
         return np.concatenate(
             [self.strain_in_segment(k, self._grid(k)) for k in range(len(self.segments))]
         )
-
-    @property
-    def boundaries(self) -> list:
-        """(segment index, start time, stress) markers."""
-        return [(s.index, s.t_start, s.stress) for s in self.segments]
 
 
 def simulate_creep(segments, mp: MaterialParams, strain_measure: str = "log") -> CreepCurve:

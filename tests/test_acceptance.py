@@ -65,7 +65,7 @@ def acceptance_trajectories(replay_bundle):
         lambda t: 0.05 / TAU_PMR15 if t < TAU_PMR15 else 0.0,
         (0.0, 3 * TAU_PMR15),
     )
-    shear_traj = evolution.drive(shear, PMR15, evolution.EvolutionState(SymTensor3.identity()))
+    shear_traj = evolution.drive(shear, PMR15, SymTensor3.identity())
     return {"replay": replay_traj, "relax": relax_traj, "shear": shear_traj}
 
 
@@ -89,10 +89,10 @@ def test_criterion_1_instantaneous_elastic_response():
 def test_criterion_2_creep_asymptote_and_timescale():
     # the linearization behind the oracle, re-derived by finite differences
     h = 1e-7
-    dl = (uniaxial.lambda_rate(1 + h, 1.0, 0.0, PMR15)
-          - uniaxial.lambda_rate(1 - h, 1.0, 0.0, PMR15)) / (2 * h)
-    db = (uniaxial.lambda_rate(1.0, 1 + h, 0.0, PMR15)
-          - uniaxial.lambda_rate(1.0, 1 - h, 0.0, PMR15)) / (2 * h)
+    dl = (uniaxial.lambda_rate(1 + h, 1.0, PMR15)
+          - uniaxial.lambda_rate(1 - h, 1.0, PMR15)) / (2 * h)
+    db = (uniaxial.lambda_rate(1.0, 1 + h, PMR15)
+          - uniaxial.lambda_rate(1.0, 1 - h, PMR15)) / (2 * h)
     assert dl == pytest.approx(-2 * PMR15.mu_g_bar / PMR15.eta, rel=1e-6)
     assert db == pytest.approx((PMR15.mu_g_bar + PMR15.mu_p_bar) / PMR15.eta, rel=1e-6)
 
@@ -153,8 +153,7 @@ def test_criterion_5_thermodynamic_invariants(acceptance_trajectories):
         worst["residual"] = max(worst["residual"], float(np.max(traj.identity_residual)))
         worst["det"] = max(worst["det"], float(np.max(np.abs(traj.det_bp - 1.0))))
         for f, b_p in zip(traj.F, traj.b_p):
-            fm = f.as_matrix()
-            _, b_g = natural_maps(SymTensor3.from_matrix(fm @ fm.T, check=False), b_p)
+            _, b_g = natural_maps(SymTensor3.from_matrix(f @ f.T, check=False), b_p)
             d_g = evolution.dG_rate(b_p, b_g, PMR15)
             worst["trace"] = max(worst["trace"], abs(d_g.trace()))
     ok = (

@@ -190,6 +190,17 @@ class TestFit:
         assert run("fit", "--data", str(bad), "--init", "pmr15_288") == 2
         assert message in capsys.readouterr().err
 
+    def test_times_before_load_are_data_error(self, tmp_path, capsys):
+        # the load starts at t = 0; an earlier stamp made every trial a
+        # penalty and the fit reported the initial guess as converged
+        bad = tmp_path / "early.csv"
+        bad.write_text(
+            "# stress_pa=1.0e7\nsegment,t_s,strain\n"
+            "load,-100,0.0088\nload,100,0.0100\nunload,200,0.004\n"
+        )
+        assert run("fit", "--data", str(bad), "--init", "pmr15_288") == 2
+        assert "load times must not precede the load start" in capsys.readouterr().err
+
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "utf16.csv"
         bad.write_bytes(b"\xff\xfe" + "segment,t_s,strain\n".encode("utf-16-le"))
@@ -237,6 +248,16 @@ class TestDriveRelax:
     def test_drive_requires_amplitude(self):
         assert run("drive", "--preset", "pmr15_288") == 1
 
+    @pytest.mark.parametrize("argv, option", [
+        (["drive", "--amplitude", "1.01"], "--duration"),
+        (["relax", "--lambda-hold", "1.01"], "--hold-time"),
+    ])
+    def test_maxwell_limit_needs_explicit_duration(self, capsys, argv, option):
+        # 5 tau is the default duration, and the Maxwell limit has no tau
+        code = run(*argv, "--mu-p", "3.76e8", "--mu-g", "0", "--eta", "6.22e12")
+        assert code == 1
+        assert f"give {option} explicitly" in capsys.readouterr().err
+
     def test_relax_requires_lambda(self):
         assert run("relax", "--preset", "pmr15_288") == 1
 
@@ -264,7 +285,7 @@ class TestPresetsAndValidate:
         true_rate = uniaxial.lambda_rate
         monkeypatch.setattr(
             uniaxial, "lambda_rate",
-            lambda lam, b, b_dot, mp: -true_rate(lam, b, b_dot, mp),
+            lambda lam, b, mp: -true_rate(lam, b, mp),
         )
         code = run("validate", "--quick")
         captured = capsys.readouterr().out

@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 
 from polyvisc.dataio import get_preset, presets
 from polyvisc.evolution import (
-    EvolutionState,
     Trajectory,
     _rate_kernel,
     bp_rate,
@@ -26,7 +25,7 @@ from polyvisc.kinematics import (
 )
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import IntegrationError
-from polyvisc.tensors import DomainError, SymTensor3, Tensor3, eig_sym, invariants
+from polyvisc.tensors import DomainError, SymTensor3, eig_sym, invariants
 from polyvisc.uniaxial import CreepSegment, lambda_rate, simulate_creep, solve_B
 
 from test_tensors import random_rotation
@@ -79,7 +78,7 @@ class TestDGRate:
             b_p = SymTensor3.diag(b, b**-0.5, b**-0.5)
             b_g = SymTensor3.diag(lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam)
             d_g = dG_rate(b_p, b_g, PMR15)
-            lam_dot = lambda_rate(lam, b, 0.0, PMR15)
+            lam_dot = lambda_rate(lam, b, PMR15)
             r = lam_dot / lam
             expected = SymTensor3.diag(r, -0.5 * r, -0.5 * r)
             assert (d_g - expected).norm() <= 1e-10 * max(expected.norm(), 1e-30)
@@ -94,8 +93,7 @@ class TestBpRate:
         rng = np.random.default_rng(127)
         b_p = random_unimodular_spd(rng)
         lmat = rng.standard_normal((3, 3))
-        lten = Tensor3.from_matrix(lmat)
-        rate = bp_rate(b_p, lten, SymTensor3.zero())
+        rate = bp_rate(b_p, lmat, SymTensor3.zero())
         lb = lmat @ b_p.as_matrix()
         assert np.linalg.norm(rate.as_matrix() - (lb + lb.T)) <= 1e-12 * np.linalg.norm(lb)
 
@@ -103,7 +101,7 @@ class TestBpRate:
         rng = np.random.default_rng(131)
         b_p = random_unimodular_spd(rng)
         d_g = dG_rate(b_p, random_spd(rng), UNIT)
-        rate = bp_rate(b_p, Tensor3.zero(), d_g)
+        rate = bp_rate(b_p, np.zeros((3, 3)), d_g)
         v = SymTensor3.identity()
         from polyvisc.tensors import sqrt_spd
 
@@ -118,7 +116,7 @@ class TestBpRate:
         b_p = SymTensor3.diag(b, b**-0.5, b**-0.5)
         b_g = SymTensor3.diag(lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam)
         d_g = dG_rate(b_p, b_g, PMR15)
-        lam_dot = lambda_rate(lam, b, 0.0, PMR15)
+        lam_dot = lambda_rate(lam, b, PMR15)
         rate = bp_rate(b_p, uniaxial_L(lam, lam_dot), d_g)
         assert rate.norm() <= 1e-12 * b_p.norm() * abs(lam_dot / lam) / 1e-3
 
@@ -132,7 +130,7 @@ class TestBpRate:
             lmat = rng.standard_normal((3, 3))
             lmat -= np.trace(lmat) / 3.0 * np.eye(3)
             d_g = dG_rate(b_p, random_spd(rng), UNIT)
-            rate = bp_rate(b_p, Tensor3.from_matrix(lmat), d_g)
+            rate = bp_rate(b_p, lmat, d_g)
             drift = float(np.tensordot(inv_spd(b_p).as_matrix(), rate.as_matrix()))
             assert abs(drift) <= 1e-10 * max(1.0, rate.norm())
 
@@ -174,7 +172,7 @@ class TestRateKernel:
         lmat -= np.trace(lmat) / 3.0 * np.eye(3)
 
         d_g = dG_rate(b_p, natural_maps(b, b_p)[1], mp)
-        expected = bp_rate(b_p, Tensor3.from_matrix(lmat), d_g).as_components()
+        expected = bp_rate(b_p, lmat, d_g).as_components()
         got = _rate_kernel(b_p.as_components(), b.as_matrix(), lmat, mp)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -182,7 +180,8 @@ class TestRateKernel:
 class TestDrive:
     def test_rest_state_stays_at_rest(self):
         protocol = constant_stretch(1.0, (0.0, 1.0e4))
-        traj = drive(protocol, PMR15, EvolutionState(SymTensor3.identity()))
+        traj = drive(protocol, PMR15, SymTensor3.identity())
+        assert traj.F.shape == (len(traj), 3, 3) and np.all(traj.F == np.eye(3))
         for b_p in traj.b_p:
             assert (b_p - SymTensor3.identity()).norm() == 0.0
         assert np.all(traj.t_axial == 0.0)
@@ -233,11 +232,11 @@ class TestDrive:
         protocol = constant_stretch(1.2, (0.0, 1.0e4))
         bad = SymTensor3.diag(1.1, 1.0, 1.0)  # det 1.1
         with pytest.raises(IntegrationError, match="det"):
-            drive(protocol, PMR15, EvolutionState(bad))
+            drive(protocol, PMR15, bad)
 
     def test_shear_drive_reports_deviatoric_convention(self):
         protocol = shear_protocol(lambda t: 0.1 * t / 100.0, lambda t: 0.1 / 100.0, (0.0, 100.0))
-        traj = drive(protocol, PMR15, EvolutionState(SymTensor3.identity()))
+        traj = drive(protocol, PMR15, SymTensor3.identity())
         assert traj.pressure_convention == "tr T = 0"
         for t_sym in traj.stress:
             assert abs(t_sym.trace()) <= 1e-6 * max(t_sym.norm(), 1.0)
@@ -260,7 +259,7 @@ class TestDrive:
             lambda t: 0.01 / ramp if t < ramp else 0.0,
             (0.0, 3.0 * tau),
         )
-        traj = drive(protocol, PMR15, EvolutionState(SymTensor3.identity()))
+        traj = drive(protocol, PMR15, SymTensor3.identity())
         assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
         assert np.min(traj.xi_m) >= 0.0
         assert np.max(traj.identity_residual) <= 1e-8
@@ -300,12 +299,11 @@ class TestScalarEquivalence:
         seg = curve.segments[0]
         protocol = uniaxial_protocol(
             lam=lambda t: float(seg.lam_at(t)),
-            lam_dot=lambda t: lambda_rate(float(seg.lam_at(t)), seg.b, 0.0, PMR15),
+            lam_dot=lambda t: lambda_rate(float(seg.lam_at(t)), seg.b, PMR15),
             span=(0.0, 3.0e4),
         )
         b = seg.b
-        x0 = EvolutionState(SymTensor3.diag(b, b**-0.5, b**-0.5))
-        traj = drive(protocol, PMR15, x0)
+        traj = drive(protocol, PMR15, SymTensor3.diag(b, b**-0.5, b**-0.5))
         assert np.max(np.abs(traj.t_axial - 1.0e7)) <= 1e-6 * 1.0e7
 
 
@@ -327,7 +325,7 @@ class TestRotationEquivariance:
 
         rotated = MotionProtocol(base.kind, base.span, base.drive, base.drive_rate, rotation=q)
 
-        x0 = EvolutionState(SymTensor3.identity())
+        x0 = SymTensor3.identity()
         # near-roundoff tolerances: the comparison is between two separate
         # integrations, so their global errors must sit below the 1e-10 bar
         kw = dict(rtol=3e-14, atol=1e-16)
@@ -352,7 +350,7 @@ class TestRotationEquivariance:
             q = random_rotation(rng)
             b_p = random_unimodular_spd(rng)
             m = rng.standard_normal((3, 3)) * 0.3 + np.eye(3)
-            b_g = SymTensor3.from_matrix(0.5 * (m + m.T), rtol=10.0)
+            b_g = SymTensor3.from_matrix(0.5 * (m + m.T))
             d_g = dG_rate(b_p, b_g, PMR15)
             b_p_r = SymTensor3.from_matrix(q @ b_p.as_matrix() @ q.T, check=False)
             b_g_r = SymTensor3.from_matrix(q @ b_g.as_matrix() @ q.T, check=False)
@@ -366,7 +364,7 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(
                 t=np.array([0.0, 0.0]),
-                F=[Tensor3.identity()] * 2,
+                F=np.array([np.eye(3)] * 2),
                 b_p=[SymTensor3.identity()] * 2,
                 stress=[SymTensor3.zero()] * 2,
                 eps_axial=np.zeros(2),
@@ -380,7 +378,7 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(
                 t=np.array([0.0, 1.0]),
-                F=[Tensor3.identity()] * 2,
+                F=np.array([np.eye(3)] * 2),
                 b_p=[SymTensor3.identity()] * 2,
                 stress=[SymTensor3.zero()] * 2,
                 eps_axial=np.zeros(2),

@@ -113,6 +113,18 @@ class TestCreepError:
         bad = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=1e-320)
         assert creep_error(bad, ds, w=0.5) == PENALTY
 
+    def test_other_errors_are_not_penalised(self, monkeypatch):
+        # only a parameter set the model cannot solve is a PENALTY; any other
+        # error is a bug and must not steer the simplex silently
+        import polyvisc.fitting as fitting
+
+        def broken(segments, mp):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(fitting, "simulate_creep", broken)
+        with pytest.raises(ValueError, match="bug"):
+            creep_error(HFPE285, synthetic(HFPE285, n_load=5, n_unload=3), w=0.5)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         ds = synthetic(HFPE285, noise=0.02, seed=11)
@@ -145,6 +157,20 @@ class TestDatasetValidation:
             ExperimentalDataset(
                 t_load=np.array([0.0, 10.0]), eps_load=np.zeros(2),
                 t_unload=np.array([5.0, 20.0]), eps_unload=np.zeros(2), stress=1e7,
+            )
+
+    @pytest.mark.parametrize("t_load, eps_load, message", [
+        ([-100.0, 100.0], [0.0088, 0.0100], "precede the load start"),
+        ([0.0, 100.0], [0.0088, float("nan")], "eps_load must be finite"),
+        ([0.0, float("inf")], [0.0088, 0.0100], "t_load must be finite"),
+    ])
+    def test_rejects_times_before_load_and_non_finite_data(self, t_load, eps_load, message):
+        # each of these made the fit return its initial guess: as "converged"
+        # with error PENALTY, or after max_iter iterations with error nan
+        with pytest.raises(ValueError, match=message):
+            ExperimentalDataset(
+                t_load=np.array(t_load), eps_load=np.array(eps_load),
+                t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1e7,
             )
 
     def test_unload_start_default_and_override(self):

@@ -17,10 +17,10 @@ from test_tensors import random_rotation, random_spd
 
 class TestUniaxialF:
     def test_identity_at_unit_stretch(self):
-        assert uniaxial_F(1.0).as_matrix() == pytest.approx(np.eye(3))
+        assert uniaxial_F(1.0) == pytest.approx(np.eye(3))
 
     def test_direct_substitution(self):
-        f = uniaxial_F(4.0).as_matrix()
+        f = uniaxial_F(4.0)
         assert np.allclose(f, np.diag([4.0, 0.5, 0.5]))
 
     def test_unimodular(self):
@@ -28,7 +28,7 @@ class TestUniaxialF:
         for lam in rng.uniform(0.2, 5.0, size=200):
             f = uniaxial_F(lam)
             # det = lam * (1/sqrt(lam))^2 computed exactly as such
-            assert abs(np.linalg.det(f.as_matrix()) - 1.0) <= 1e-15
+            assert abs(np.linalg.det(f) - 1.0) <= 1e-15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -39,10 +39,10 @@ class TestUniaxialF:
 
 class TestUniaxialL:
     def test_zero_rate(self):
-        assert uniaxial_L(2.0, 0.0).as_matrix() == pytest.approx(np.zeros((3, 3)))
+        assert uniaxial_L(2.0, 0.0) == pytest.approx(np.zeros((3, 3)))
 
     def test_direct_substitution(self):
-        l = uniaxial_L(2.0, 1.0).as_matrix()
+        l = uniaxial_L(2.0, 1.0)
         assert np.allclose(l, np.diag([0.5, -0.25, -0.25]))
 
     def test_traceless(self):
@@ -116,17 +116,17 @@ class TestProtocols:
     def test_constant_stretch(self):
         p = constant_stretch(1.5, (0.0, 10.0))
         assert p.kind == "uniaxial"
-        assert np.allclose(p.F(3.0).as_matrix(), np.diag([1.5, 1.5**-0.5, 1.5**-0.5]))
-        assert np.allclose(p.L(3.0).as_matrix(), np.zeros((3, 3)))
-        assert p.axial_stretch(7.0) == 1.5
+        assert np.allclose(p.F(3.0), np.diag([1.5, 1.5**-0.5, 1.5**-0.5]))
+        assert np.allclose(p.L(3.0), np.zeros((3, 3)))
+        assert p.drive(7.0) == 1.5
 
     def test_shear(self):
         p = shear_protocol(lambda t: 0.1 * t, lambda t: 0.1, (0.0, 5.0))
-        f = p.F(2.0).as_matrix()
+        f = p.F(2.0)
         assert f[0, 1] == pytest.approx(0.2)
         assert abs(f - np.eye(3)).sum() == pytest.approx(0.2)
-        assert p.L(2.0).as_matrix()[0, 1] == pytest.approx(0.1)
-        assert np.linalg.det(p.F(2.0).as_matrix()) == pytest.approx(1.0, abs=1e-15)
+        assert p.L(2.0)[0, 1] == pytest.approx(0.1)
+        assert np.linalg.det(p.F(2.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_rotated_protocol(self):
         rng = np.random.default_rng(17)
@@ -135,5 +135,5 @@ class TestProtocols:
 
         base = constant_stretch(1.4, (0.0, 1.0))
         rot = MotionProtocol(base.kind, base.span, base.drive, base.drive_rate, rotation=q)
-        f_rot = rot.F(0.5).as_matrix()
-        assert np.linalg.norm(f_rot - q @ base.F(0.5).as_matrix()) <= 1e-14
+        f_rot = rot.F(0.5)
+        assert np.linalg.norm(f_rot - q @ base.F(0.5)) <= 1e-14

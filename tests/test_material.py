@@ -12,10 +12,11 @@ from polyvisc.material import (
     helmholtz,
     load_params,
     params_from_dict,
+    pressure,
     save_params,
     stress,
 )
-from polyvisc.tensors import SymTensor3
+from polyvisc.tensors import DomainError, SymTensor3
 
 from test_tensors import random_spd, random_sym
 
@@ -47,6 +48,17 @@ class TestStress:
         assert t.yy == 0.0 and t.zz == 0.0
         assert t.xy == t.yz == t.xz == 0.0
         assert t.xx == pytest.approx(PMR15.mu_p_bar * (b - b**-0.5), rel=1e-12)
+
+    def test_pressure_conventions(self):
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            b_p = random_spd(rng, cond_max=10.0)
+            t = stress(b_p, pressure(b_p, PMR15), PMR15)
+            assert abs(t.trace()) <= 1e-12 * t.norm()
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            t = stress(b_p, pressure(b_p, PMR15, n), PMR15)
+            assert abs(n @ t.as_matrix() @ n) <= 1e-12 * t.norm()
 
     def test_fig4_load_level(self):
         from polyvisc.uniaxial import solve_B
@@ -86,7 +98,15 @@ class TestDissipation:
             b_p = random_spd(rng, cond_max=1e4)
             d_g = random_sym(rng)
             xi = dissipation_rate(b_p, d_g, PMR15)
-            assert xi >= -1e-12 * PMR15.eta * d_g.ddot(d_g)
+            assert xi >= 0.0
+            # against the quadratic form eta * D_G : B_p D_G it evaluates
+            dm = d_g.as_matrix()
+            reference = PMR15.eta * float(np.tensordot(dm, b_p.as_matrix() @ dm))
+            assert xi == pytest.approx(reference, rel=1e-9, abs=1e-12 * PMR15.eta * d_g.ddot(d_g))
+
+    def test_rejects_non_spd_b_p(self):
+        with pytest.raises(DomainError):
+            dissipation_rate(SymTensor3.diag(1.0, -1.0, 1.0), SymTensor3.identity(), PMR15)
 
     def test_identity_residual_zero_at_equilibrium(self):
         res = check_dissipation_identity(
@@ -136,7 +156,7 @@ class TestParams:
         with pytest.raises(ConfigError):
             MaterialParams(mu_p_bar=1.0, mu_g_bar=1.0, eta=0.0)
         # the Maxwell limit is legal
-        assert MaterialParams(mu_p_bar=1.0, mu_g_bar=0.0, eta=1.0).is_maxwell()
+        assert MaterialParams(mu_p_bar=1.0, mu_g_bar=0.0, eta=1.0).mu_g_bar == 0.0
 
     def test_retardation_time(self):
         assert PMR15.retardation_time() == pytest.approx(6.22e12 / (2 * 4.42e8))

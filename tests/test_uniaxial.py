@@ -96,13 +96,13 @@ class TestSolveB:
 
 class TestLambdaRate:
     def test_rest_state_is_stationary(self):
-        assert lambda_rate(1.0, 1.0, 0.0, PMR15) == 0.0
+        assert lambda_rate(1.0, 1.0, PMR15) == 0.0
 
     def test_linearization_by_finite_differences(self):
         # the coefficients behind the analytic small-strain curve
         h = 1e-7
-        dl = (lambda_rate(1 + h, 1.0, 0.0, PMR15) - lambda_rate(1 - h, 1.0, 0.0, PMR15)) / (2 * h)
-        db = (lambda_rate(1.0, 1 + h, 0.0, PMR15) - lambda_rate(1.0, 1 - h, 0.0, PMR15)) / (2 * h)
+        dl = (lambda_rate(1 + h, 1.0, PMR15) - lambda_rate(1 - h, 1.0, PMR15)) / (2 * h)
+        db = (lambda_rate(1.0, 1 + h, PMR15) - lambda_rate(1.0, 1 - h, PMR15)) / (2 * h)
         assert dl == pytest.approx(-2.0 * PMR15.mu_g_bar / PMR15.eta, rel=1e-6)
         assert db == pytest.approx((PMR15.mu_g_bar + PMR15.mu_p_bar) / PMR15.eta, rel=1e-6)
 
@@ -111,7 +111,7 @@ class TestLambdaRate:
         t11 = 1e-3 * mp.mu_p_bar
         b = solve_B(t11, mp.mu_p_bar)
         lam = math.sqrt(b)
-        rate = lambda_rate(lam, b, 0.0, mp) / lam
+        rate = lambda_rate(lam, b, mp) / lam
         assert rate == pytest.approx(2.0 * t11 / (3.0 * mp.eta), rel=2e-3)
 
     def test_positive_rate_below_equilibrium(self):
@@ -122,13 +122,13 @@ class TestLambdaRate:
         lam_inf = math.exp(eps_inf)
         for frac in (0.0, 0.3, 0.7, 0.95):
             lam = lam0 + frac * (lam_inf - lam0)
-            assert lambda_rate(lam, b, 0.0, PMR15) > 0.0
+            assert lambda_rate(lam, b, PMR15) > 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            lambda_rate(-1.0, 1.0, 0.0, PMR15)
+            lambda_rate(-1.0, 1.0, PMR15)
         with pytest.raises(DomainError):
-            lambda_rate(1.0, 0.0, 0.0, PMR15)
+            lambda_rate(1.0, 0.0, PMR15)
 
 
 class TestSimulateCreep:
@@ -222,7 +222,7 @@ class TestSimulateCreep:
 
 
 def _rk_reference(seg, lam0, mp):
-    rhs = lambda t, y: np.array([lambda_rate(y[0], seg.b, 0.0, mp)])
+    rhs = lambda t, y: np.array([lambda_rate(y[0], seg.b, mp)])
     return integrate(OdeProblem(rhs=rhs, span=(seg.t_start, seg.t_end),
                                 y0=np.array([lam0]), rtol=1e-12, atol=1e-14))
 
@@ -255,7 +255,7 @@ class TestClosedForm:
         for seg in curve.segments:
             if seg.index:
                 lam_rk *= math.sqrt(seg.b / curve.segments[seg.index - 1].b)
-            if lambda_rate(lam_rk, seg.b, 0.0, mp) == 0.0:  # the exact answer is lam_start
+            if lambda_rate(lam_rk, seg.b, mp) == 0.0:  # the exact answer is lam_start
                 ts = np.linspace(seg.t_start, seg.t_end, 9)
                 assert np.all(seg.lam_at(ts) == seg.lam_start)
                 continue
@@ -269,15 +269,15 @@ class TestClosedForm:
     def test_maxwell_limit_is_exponential(self):
         mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=0.0, eta=6.22e12)
         seg = simulate_creep([(0.1 * mp.mu_p_bar, 1.0e5)], mp).segments[0]
-        rate = lambda_rate(seg.lam_start, seg.b, 0.0, mp) / seg.lam_start
+        rate = lambda_rate(seg.lam_start, seg.b, mp) / seg.lam_start
         ts = np.linspace(0.0, 1.0e5, 11)
         assert np.allclose(seg.lam_at(ts), seg.lam_start * np.exp(rate * ts),
                            rtol=1e-13, atol=0.0)
 
     def test_asymptote_is_a_fixed_point(self):
         seg = simulate_creep([(1.0e7, 1.0e4)], PMR15).segments[0]
-        initial_rate = lambda_rate(seg.lam_start, seg.b, 0.0, PMR15)
-        assert abs(lambda_rate(seg.lam_inf, seg.b, 0.0, PMR15)) <= 1e-12 * initial_rate
+        initial_rate = lambda_rate(seg.lam_start, seg.b, PMR15)
+        assert abs(lambda_rate(seg.lam_inf, seg.b, PMR15)) <= 1e-12 * initial_rate
         assert seg.lam_start < seg.lam_at(seg.t_end) < seg.lam_inf
 
     def test_nonfinite_solution_is_a_domain_error(self):
