@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -37,6 +38,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(cast, check, what: str):
+    """An argparse ``type=``: ``cast`` the text, then require ``check`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not check(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+_finite = _checked(float, math.isfinite, "a finite number")
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
+def _int_at_least(minimum: int):
+    return _checked(int, lambda v: v >= minimum, f"an integer >= {minimum}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polyvisc",
@@ -59,47 +85,52 @@ def _build_parser() -> _Parser:
         metavar="STRESS_PA:DURATION_S",
         help="stress program piece; repeatable",
     )
-    sim.add_argument("--load-fraction", type=float,
+    sim.add_argument("--load-fraction", type=_finite,
                      help="load as a fraction of the preset's UTS")
-    sim.add_argument("--t-load", type=float, help="load duration (s); default 5*tau")
-    sim.add_argument("--t-unload", type=float, help="unload duration (s); default 5*tau")
+    sim.add_argument("--t-load", type=_positive, help="load duration (s); default 5*tau")
+    sim.add_argument("--t-unload", type=_nonnegative,
+                     help="unload duration (s); default 5*tau, 0 = load only")
     sim.add_argument("--out", help="write the strain curve CSV here")
     sim.add_argument("--plot", help="write an SVG plot here")
     sim.add_argument("--strain-measure", choices=uniaxial.STRAIN_MEASURES, default="log")
     sim.add_argument("--export-dataset", help="also write a dataset-format CSV (for fitting)")
-    sim.add_argument("--noise", type=float, default=0.0,
+    sim.add_argument("--noise", type=_nonnegative, default=0.0,
                      help="relative noise for --export-dataset")
-    sim.add_argument("--seed", type=int, default=0, help="noise seed")
-    sim.add_argument("--n-load", type=int, default=50, help="dataset samples in the load phase")
-    sim.add_argument("--n-unload", type=int, default=20, help="dataset samples in the unload phase")
-    sim.add_argument("--temperature-c", type=float, help="metadata for exported datasets (deg C)")
+    sim.add_argument("--seed", type=_int_at_least(0), default=0, help="noise seed")
+    sim.add_argument("--n-load", type=_int_at_least(2), default=50,
+                     help="dataset samples in the load phase")
+    sim.add_argument("--n-unload", type=_int_at_least(1), default=20,
+                     help="dataset samples in the unload phase")
+    sim.add_argument("--temperature-c", type=_finite,
+                     help="metadata for exported datasets (deg C)")
 
     fit = sub.add_parser("fit", help="fit (mu_p_bar, mu_g_bar, eta) to a creep dataset")
     fit.add_argument("--data", required=False, help="dataset CSV (required)")
-    fit.add_argument("--weight", type=float, default=0.5, help="load-phase weight w in [0,1]")
+    fit.add_argument("--weight", type=_unit_interval, default=0.5,
+                     help="load-phase weight w in [0,1]")
     fit.add_argument("--init", help="initial guess: preset name or 'MU_P,MU_G,ETA'")
     fit.add_argument("--out", help="write the fit result JSON here")
     fit.add_argument("--holdout", action="append", default=[],
                      help="evaluate the fitted parameters on this dataset; repeatable")
-    fit.add_argument("--max-iter", type=int, default=2000)
+    fit.add_argument("--max-iter", type=_int_at_least(1), default=2000)
 
     drv = sub.add_parser("drive", help="strain-controlled 3-D evolution (ramp and hold)")
     add_params(drv)
     drv.add_argument("--protocol", choices=("uniaxial", "shear"), default="uniaxial")
     drv.add_argument("--amplitude", type=float, required=False,
                      help="target stretch (uniaxial) or shear (shear)")
-    drv.add_argument("--ramp-time", type=float, help="ramp duration (s); default duration/2")
-    drv.add_argument("--duration", type=float, help="total duration (s); default 5*tau")
+    drv.add_argument("--ramp-time", type=_positive, help="ramp duration (s); default duration/2")
+    drv.add_argument("--duration", type=_positive, help="total duration (s); default 5*tau")
     drv.add_argument("--out", help="write the trajectory CSV here")
 
     rlx = sub.add_parser("relax", help="stress relaxation at a held stretch")
     add_params(rlx)
-    rlx.add_argument("--lambda-hold", type=float, required=False, help="held stretch")
-    rlx.add_argument("--hold-time", type=float, help="hold duration (s); default 5*tau")
+    rlx.add_argument("--lambda-hold", type=_positive, required=False, help="held stretch")
+    rlx.add_argument("--hold-time", type=_positive, help="hold duration (s); default 5*tau")
     rlx.add_argument("--out", help="write the trajectory CSV here")
 
     for p in (drv, rlx):  # creep is solved in closed form; only the 3-D drivers integrate
-        p.add_argument("--rtol", type=float, default=1e-8, help="ODE relative tolerance")
+        p.add_argument("--rtol", type=_positive, default=1e-8, help="ODE relative tolerance")
 
     sub.add_parser("presets", help="list the built-in parameter sets")
 
@@ -173,6 +204,11 @@ def _cmd_simulate(args) -> int:
         segments = [uniaxial.CreepSegment(stress, t_load)]
         if t_unload > 0.0:
             segments.append(uniaxial.CreepSegment(0.0, t_unload))
+    if args.export_dataset and not (
+        len(segments) == 1 or (len(segments) == 2 and segments[1].stress == 0.0)
+    ):
+        raise UsageError("--export-dataset needs a load, optionally followed by a "
+                         "zero-stress unload")
 
     curve = uniaxial.simulate_creep(segments, mp, strain_measure=args.strain_measure)
 
@@ -191,8 +227,6 @@ def _cmd_simulate(args) -> int:
         dataio.save_svg([curve], args.plot)
         print(f"plot written to {args.plot}")
     if args.export_dataset:
-        if len(segments) not in (1, 2):
-            raise UsageError("--export-dataset needs a 1- or 2-segment program")
         ds = dataio.make_synthetic_dataset(
             mp,
             stress=segments[0].stress,
@@ -217,9 +251,12 @@ def _parse_init(init: Optional[str]) -> tuple:
         if len(parts) != 3:
             raise UsageError("--init triple must be MU_P,MU_G,ETA")
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
             raise UsageError(f"--init values must be numbers, got {init!r}") from None
+        if not all(0.0 < v < math.inf for v in values):
+            raise UsageError(f"--init values must be positive and finite, got {init!r}")
+        return values
     try:
         row = dataio.get_preset(init)
     except KeyError as exc:

@@ -5,12 +5,13 @@ instant the flow rule determines the stretching D_G of the natural
 configuration: an incompressibility multiplier makes D_G exactly traceless,
 and a Sylvester-type solve inverts the symmetrized viscous term. The rate
 of B_p then follows from the frame-indifferent kinematic identity
-(``bp_rate``). Unimodularity of B_p is a consequence, not an input: the
-integrator monitors det(B_p) and aborts on drift rather than renormalizing.
-The right-hand side works on plain 3x3 matrices (F and L come from the
-protocol as arrays); symmetric tensors appear as ``SymTensor3`` only at the
-public boundary (``dG_rate``, ``bp_rate``, ``Trajectory``), which calls the
-same matrix kernel.
+(``_convected_rate``). Unimodularity of B_p is a consequence, not an input:
+the integrator monitors det(B_p) and aborts on drift rather than
+renormalizing. The right-hand side works on plain 3x3 matrices (F and L
+come from the protocol as arrays), and ``_flow_terms`` is the one place
+that splits the total stretch; symmetric tensors appear as ``SymTensor3``
+only at the public boundary (``dG_rate``, ``drive``, ``Trajectory``), which
+calls the same matrix kernel.
 
 Stress and dissipation on the trajectory come from ``material``; this
 module only fixes the pressure, by lateral traction-freeness for uniaxial
@@ -74,7 +75,13 @@ def _flow_direction(d, bpm: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> 
 
 
 def _flow_terms(bpm: np.ndarray, b: np.ndarray, mp: MaterialParams):
-    """Shared kernel: decompose B_p once, return (V, B_G, D_G) as matrices."""
+    """Shared kernel: decompose B_p once, return (V, B_G, D_G) as matrices.
+
+    The total stretch B splits into the natural-configuration part
+    B_p = V^2 and the elastic part B_G = V^-1 B V^-1, under the symmetric
+    factor convention: the elastic map is taken as its own stretch tensor,
+    so the intermediate rotation is absorbed. det(B_G) = det(B)/det(B_p).
+    """
     d = _spd_decomp(bpm, "evolution")
     sq = np.sqrt(d.eigenvalues)
     v = d.spectral_map(sq)
@@ -102,15 +109,6 @@ def dG_rate(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> SymTensor3:
     bpm = b_p.as_matrix()
     d = _spd_decomp(bpm, "dG_rate")
     return SymTensor3.from_matrix(_flow_direction(d, bpm, b_g.as_matrix(), mp), check=False)
-
-
-def bp_rate(b_p: SymTensor3, vel_grad: np.ndarray, d_g: SymTensor3) -> SymTensor3:
-    """Rate of B_p: L*B_p + B_p*L^T - 2*V*D_G*V with V = B_p^(1/2); L is 3x3."""
-    bpm = b_p.as_matrix()
-    d = _spd_decomp(bpm, "bp_rate")
-    v = d.spectral_map(np.sqrt(d.eigenvalues))
-    rate = _convected_rate(v, bpm, vel_grad, d_g.as_matrix())
-    return SymTensor3.from_matrix(rate, check=False)
 
 
 @dataclass
@@ -174,8 +172,7 @@ def drive(
 ) -> Trajectory:
     """Integrate B_p from ``b_p0`` under the protocol and record the trajectory.
 
-    Aborts (attaching the partial trajectory to the error) if det(B_p)
-    drifts beyond DET_DRIFT_LIMIT.
+    Raises IntegrationError if det(B_p) drifts beyond DET_DRIFT_LIMIT.
     """
 
     def rhs(t, y):
@@ -194,14 +191,7 @@ def drive(
     problem = OdeProblem(
         rhs=rhs, span=protocol.span, y0=b_p0.as_components(), rtol=rtol, atol=atol
     )
-    try:
-        sol = integrate(problem, step_hook=step_hook)
-    except IntegrationError as exc:
-        if exc.partial is not None:
-            exc.trajectory = _build_trajectory(protocol, mp, exc.partial)
-        raise
-
-    return _build_trajectory(protocol, mp, sol)
+    return _build_trajectory(protocol, mp, integrate(problem, step_hook=step_hook))
 
 
 def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Trajectory:

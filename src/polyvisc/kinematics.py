@@ -4,12 +4,6 @@ A motion protocol prescribes the deformation gradient F(t) and velocity
 gradient L(t) of a strain-controlled experiment, each a plain 3x3 array:
 isochoric uniaxial extension or simple shear, each driven by a scalar
 history and its rate.
-
-``natural_maps`` splits the total left stretch into the part carried by the
-natural configuration and the elastic part on top of it, using the symmetric
-factor convention (the elastic map is taken as its own stretch tensor, so
-the intermediate rotation is absorbed; see the module tests for the closed
-uniaxial forms this must reproduce).
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .tensors import DomainError, SymTensor3, inv_spd, is_spd, sqrt_spd
+from .tensors import DomainError
 
 
 def uniaxial_F(lam: float) -> np.ndarray:
@@ -46,21 +40,6 @@ def shear_F(gamma: float) -> np.ndarray:
 
 def shear_L(gamma_dot: float) -> np.ndarray:
     return np.array([[0.0, gamma_dot, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def natural_maps(b: SymTensor3, b_p: SymTensor3) -> tuple:
-    """Split the total stretch: V = B_p^1/2 and B_G = V^-1 * B * V^-1.
-
-    Returns ``(V, B_G)``. When both B and B_p are unimodular so is B_G
-    (multiplicativity of determinants).
-    """
-    if not is_spd(b):
-        raise DomainError("natural_maps requires an SPD total stretch B")
-    v = sqrt_spd(b_p)
-    v_inv = inv_spd(v)
-    vm = v_inv.as_matrix()
-    bg = SymTensor3.from_matrix(vm @ b.as_matrix() @ vm, check=False)
-    return v, bg
 
 
 @dataclass(frozen=True)

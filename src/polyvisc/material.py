@@ -8,7 +8,6 @@ two shear moduli ``mu_p_bar`` and ``mu_g_bar`` (Pa) and the viscosity
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,45 +42,11 @@ class MaterialParams:
             return math.inf
         return self.eta / (2.0 * self.mu_g_bar)
 
-    def to_dict(self) -> dict:
-        return {"mu_p_bar": self.mu_p_bar, "mu_g_bar": self.mu_g_bar, "eta": self.eta}
-
-
-def params_from_dict(d: dict) -> MaterialParams:
-    """Validate a parameter mapping; unknown keys are rejected."""
-    unknown = set(d) - {"mu_p_bar", "mu_g_bar", "eta"}
-    if unknown:
-        raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
-    for key in ("mu_p_bar", "mu_g_bar", "eta"):
-        if key not in d:
-            raise ConfigError(f"missing required parameter key: {key}")
-        if not isinstance(d[key], (int, float)):
-            raise ConfigError(f"parameter {key} must be a number")
-    return MaterialParams(
-        mu_p_bar=float(d["mu_p_bar"]),
-        mu_g_bar=float(d["mu_g_bar"]),
-        eta=float(d["eta"]),
-    )
-
-
-def load_params(path) -> MaterialParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("parameter file must contain a JSON object")
-    return params_from_dict(data)
-
-
-def save_params(mp: MaterialParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mp.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def helmholtz(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> float:
     """Stored energy per unit volume (J/m^3).
 
-    Neo-Hookean terms in the first invariants of B_p and B_G:
+    Neo-Hookean terms in the traces of B_p and B_G:
     ``mu_p_bar/2 (tr B_p - 3) + mu_g_bar/2 (tr B_G - 3)``.
     """
     if not is_spd(b_p):

@@ -9,11 +9,12 @@ is immutable, so results are bit-reproducible and safe to share across
 threads.
 
 The spectral routines (LAPACK ``eigh`` under a deterministic frame
-convention, SPD square root, Sylvester-type solve) are the workhorses of
-the natural-configuration evolution equation: the flow rule requires
-solving A*X + X*A = M with A symmetric positive definite at every
-right-hand-side evaluation. Every SPD test is ``_spd_eigenvalues``, on the
-eigenvalue floor ``SPD_EIG_FLOOR``.
+convention, and the Sylvester-type solve on a decomposition) are the
+workhorses of the natural-configuration evolution equation: the flow rule
+requires solving A*X + X*A = M with A symmetric positive definite at every
+right-hand-side evaluation. Functions of an SPD tensor (square root,
+inverse) are ``SpectralDecomp.spectral_map`` of its eigenvalues. Every SPD
+test is ``_spd_eigenvalues``, on the eigenvalue floor ``SPD_EIG_FLOOR``.
 """
 
 from __future__ import annotations
@@ -155,23 +156,10 @@ class SpectralDecomp:
     eigenvalues: tuple
     frame: np.ndarray
 
-    def reconstruct(self) -> SymTensor3:
-        return SymTensor3.from_matrix(self.spectral_map(self.eigenvalues), check=False)
-
     def spectral_map(self, values) -> np.ndarray:
         """Q diag(values) Q^T for the frame Q: a function of the tensor, as a matrix."""
         q = self.frame
         return (q * values) @ q.T
-
-
-def invariants(a: SymTensor3) -> tuple:
-    """Principal invariants (I, II, III) = (tr A, ((tr A)^2 - tr A^2)/2, det A)."""
-    i1 = a.trace()
-    m = a.as_matrix()
-    tr_a2 = float(np.trace(m @ m))
-    i2 = 0.5 * (i1 * i1 - tr_a2)
-    i3 = a.det()
-    return (i1, i2, i3)
 
 
 def eig_sym(a) -> SpectralDecomp:
@@ -220,24 +208,12 @@ def is_spd(a: SymTensor3) -> bool:
     return _spd_eigenvalues(eig_sym(a).eigenvalues)
 
 
-def sqrt_spd(a: SymTensor3) -> SymTensor3:
-    """Unique SPD square root, via the spectral decomposition."""
-    d = eig_sym(a)
-    _require_spd(d, "sqrt_spd")
-    root = d.spectral_map(np.sqrt(d.eigenvalues))
-    return SymTensor3.from_matrix(root, check=False)
-
-
-def inv_spd(a: SymTensor3) -> SymTensor3:
-    """Inverse of an SPD tensor, via the spectral decomposition."""
-    d = eig_sym(a)
-    _require_spd(d, "inv_spd")
-    inv = d.spectral_map(1.0 / np.array(d.eigenvalues))
-    return SymTensor3.from_matrix(inv, check=False)
-
-
 def _sylvester_from_decomp(d: SpectralDecomp, m: np.ndarray) -> np.ndarray:
-    """Sylvester solve A*X + X*A = M in A's eigenbasis (matrix in/out)."""
+    """Sylvester solve A*X + X*A = M in A's eigenbasis (matrix in/out).
+
+    There the solution is componentwise ``X_ij = M_ij / (a_i + a_j)``; for
+    an SPD A the denominators are positive and the solution is unique.
+    """
     q = d.frame
     mt = q.T @ m @ q
     lam = np.array(d.eigenvalues)
@@ -245,14 +221,3 @@ def _sylvester_from_decomp(d: SpectralDecomp, m: np.ndarray) -> np.ndarray:
     x = q @ xt @ q.T
     return 0.5 * (x + x.T)
 
-
-def sylvester_spd(a: SymTensor3, m: SymTensor3) -> SymTensor3:
-    """Solve A*X + X*A = M for symmetric X, with A SPD.
-
-    In A's eigenbasis the solution is componentwise
-    ``X_ij = M_ij / (a_i + a_j)``; positivity of the eigenvalues makes the
-    solution unique.
-    """
-    d = eig_sym(a)
-    _require_spd(d, "sylvester_spd")
-    return SymTensor3.from_matrix(_sylvester_from_decomp(d, m.as_matrix()), check=False)

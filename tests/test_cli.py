@@ -95,6 +95,45 @@ class TestSimulate:
         assert run("simulate", "--mu-p", "1e8", "--mu-g", "1e8", "--eta", "1e12",
                    "--load-fraction", "0.4") == 1
 
+    def test_export_dataset_rejects_a_loaded_second_segment(self, tmp_path):
+        # the dataset format is a load then a zero-stress unload, which this is not
+        ds_path, out = tmp_path / "d.csv", tmp_path / "c.csv"
+        code = run("simulate", "--preset", "pmr15_288", "--segment", "1e7:1000",
+                   "--segment", "5e6:1000", "--out", str(out), "--export-dataset", str(ds_path))
+        assert code == 1
+        assert not ds_path.exists() and not out.exists()
+
+
+SIM = ["simulate", "--preset", "hfpe285"]
+RELAX = ["relax", "--preset", "hfpe285", "--lambda-hold", "1.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIM + ["--t-load", "-5"],
+    SIM + ["--t-load", "nan"],
+    SIM + ["--t-unload", "-5"],
+    SIM + ["--load-fraction", "nan"],
+    SIM + ["--export-dataset", "{tmp}/d.csv", "--n-load", "1"],
+    SIM + ["--export-dataset", "{tmp}/d.csv", "--n-unload", "0"],
+    SIM + ["--export-dataset", "{tmp}/d.csv", "--noise", "-1"],
+    SIM + ["--export-dataset", "{tmp}/d.csv", "--temperature-c", "nan"],
+    SIM + ["--export-dataset", "{tmp}/d.csv", "--noise", "0.01", "--seed", "-1"],
+    RELAX + ["--hold-time", "-5"],
+    RELAX + ["--rtol", "0"],
+    ["drive", "--preset", "hfpe285", "--amplitude", "1.01", "--rtol", "-1"],
+    ["fit", "--data", "{tmp}/data.csv", "--init", "hfpe285", "--weight", "2"],
+    ["fit", "--data", "{tmp}/data.csv", "--init", "0,1e9,1e13"],
+    ["fit", "--data", "{tmp}/data.csv", "--init", "1e8,1e9,inf"],
+    ["fit", "--data", "{tmp}/data.csv", "--init", "hfpe285", "--max-iter", "0"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_bad_numeric_option_is_usage_error(argv, tmp_path, capsys):
+    ds = make_synthetic_dataset(HFPE285, stress=1.0e7, t_load=1.0e4, n_load=10)
+    save_dataset(ds, tmp_path / "data.csv")
+    code = run(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "d.csv").exists()
+
 
 class TestFit:
     @pytest.fixture()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import sqrtm
 from scipy.spatial.transform import Rotation
 
 from polyvisc.dataio import get_preset, presets
 from polyvisc.evolution import (
     Trajectory,
+    _convected_rate,
     _rate_kernel,
-    bp_rate,
     dG_rate,
     drive,
     relax,
@@ -18,14 +19,13 @@ from polyvisc.evolution import (
 )
 from polyvisc.kinematics import (
     constant_stretch,
-    natural_maps,
     shear_protocol,
     uniaxial_L,
     uniaxial_protocol,
 )
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import IntegrationError
-from polyvisc.tensors import DomainError, SymTensor3, eig_sym, invariants
+from polyvisc.tensors import DomainError, SymTensor3, eig_sym
 from polyvisc.uniaxial import CreepSegment, lambda_rate, simulate_creep, solve_B
 
 from test_tensors import random_rotation
@@ -88,51 +88,59 @@ class TestDGRate:
             dG_rate(SymTensor3.diag(1.0, -1.0, 1.0), SymTensor3.identity(), PMR15)
 
 
+def spd_sqrt(a: SymTensor3) -> np.ndarray:
+    """B_p^1/2 by scipy's Schur-based sqrtm, which shares no code with the kernel."""
+    return np.real(sqrtm(a.as_matrix()))
+
+
+def kernel_rate(b_p: SymTensor3, b_g: SymTensor3, lmat: np.ndarray, mp: MaterialParams):
+    """drive's rate of B_p (matrix) at the total stretch B = V B_G V that splits into B_G."""
+    v = spd_sqrt(b_p)
+    y = _rate_kernel(b_p.as_components(), v @ b_g.as_matrix() @ v, lmat, mp)
+    return SymTensor3(*y.tolist()).as_matrix()
+
+
 class TestBpRate:
     def test_frozen_natural_configuration(self):
         rng = np.random.default_rng(127)
         b_p = random_unimodular_spd(rng)
+        bpm = b_p.as_matrix()
         lmat = rng.standard_normal((3, 3))
-        rate = bp_rate(b_p, lmat, SymTensor3.zero())
-        lb = lmat @ b_p.as_matrix()
-        assert np.linalg.norm(rate.as_matrix() - (lb + lb.T)) <= 1e-12 * np.linalg.norm(lb)
+        rate = _convected_rate(spd_sqrt(b_p), bpm, lmat, np.zeros((3, 3)))
+        lb = lmat @ bpm
+        assert np.linalg.norm(rate - (lb + lb.T)) <= 1e-12 * np.linalg.norm(lb)
 
     def test_pure_relaxation(self):
         rng = np.random.default_rng(131)
         b_p = random_unimodular_spd(rng)
-        d_g = dG_rate(b_p, random_spd(rng), UNIT)
-        rate = bp_rate(b_p, np.zeros((3, 3)), d_g)
-        v = SymTensor3.identity()
-        from polyvisc.tensors import sqrt_spd
-
-        vm = sqrt_spd(b_p).as_matrix()
+        b_g = random_spd(rng)
+        d_g = dG_rate(b_p, b_g, UNIT)
+        rate = kernel_rate(b_p, b_g, np.zeros((3, 3)), UNIT)
+        vm = spd_sqrt(b_p)
         expected = -2.0 * vm @ d_g.as_matrix() @ vm
-        assert np.linalg.norm(rate.as_matrix() - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(rate - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_creep_state_is_stationary(self):
         # with B pinned by the load, the scalar creep condition freezes B_p
         b = solve_B(1.0e7, PMR15.mu_p_bar)
         lam = 1.01 * math.sqrt(b)
         b_p = SymTensor3.diag(b, b**-0.5, b**-0.5)
-        b_g = SymTensor3.diag(lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam)
-        d_g = dG_rate(b_p, b_g, PMR15)
         lam_dot = lambda_rate(lam, b, PMR15)
-        rate = bp_rate(b_p, uniaxial_L(lam, lam_dot), d_g)
+        total = np.diag([lam**2, 1.0 / lam, 1.0 / lam])
+        y = _rate_kernel(b_p.as_components(), total, uniaxial_L(lam, lam_dot), PMR15)
+        rate = SymTensor3(*y.tolist())
         assert rate.norm() <= 1e-12 * b_p.norm() * abs(lam_dot / lam) / 1e-3
 
     def test_det_preservation_in_rate_form(self):
         # tr(B_p^-1 Bp_dot) vanishes for traceless L and traceless D_G
         rng = np.random.default_rng(137)
-        from polyvisc.tensors import inv_spd
-
         for _ in range(100):
             b_p = random_unimodular_spd(rng)
             lmat = rng.standard_normal((3, 3))
             lmat -= np.trace(lmat) / 3.0 * np.eye(3)
-            d_g = dG_rate(b_p, random_spd(rng), UNIT)
-            rate = bp_rate(b_p, lmat, d_g)
-            drift = float(np.tensordot(inv_spd(b_p).as_matrix(), rate.as_matrix()))
-            assert abs(drift) <= 1e-10 * max(1.0, rate.norm())
+            rate = kernel_rate(b_p, random_spd(rng), lmat, UNIT)
+            drift = float(np.tensordot(np.linalg.inv(b_p.as_matrix()), rate))
+            assert abs(drift) <= 1e-10 * max(1.0, np.linalg.norm(rate))
 
 
 def spd_from(log_eigs, angles):
@@ -159,9 +167,10 @@ class TestRateKernel:
              vel=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     def test_matches_public_api(self, preset, decades, bp_logs, bp_angles, b_logs,
                                 b_angles, vel):
-        # the array kernel behind drive's RHS against the value-type API, for
-        # log-uniform parameters within a decade of a preset, SPD unimodular
-        # B_p, SPD B and traceless L on the flow rule's own rate scale
+        # the array kernel behind drive's RHS against an independent split
+        # (scipy sqrtm, numpy inv) and the public flow rule, for log-uniform
+        # parameters within a decade of a preset, SPD unimodular B_p, SPD B
+        # and traceless L on the flow rule's own rate scale
         row = get_preset(preset)
         base = (row.mu_p_bar, row.mu_g_bar, row.eta)
         mu_p, mu_g, eta = (v * 10.0**d for v, d in zip(base, decades))
@@ -171,8 +180,13 @@ class TestRateKernel:
         lmat = np.reshape(vel, (3, 3)) * (mu_p / eta)
         lmat -= np.trace(lmat) / 3.0 * np.eye(3)
 
-        d_g = dG_rate(b_p, natural_maps(b, b_p)[1], mp)
-        expected = bp_rate(b_p, lmat, d_g).as_components()
+        v = spd_sqrt(b_p)
+        v_inv = np.linalg.inv(v)
+        b_g = SymTensor3.from_matrix(v_inv @ b.as_matrix() @ v_inv, check=False)
+        d_g = dG_rate(b_p, b_g, mp).as_matrix()
+        lb = lmat @ b_p.as_matrix()
+        expected = SymTensor3.from_matrix(lb + lb.T - 2.0 * v @ d_g @ v, check=False)
+        expected = expected.as_components()
         got = _rate_kernel(b_p.as_components(), b.as_matrix(), lmat, mp)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -333,8 +347,8 @@ class TestRotationEquivariance:
         traj_b = drive(rotated, PMR15, x0, **kw)
         for traj in (traj_a, traj_b):
             assert traj.t[-1] == span[1]
-        inv_a = invariants(traj_a.b_p[-1])
-        inv_b = invariants(traj_b.b_p[-1])
+        inv_a = eig_sym(traj_a.b_p[-1]).eigenvalues
+        inv_b = eig_sym(traj_b.b_p[-1]).eigenvalues
         for va, vb in zip(inv_a, inv_b):
             assert vb == pytest.approx(va, rel=1e-10, abs=1e-10)
         eig_a = eig_sym(traj_a.stress[-1]).eigenvalues

@@ -3,15 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from polyvisc.tensors import (
-    DomainError,
-    SymTensor3,
-    eig_sym,
-    inv_spd,
-    invariants,
-    sqrt_spd,
-    sylvester_spd,
-)
+from polyvisc.evolution import _flow_terms, dG_rate
+from polyvisc.material import MaterialParams
+from polyvisc.tensors import DomainError, SymTensor3, _sylvester_from_decomp, eig_sym
+
+UNIT = MaterialParams(mu_p_bar=1.0, mu_g_bar=0.8, eta=1.0)
 
 
 def random_rotation(rng):
@@ -35,21 +31,25 @@ def random_sym(rng, scale=1.0):
     return SymTensor3.from_matrix(0.5 * (m + m.T))
 
 
+def invariants(a: SymTensor3) -> tuple:
+    """(tr A, det A) from the type, and the eigenvalues."""
+    return (a.trace(), a.det(), *eig_sym(a).eigenvalues)
+
+
 class TestInvariants:
     def test_identity(self):
-        assert invariants(SymTensor3.identity()) == (3.0, 3.0, 1.0)
+        assert invariants(SymTensor3.identity()) == (3.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_diagonal(self):
-        i1, i2, i3 = invariants(SymTensor3.diag(4.0, 1.0, 1.0))
-        assert (i1, i2, i3) == (6.0, 9.0, 4.0)
+        assert invariants(SymTensor3.diag(4.0, 1.0, 1.0)) == (6.0, 4.0, 4.0, 1.0, 1.0)
 
     def test_uniaxial_diag(self):
         # eigenvalues (2, 2^-1/2, 2^-1/2): sums/products by hand
         a = SymTensor3.diag(2.0, 2.0**-0.5, 2.0**-0.5)
-        i1, i2, i3 = invariants(a)
+        i1, i3, *eigs = invariants(a)
         assert i1 == pytest.approx(2.0 + 2.0**0.5, rel=1e-12)
-        assert i2 == pytest.approx(2.0 * 2.0**0.5 + 0.5, rel=1e-12)
         assert i3 == pytest.approx(1.0, rel=1e-12)
+        assert eigs == pytest.approx([2.0, 2.0**-0.5, 2.0**-0.5], rel=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(7)
@@ -70,8 +70,8 @@ class TestEigSym:
     def test_identity_degenerate(self):
         d = eig_sym(SymTensor3.identity())
         assert d.eigenvalues == (1.0, 1.0, 1.0)
-        recon = d.reconstruct()
-        assert (recon - SymTensor3.identity()).norm() <= 1e-12
+        recon = d.spectral_map(d.eigenvalues)
+        assert np.linalg.norm(recon - np.eye(3)) <= 1e-12
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
@@ -81,7 +81,7 @@ class TestEigSym:
             a = SymTensor3.from_matrix(q @ np.diag(lams) @ q.T)
             d = eig_sym(a)
             assert np.allclose(d.eigenvalues, lams, rtol=1e-12, atol=1e-12)
-            err = np.linalg.norm(d.reconstruct().as_matrix() - a.as_matrix())
+            err = np.linalg.norm(d.spectral_map(d.eigenvalues) - a.as_matrix())
             assert err <= 1e-12 * np.linalg.norm(a.as_matrix())
 
     def test_frame_is_rotation(self):
@@ -103,7 +103,9 @@ class TestEigSym:
         rng = np.random.default_rng(19)
         for _ in range(300):
             a = random_sym(rng, scale=2.0)
-            i1, i2, i3 = invariants(a)
+            m = a.as_matrix()
+            i1, i3 = a.trace(), a.det()
+            i2 = 0.5 * (i1 * i1 - float(np.trace(m @ m)))
             scale = max(1.0, a.norm() ** 3)
             for lam in eig_sym(a).eigenvalues:
                 p = lam**3 - i1 * lam**2 + i2 * lam - i3
@@ -122,7 +124,7 @@ def assert_eig_convention(a, d):
     assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(q[:, 2] - np.cross(q[:, 0], q[:, 1])) <= 1e-14
     am = a.as_matrix()
-    assert np.linalg.norm(d.reconstruct().as_matrix() - am) <= 1e-14 * np.linalg.norm(am)
+    assert np.linalg.norm(d.spectral_map(vals) - am) <= 1e-14 * np.linalg.norm(am)
     for again in (eig_sym(a), eig_sym(am)):
         assert again.eigenvalues == vals
         assert np.array_equal(again.frame, q)
@@ -154,54 +156,66 @@ class TestEigConvention:
                 eig_sym(SymTensor3(1.0, 1.0, 1.0, bad, 0.0, 0.0))
 
 
+def kernel_sqrt_inv(a: SymTensor3):
+    """V = A^1/2 and A^-1 as the B_G split computes them: B_G = V^-1 I V^-1."""
+    v, inv, _ = _flow_terms(a.as_matrix(), np.eye(3), UNIT)
+    return v, inv
+
+
 class TestSqrtSpd:
     def test_identity(self):
-        assert (sqrt_spd(SymTensor3.identity()) - SymTensor3.identity()).norm() == 0.0
+        assert np.linalg.norm(kernel_sqrt_inv(SymTensor3.identity())[0] - np.eye(3)) == 0.0
 
     def test_diagonal(self):
-        r = sqrt_spd(SymTensor3.diag(4.0, 1.0, 1.0))
-        assert (r - SymTensor3.diag(2.0, 1.0, 1.0)).norm() <= 1e-14
+        r = kernel_sqrt_inv(SymTensor3.diag(4.0, 1.0, 1.0))[0]
+        assert np.linalg.norm(r - np.diag([2.0, 1.0, 1.0])) <= 1e-14
 
     def test_rotated(self):
         rng = np.random.default_rng(23)
         q = random_rotation(rng)
         a = SymTensor3.from_matrix(q @ np.diag([9.0, 4.0, 1.0]) @ q.T)
-        r = sqrt_spd(a)
+        r = kernel_sqrt_inv(a)[0]
         expected = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
-        assert np.linalg.norm(r.as_matrix() - expected) <= 1e-12
+        assert np.linalg.norm(r - expected) <= 1e-12
 
     def test_square_recovers_input(self):
         rng = np.random.default_rng(29)
         for _ in range(1000):
             a = random_spd(rng, cond_max=1e6)
-            r = sqrt_spd(a).as_matrix()
+            r = kernel_sqrt_inv(a)[0]
             err = np.linalg.norm(r @ r - a.as_matrix())
             assert err <= 1e-12 * np.linalg.norm(a.as_matrix())
 
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
-            sqrt_spd(SymTensor3.diag(1.0, 1.0, -1.0))
+            kernel_sqrt_inv(SymTensor3.diag(1.0, 1.0, -1.0))
 
     def test_inv_spd(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             a = random_spd(rng, cond_max=1e4)
-            prod = inv_spd(a).as_matrix() @ a.as_matrix()
+            prod = kernel_sqrt_inv(a)[1] @ a.as_matrix()
             assert np.linalg.norm(prod - np.eye(3)) <= 1e-10
+
+
+def sylvester(a: SymTensor3, m: SymTensor3) -> SymTensor3:
+    """The flow rule's Sylvester solve A*X + X*A = M on A's decomposition."""
+    x = _sylvester_from_decomp(eig_sym(a), m.as_matrix())
+    return SymTensor3.from_matrix(x, check=False)
 
 
 class TestSylvester:
     def test_identity_coefficient(self):
         rng = np.random.default_rng(37)
         m = random_sym(rng)
-        x = sylvester_spd(SymTensor3.identity(), m)
+        x = sylvester(SymTensor3.identity(), m)
         assert (x - m * 0.5).norm() <= 1e-14 * max(1.0, m.norm())
 
     def test_diagonal_componentwise(self):
         # in the diagonal basis X_ij = M_ij / (a_i + a_j)
         a = SymTensor3.diag(2.0, 1.0, 1.0)
         m = SymTensor3(4.0, 0.0, 0.0, 3.0, 0.0, 0.0)
-        x = sylvester_spd(a, m)
+        x = sylvester(a, m)
         assert x.xx == pytest.approx(1.0, abs=1e-14)
         assert x.xy == pytest.approx(1.0, abs=1e-14)
         assert abs(x.yy) + abs(x.zz) + abs(x.yz) + abs(x.xz) <= 1e-14
@@ -213,7 +227,7 @@ class TestSylvester:
             x_known = random_sym(rng)
             am, xm = a.as_matrix(), x_known.as_matrix()
             m = SymTensor3.from_matrix(am @ xm + xm @ am)
-            x = sylvester_spd(a, m)
+            x = sylvester(a, m)
             assert (x - x_known).norm() <= 1e-12 * max(1.0, x_known.norm())
 
     def test_residual_and_symmetry(self):
@@ -221,14 +235,16 @@ class TestSylvester:
         for _ in range(300):
             a = random_spd(rng, cond_max=1e3)
             m = random_sym(rng)
-            x = sylvester_spd(a, m)  # symmetric by construction of the type
-            am, xm = a.as_matrix(), x.as_matrix()
-            res = np.linalg.norm(am @ xm + xm @ am - m.as_matrix())
+            x = _sylvester_from_decomp(eig_sym(a), m.as_matrix())
+            assert np.array_equal(x, x.T)
+            am = a.as_matrix()
+            res = np.linalg.norm(am @ x + x @ am - m.as_matrix())
             assert res <= 1e-12 * max(1.0, m.norm())
 
     def test_rejects_indefinite(self):
+        # the flow rule's entry point guards its Sylvester solve
         with pytest.raises(DomainError):
-            sylvester_spd(SymTensor3.diag(1.0, -2.0, 1.0), SymTensor3.identity())
+            dG_rate(SymTensor3.diag(1.0, -2.0, 1.0), SymTensor3.identity(), UNIT)
 
 
 class TestValueTypes:

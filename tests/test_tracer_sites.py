@@ -22,24 +22,59 @@ def load_spans():
     return module
 
 
-def test_tensor_sites_are_bound_and_called():
+def traced(work):
+    """Run ``work()`` with the tracer installed; return the tracer and its layer totals."""
     tracer = load_spans().Tracer()
     mods = dict(cli=cli, dataio=dataio, evolution=evolution, fitting=fitting,
                 kinematics=kinematics, odesolve=odesolve, tensors=tensors, uniaxial=uniaxial)
     tracer.install(mods)
     try:
         tracer.enabled = True
-        mp = get_preset("pmr15_288").params()
-        evolution.relax(1.01, mp, 0.5 * mp.retardation_time())
+        work()
         tracer.enabled = False
-        totals = tracer.layer_totals()
+        return tracer, tracer.layer_totals()
     finally:
         tracer.uninstall()
 
-    for name in ("evolution.drive", "odesolve.integrate", "evolution.rhs", "tensors.eig_sym",
-                 "tensors.sylvester", "material.identity_check", "kinematics.protocol"):
+
+def assert_called(totals, names):
+    for name in names:
         assert totals.get(name, (0, 0.0))[0] > 0, name
+
+
+def test_tensor_sites_are_bound_and_called():
+    mp = get_preset("pmr15_288").params()
+    tracer, totals = traced(lambda: evolution.relax(1.01, mp, 0.5 * mp.retardation_time()))
+
+    assert_called(totals, ("evolution.drive", "odesolve.integrate", "evolution.rhs",
+                           "tensors.eig_sym", "tensors.sylvester", "material.identity_check",
+                           "kinematics.protocol"))
     assert tracer.counts["odesolve.steps_accepted"] > 0
     assert tracer.counts["evolution.samples"] == totals["material.identity_check"][0]
     # uninstall restores the undecorated names
     assert evolution.eig_sym is tensors.eig_sym
+
+
+def test_scalar_sites_are_bound_and_called(tmp_path):
+    row = get_preset("hfpe285")
+    mp = row.params()
+    tau = mp.retardation_time()
+    data = tmp_path / "data.csv"
+    dataio.save_dataset(dataio.make_synthetic_dataset(
+        mp, stress=row.fit_load_pa(), t_load=tau, t_unload=tau, n_load=10, n_unload=5), data)
+
+    def work():
+        assert cli.main(["fit", "--data", str(data), "--init", "hfpe285",
+                         "--max-iter", "20"]) == 0
+        assert cli.main(["simulate", "--preset", "hfpe285", "--t-load", repr(tau),
+                         "--t-unload", repr(tau), "--out", str(tmp_path / "c.csv"),
+                         "--plot", str(tmp_path / "c.svg")]) == 0
+
+    tracer, totals = traced(work)
+
+    assert_called(totals, ("fitting.nelder_mead", "fitting.creep_error",
+                           "uniaxial.simulate_creep", "uniaxial.solve_B", "dataio.export",
+                           "dataio.load_dataset", "cli.main"))
+    assert tracer.counts["fitting.objective_evals"] > 0
+    assert tracer.counts["dataio.bytes_written"] > 0
+    assert cli.main.__name__ == "main"
