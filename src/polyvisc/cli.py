@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
     drv = sub.add_parser("drive", help="strain-controlled 3-D evolution (ramp and hold)")
     add_params(drv)
     drv.add_argument("--protocol", choices=("uniaxial", "shear"), default="uniaxial")
-    drv.add_argument("--amplitude", type=float, required=False,
+    drv.add_argument("--amplitude", type=_finite, required=False,
                      help="target stretch (uniaxial) or shear (shear)")
     drv.add_argument("--ramp-time", type=_positive, help="ramp duration (s); default duration/2")
     drv.add_argument("--duration", type=_positive, help="total duration (s); default 5*tau")

@@ -7,11 +7,10 @@ and a Sylvester-type solve inverts the symmetrized viscous term. The rate
 of B_p then follows from the frame-indifferent kinematic identity
 (``_convected_rate``). Unimodularity of B_p is a consequence, not an input:
 the integrator monitors det(B_p) and aborts on drift rather than
-renormalizing. The right-hand side works on plain 3x3 matrices (F and L
-come from the protocol as arrays), and ``_flow_terms`` is the one place
-that splits the total stretch; symmetric tensors appear as ``SymTensor3``
-only at the public boundary (``dG_rate``, ``drive``, ``Trajectory``), which
-calls the same matrix kernel.
+renormalizing. Every tensor here is a plain 3x3 matrix (F and L come from
+the protocol as arrays), and ``_flow_terms`` is the one place that splits
+the total stretch. ``SymTensor3`` appears only as the record of a B_p
+state: ``drive``'s initial state and ``Trajectory.b_p``.
 
 Stress and dissipation on the trajectory come from ``material``; this
 module only fixes the pressure, by lateral traction-freeness for uniaxial
@@ -104,11 +103,9 @@ def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialPar
     return _convected_rate(v, bpm, lmat, d_g)[_ROWS, _COLS]
 
 
-def dG_rate(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> SymTensor3:
+def dG_rate(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """Natural-configuration stretching from the flow rule."""
-    bpm = b_p.as_matrix()
-    d = _spd_decomp(bpm, "dG_rate")
-    return SymTensor3.from_matrix(_flow_direction(d, bpm, b_g.as_matrix(), mp), check=False)
+    return _flow_direction(_spd_decomp(b_p, "dG_rate"), b_p, b_g, mp)
 
 
 @dataclass
@@ -118,7 +115,7 @@ class Trajectory:
     t: np.ndarray
     F: np.ndarray = field(repr=False)  # (n, 3, 3)
     b_p: List[SymTensor3] = field(repr=False)
-    stress: List[SymTensor3] = field(repr=False)
+    stress: np.ndarray = field(repr=False)  # (n, 3, 3), Pa
     eps_axial: np.ndarray = field(repr=False)
     t_axial: np.ndarray = field(repr=False)  # Pa
     det_bp: np.ndarray = field(repr=False)
@@ -138,9 +135,9 @@ class Trajectory:
 
 def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
     """Stress and diagnostics for one mesh state."""
-    b_p = SymTensor3(*y.tolist())
+    b_p = y[_SYM_INDEX]
     f = protocol.F(t)
-    _, b_g, d_g = _flow_terms(y[_SYM_INDEX], f @ f.T, mp)
+    _, b_g, d_g = _flow_terms(b_p, f @ f.T, mp)
 
     axial = np.array([1.0, 0.0, 0.0])
     if protocol.kind == "shear":
@@ -155,12 +152,11 @@ def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarra
         convention = "lateral traction-free"
 
     t_sym = stress(b_p, p, mp)
-    t_ax = float(axial @ t_sym.as_matrix() @ axial)
-    b_g, d_g = (SymTensor3.from_matrix(m, check=False) for m in (b_g, d_g))
+    t_ax = float(axial @ t_sym @ axial)
     xi_m = dissipation_rate(b_p, d_g, mp)
     residual = check_dissipation_identity(t_sym, b_g, d_g, xi_m, mp)
     eps_ax = math.log(protocol.drive(t)) if protocol.kind != "shear" else 0.0
-    return f, b_p, t_sym, eps_ax, t_ax, xi_m, residual, convention
+    return f, SymTensor3(*y.tolist()), t_sym, eps_ax, t_ax, xi_m, residual, convention
 
 
 def drive(
@@ -180,7 +176,7 @@ def drive(
         return _rate_kernel(y, f @ f.T, protocol.L(t), mp)
 
     def step_hook(t, y):
-        det = SymTensor3(*y.tolist()).det()
+        det = np.linalg.det(y[_SYM_INDEX])
         if abs(det - 1.0) > DET_DRIFT_LIMIT:
             raise IntegrationError(
                 f"det(B_p) drifted to {det} at t = {t}; aborting instead of renormalizing",
@@ -198,10 +194,9 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
     n = sol.ts.size
     fs = np.empty((n, 3, 3))
     bps: List[SymTensor3] = []
-    stresses: List[SymTensor3] = []
+    stresses = np.empty((n, 3, 3))
     eps_ax = np.empty(n)
     t_ax = np.empty(n)
-    det_bp = np.empty(n)
     xi = np.empty(n)
     res = np.empty(n)
     convention = "lateral traction-free"
@@ -209,10 +204,9 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
         f, b_p, t_sym, e, ta, x, r, convention = _sample(protocol, mp, t, y)
         fs[i] = f
         bps.append(b_p)
-        stresses.append(t_sym)
+        stresses[i] = t_sym
         eps_ax[i] = e
         t_ax[i] = ta
-        det_bp[i] = b_p.det()
         xi[i] = x
         res[i] = r
     return Trajectory(
@@ -222,7 +216,7 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
         stress=stresses,
         eps_axial=eps_ax,
         t_axial=t_ax,
-        det_bp=det_bp,
+        det_bp=np.linalg.det(sol.ys[:, _SYM_INDEX]),
         xi_m=xi,
         identity_residual=res,
         pressure_convention=convention,
@@ -274,7 +268,7 @@ def replay_uniaxial(
             prev = curve.segments[k - 1]
             j = math.sqrt(seg.b / prev.b)  # axial jump of the elastic loading
             jump = np.diag([j, 1.0 / math.sqrt(j), 1.0 / math.sqrt(j)])
-            b_p = SymTensor3.from_matrix(jump @ b_p.as_matrix() @ jump.T, check=False)
+            b_p = SymTensor3.from_matrix(jump @ b_p.as_matrix() @ jump.T)
 
         protocol = uniaxial_protocol(
             lam=seg.lam_at,

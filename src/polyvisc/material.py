@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DomainError, SymTensor3, is_spd
+from .tensors import DomainError, _require_spd, eig_sym
+
+_I3 = np.eye(3)
 
 
 class ConfigError(ValueError):
@@ -43,38 +45,34 @@ class MaterialParams:
         return self.eta / (2.0 * self.mu_g_bar)
 
 
-def helmholtz(b_p: SymTensor3, b_g: SymTensor3, mp: MaterialParams) -> float:
+def helmholtz(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> float:
     """Stored energy per unit volume (J/m^3).
 
     Neo-Hookean terms in the traces of B_p and B_G:
     ``mu_p_bar/2 (tr B_p - 3) + mu_g_bar/2 (tr B_G - 3)``.
     """
-    if not is_spd(b_p):
-        raise DomainError("B_p must be SPD")
-    if not is_spd(b_g):
-        raise DomainError("B_G must be SPD")
-    return 0.5 * mp.mu_p_bar * (b_p.trace() - 3.0) + 0.5 * mp.mu_g_bar * (b_g.trace() - 3.0)
+    _require_spd(eig_sym(b_p), "helmholtz (B_p)")
+    _require_spd(eig_sym(b_g), "helmholtz (B_G)")
+    return 0.5 * mp.mu_p_bar * (np.trace(b_p) - 3.0) + 0.5 * mp.mu_g_bar * (np.trace(b_g) - 3.0)
 
 
-def stress(b_p: SymTensor3, p: float, mp: MaterialParams) -> SymTensor3:
+def stress(b_p: np.ndarray, p: float, mp: MaterialParams) -> np.ndarray:
     """Cauchy stress T = p*I + mu_p_bar * B_p (Pa)."""
-    mu = mp.mu_p_bar
-    return SymTensor3(p + mu * b_p.xx, p + mu * b_p.yy, p + mu * b_p.zz,
-                      mu * b_p.xy, mu * b_p.yz, mu * b_p.xz)
+    return p * _I3 + mp.mu_p_bar * b_p
 
 
-def pressure(b_p: SymTensor3, mp: MaterialParams, normal=None) -> float:
+def pressure(b_p: np.ndarray, mp: MaterialParams, normal=None) -> float:
     """The pressure p of ``stress`` fixed by a boundary condition (Pa).
 
     With a unit ``normal`` n, the traction-free one (n . T n = 0); without,
     the one that makes T traceless.
     """
     if normal is None:
-        return -mp.mu_p_bar * b_p.trace() / 3.0
-    return -mp.mu_p_bar * float(normal @ b_p.as_matrix() @ normal)
+        return -mp.mu_p_bar * np.trace(b_p) / 3.0
+    return -mp.mu_p_bar * float(normal @ b_p @ normal)
 
 
-def dissipation_rate(b_p: SymTensor3, d_g: SymTensor3, mp: MaterialParams) -> float:
+def dissipation_rate(b_p: np.ndarray, d_g: np.ndarray, mp: MaterialParams) -> float:
     """Mechanical dissipation rate ``xi_m = eta * (D_G : B_p D_G)`` (W/m^3).
 
     Evaluated as ``eta * ||C^T D_G||_F^2`` with the Cholesky factor
@@ -82,10 +80,10 @@ def dissipation_rate(b_p: SymTensor3, d_g: SymTensor3, mp: MaterialParams) -> fl
     too. Raises DomainError if B_p is not SPD (it has no Cholesky factor).
     """
     try:
-        c = np.linalg.cholesky(b_p.as_matrix())
+        c = np.linalg.cholesky(b_p)
     except np.linalg.LinAlgError:
-        raise DomainError(f"dissipation_rate requires an SPD B_p, got {b_p}") from None
-    cd = c.T @ d_g.as_matrix()
+        raise DomainError(f"dissipation_rate requires an SPD B_p, got {b_p.tolist()}") from None
+    cd = c.T @ d_g
     return mp.eta * float(np.vdot(cd, cd))
 
 
@@ -94,10 +92,14 @@ def dissipation_rate(b_p: SymTensor3, d_g: SymTensor3, mp: MaterialParams) -> fl
 DISSIPATION_FLOOR = 1e-30
 
 
+def _deviator(a: np.ndarray) -> np.ndarray:
+    return a - (np.trace(a) / 3.0) * _I3
+
+
 def check_dissipation_identity(
-    t_stress: SymTensor3,
-    b_g: SymTensor3,
-    d_g: SymTensor3,
+    t_stress: np.ndarray,
+    b_g: np.ndarray,
+    d_g: np.ndarray,
     xi_m: float,
     mp: MaterialParams,
 ) -> float:
@@ -109,10 +111,9 @@ def check_dissipation_identity(
     precision; inconsistent states do not. The pressure part of T drops out
     because D_G is traceless.
     """
-    lhs = t_stress - b_g * mp.mu_g_bar
+    lhs = t_stress - mp.mu_g_bar * b_g
     # Contract deviatoric parts: the spherical terms vanish analytically
     # (D_G is traceless), and dropping them keeps machine-level trace noise
     # from swamping the residual near equilibrium.
-    third = SymTensor3.identity() * (1.0 / 3.0)
-    work = (lhs - third * lhs.trace()).ddot(d_g - third * d_g.trace())
+    work = float(np.vdot(_deviator(lhs), _deviator(d_g)))
     return abs(work - xi_m) / max(xi_m, DISSIPATION_FLOOR)

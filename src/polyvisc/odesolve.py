@@ -103,6 +103,12 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
     stationary_step = max(1e-6, _STATIONARY_STEP_FRACTION * (t1 - t0))
     h0 = stationary_step if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
+    if not (h0 > 0.0):
+        raise IntegrationError(
+            f"step size underflow at t = {t0} (initial h = {h0}); problem too stiff or singular",
+            t0,
+            y0,
+        )
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -1,12 +1,11 @@
 """Exact-shape 3x3 tensor algebra.
 
-Symmetric tensors are ``SymTensor3`` values holding their six independent
-components in the canonical order (xx, yy, zz, xy, yz, xz); this module
-owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
+Every tensor, symmetric or not, is a plain 3x3 numpy array. The one
+exception is ``SymTensor3``, the public record of a B_p state (``drive``'s
+initial state and ``Trajectory.b_p``): six components in the canonical
+order (xx, yy, zz, xy, yz, xz), immutable, with no algebra of its own. This
+module owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
 components, ``_ROWS``/``_COLS`` pick the components out of a matrix).
-General tensors such as F and L are plain 3x3 numpy arrays. ``SymTensor3``
-is immutable, so results are bit-reproducible and safe to share across
-threads.
 
 The spectral routines (LAPACK ``eigh`` under a deterministic frame
 convention, and the Sylvester-type solve on a decomposition) are the
@@ -19,7 +18,6 @@ test is ``_spd_eigenvalues``, on the eigenvalue floor ``SPD_EIG_FLOOR``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,30 +53,22 @@ class SymTensor3:
         return SymTensor3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def zero() -> "SymTensor3":
-        return SymTensor3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
     def diag(a: float, b: float, c: float) -> "SymTensor3":
         return SymTensor3(float(a), float(b), float(c), 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_matrix(m: np.ndarray, *, check: bool = True) -> "SymTensor3":
+    def from_matrix(m: np.ndarray) -> "SymTensor3":
         """Build from a 3x3 matrix, averaging away floating-point asymmetry.
 
         Raises DomainError if the asymmetric part exceeds 1e-8 of the matrix
         norm (the input was not actually symmetric).
-        Internal call sites whose results are symmetric by algebra pass
-        ``check=False``; the averaging still removes rounding skew.
         """
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if check:
-            skew = m - m.T
-            scale = np.linalg.norm(m)
-            if scale > 0.0 and np.linalg.norm(skew) > 1e-8 * scale:
-                raise DomainError("matrix is not symmetric within tolerance")
+        scale = np.linalg.norm(m)
+        if scale > 0.0 and np.linalg.norm(m - m.T) > 1e-8 * scale:
+            raise DomainError("matrix is not symmetric within tolerance")
         s = 0.5 * (m + m.T)
         return SymTensor3(*s[_ROWS, _COLS].tolist())
 
@@ -88,60 +78,6 @@ class SymTensor3:
     def as_components(self) -> np.ndarray:
         """Canonical (xx, yy, zz, xy, yz, xz) vector."""
         return np.array([self.xx, self.yy, self.zz, self.xy, self.yz, self.xz])
-
-    def trace(self) -> float:
-        return self.xx + self.yy + self.zz
-
-    def det(self) -> float:
-        return (
-            self.xx * (self.yy * self.zz - self.yz * self.yz)
-            - self.xy * (self.xy * self.zz - self.yz * self.xz)
-            + self.xz * (self.xy * self.yz - self.yy * self.xz)
-        )
-
-    def ddot(self, other: "SymTensor3") -> float:
-        """Double contraction A : B (off-diagonal terms counted twice)."""
-        return (
-            self.xx * other.xx
-            + self.yy * other.yy
-            + self.zz * other.zz
-            + 2.0 * (self.xy * other.xy + self.yz * other.yz + self.xz * other.xz)
-        )
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return math.sqrt(self.ddot(self))
-
-    def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(
-            self.xx + other.xx,
-            self.yy + other.yy,
-            self.zz + other.zz,
-            self.xy + other.xy,
-            self.yz + other.yz,
-            self.xz + other.xz,
-        )
-
-    def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(
-            self.xx - other.xx,
-            self.yy - other.yy,
-            self.zz - other.zz,
-            self.xy - other.xy,
-            self.yz - other.yz,
-            self.xz - other.xz,
-        )
-
-    def __mul__(self, k: float) -> "SymTensor3":
-        k = float(k)
-        return SymTensor3(
-            k * self.xx, k * self.yy, k * self.zz, k * self.xy, k * self.yz, k * self.xz
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymTensor3":
-        return self * -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,16 +101,15 @@ class SpectralDecomp:
 def eig_sym(a) -> SpectralDecomp:
     """Spectral decomposition of a symmetric tensor by LAPACK ``eigh``.
 
-    ``a`` is a SymTensor3 or its 3x3 matrix (taken as symmetric: only the
-    lower triangle is read). Eigenvalues are sorted descending. Each
+    ``a`` is a 3x3 matrix, taken as symmetric: only the lower triangle is
+    read. Eigenvalues are sorted descending. Each
     eigenvector's sign is fixed so its largest-magnitude component is
     positive; the last column is then flipped if needed to keep
     det(frame) = +1. Non-finite input raises DomainError.
     """
-    m = a.as_matrix() if isinstance(a, SymTensor3) else a
-    if not np.isfinite(m).all():
+    if not np.isfinite(a).all():
         raise DomainError("eig_sym requires a finite tensor")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(a)
     # eigh sorts ascending; the sign convention runs on plain lists, which
     # costs less than numpy calls at this size
     cols = vecs.T.tolist()[::-1]
@@ -202,10 +137,6 @@ def _require_spd(decomp: SpectralDecomp, what: str) -> None:
         raise DomainError(
             f"{what} requires an SPD tensor (eigenvalues {decomp.eigenvalues})"
         )
-
-
-def is_spd(a: SymTensor3) -> bool:
-    return _spd_eigenvalues(eig_sym(a).eigenvalues)
 
 
 def _sylvester_from_decomp(d: SpectralDecomp, m: np.ndarray) -> np.ndarray:

@@ -121,6 +121,8 @@ RELAX = ["relax", "--preset", "hfpe285", "--lambda-hold", "1.01"]
     RELAX + ["--hold-time", "-5"],
     RELAX + ["--rtol", "0"],
     ["drive", "--preset", "hfpe285", "--amplitude", "1.01", "--rtol", "-1"],
+    ["drive", "--preset", "hfpe285", "--amplitude", "inf"],
+    ["drive", "--preset", "hfpe285", "--protocol", "shear", "--amplitude", "nan"],
     ["fit", "--data", "{tmp}/data.csv", "--init", "hfpe285", "--weight", "2"],
     ["fit", "--data", "{tmp}/data.csv", "--init", "0,1e9,1e13"],
     ["fit", "--data", "{tmp}/data.csv", "--init", "1e8,1e9,inf"],
@@ -283,6 +285,14 @@ class TestDriveRelax:
         traj = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
         assert traj[-1, 0] == 2.0e6
         assert np.all(traj[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("amplitude", ["1e10", "1e300"])
+    def test_huge_shear_is_a_numerical_failure(self, capsys, amplitude):
+        # at 1e300 the first step-size guess underflows to 0
+        code = run("drive", "--preset", "pmr15_288", "--protocol", "shear",
+                   "--amplitude", amplitude, "--duration", "100")
+        assert code == 3
+        assert "step size underflow" in capsys.readouterr().err
 
     def test_drive_requires_amplitude(self):
         assert run("drive", "--preset", "pmr15_288") == 1

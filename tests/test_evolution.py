@@ -25,7 +25,7 @@ from polyvisc.kinematics import (
 )
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import IntegrationError
-from polyvisc.tensors import DomainError, SymTensor3, eig_sym
+from polyvisc.tensors import _COLS, _ROWS, _SYM_INDEX, DomainError, SymTensor3, eig_sym
 from polyvisc.uniaxial import CreepSegment, lambda_rate, simulate_creep, solve_B
 
 from test_tensors import random_rotation
@@ -38,19 +38,23 @@ def random_unimodular_spd(rng):
     q = random_rotation(rng)
     lams = rng.uniform(0.4, 2.5, size=3)
     lams /= np.prod(lams) ** (1.0 / 3.0)
-    return SymTensor3.from_matrix(q @ np.diag(lams) @ q.T, check=False)
+    return symmetrized(q @ np.diag(lams) @ q.T)
 
 
 def random_spd(rng):
     q = random_rotation(rng)
     lams = rng.uniform(0.4, 2.5, size=3)
-    return SymTensor3.from_matrix(q @ np.diag(lams) @ q.T, check=False)
+    return symmetrized(q @ np.diag(lams) @ q.T)
+
+
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
 
 
 class TestDGRate:
     def test_rest_state_is_stationary(self):
-        d_g = dG_rate(SymTensor3.identity(), SymTensor3.identity(), PMR15)
-        assert d_g.norm() == 0.0
+        d_g = dG_rate(np.eye(3), np.eye(3), PMR15)
+        assert np.linalg.norm(d_g) == 0.0
 
     def test_generalized_equilibrium_states(self):
         # any B_G = (c0*I + mu_p*B_p)/mu_g is a stationary point of the flow
@@ -58,56 +62,54 @@ class TestDGRate:
         for _ in range(50):
             b_p = random_unimodular_spd(rng)
             c0 = rng.uniform(0.1, 1.0)
-            b_g = SymTensor3.identity() * (c0 / UNIT.mu_g_bar) + b_p * (
+            b_g = np.eye(3) * (c0 / UNIT.mu_g_bar) + b_p * (
                 UNIT.mu_p_bar / UNIT.mu_g_bar
             )
             d_g = dG_rate(b_p, b_g, UNIT)
-            assert d_g.norm() <= 1e-13
+            assert np.linalg.norm(d_g) <= 1e-13
 
     def test_traceless_over_random_states(self):
         rng = np.random.default_rng(113)
         worst = 0.0
         for _ in range(1000):
             d_g = dG_rate(random_spd(rng), random_spd(rng), UNIT)
-            worst = max(worst, abs(d_g.trace()))
+            worst = max(worst, abs(np.trace(d_g)))
         assert worst <= 1e-12
 
     def test_uniaxial_closed_form(self):
         # diagonal flow matches the scalar creep rate link
         for lam, b in ((1.05, 1.02), (1.3, 1.15), (0.9, 0.97)):
-            b_p = SymTensor3.diag(b, b**-0.5, b**-0.5)
-            b_g = SymTensor3.diag(lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam)
+            b_p = np.diag([b, b**-0.5, b**-0.5])
+            b_g = np.diag([lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam])
             d_g = dG_rate(b_p, b_g, PMR15)
             lam_dot = lambda_rate(lam, b, PMR15)
             r = lam_dot / lam
-            expected = SymTensor3.diag(r, -0.5 * r, -0.5 * r)
-            assert (d_g - expected).norm() <= 1e-10 * max(expected.norm(), 1e-30)
+            expected = np.diag([r, -0.5 * r, -0.5 * r])
+            assert np.linalg.norm(d_g - expected) <= 1e-10 * max(np.linalg.norm(expected), 1e-30)
 
     def test_rejects_non_spd(self):
         with pytest.raises(DomainError):
-            dG_rate(SymTensor3.diag(1.0, -1.0, 1.0), SymTensor3.identity(), PMR15)
+            dG_rate(np.diag([1.0, -1.0, 1.0]), np.eye(3), PMR15)
 
 
-def spd_sqrt(a: SymTensor3) -> np.ndarray:
+def spd_sqrt(a: np.ndarray) -> np.ndarray:
     """B_p^1/2 by scipy's Schur-based sqrtm, which shares no code with the kernel."""
-    return np.real(sqrtm(a.as_matrix()))
+    return np.real(sqrtm(a))
 
 
-def kernel_rate(b_p: SymTensor3, b_g: SymTensor3, lmat: np.ndarray, mp: MaterialParams):
+def kernel_rate(b_p: np.ndarray, b_g: np.ndarray, lmat: np.ndarray, mp: MaterialParams):
     """drive's rate of B_p (matrix) at the total stretch B = V B_G V that splits into B_G."""
     v = spd_sqrt(b_p)
-    y = _rate_kernel(b_p.as_components(), v @ b_g.as_matrix() @ v, lmat, mp)
-    return SymTensor3(*y.tolist()).as_matrix()
+    return _rate_kernel(b_p[_ROWS, _COLS], v @ b_g @ v, lmat, mp)[_SYM_INDEX]
 
 
 class TestBpRate:
     def test_frozen_natural_configuration(self):
         rng = np.random.default_rng(127)
         b_p = random_unimodular_spd(rng)
-        bpm = b_p.as_matrix()
         lmat = rng.standard_normal((3, 3))
-        rate = _convected_rate(spd_sqrt(b_p), bpm, lmat, np.zeros((3, 3)))
-        lb = lmat @ bpm
+        rate = _convected_rate(spd_sqrt(b_p), b_p, lmat, np.zeros((3, 3)))
+        lb = lmat @ b_p
         assert np.linalg.norm(rate - (lb + lb.T)) <= 1e-12 * np.linalg.norm(lb)
 
     def test_pure_relaxation(self):
@@ -117,19 +119,18 @@ class TestBpRate:
         d_g = dG_rate(b_p, b_g, UNIT)
         rate = kernel_rate(b_p, b_g, np.zeros((3, 3)), UNIT)
         vm = spd_sqrt(b_p)
-        expected = -2.0 * vm @ d_g.as_matrix() @ vm
+        expected = -2.0 * vm @ d_g @ vm
         assert np.linalg.norm(rate - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_creep_state_is_stationary(self):
         # with B pinned by the load, the scalar creep condition freezes B_p
         b = solve_B(1.0e7, PMR15.mu_p_bar)
         lam = 1.01 * math.sqrt(b)
-        b_p = SymTensor3.diag(b, b**-0.5, b**-0.5)
+        b_p = np.diag([b, b**-0.5, b**-0.5])
         lam_dot = lambda_rate(lam, b, PMR15)
         total = np.diag([lam**2, 1.0 / lam, 1.0 / lam])
-        y = _rate_kernel(b_p.as_components(), total, uniaxial_L(lam, lam_dot), PMR15)
-        rate = SymTensor3(*y.tolist())
-        assert rate.norm() <= 1e-12 * b_p.norm() * abs(lam_dot / lam) / 1e-3
+        rate = _rate_kernel(b_p[_ROWS, _COLS], total, uniaxial_L(lam, lam_dot), PMR15)[_SYM_INDEX]
+        assert np.linalg.norm(rate) <= 1e-12 * np.linalg.norm(b_p) * abs(lam_dot / lam) / 1e-3
 
     def test_det_preservation_in_rate_form(self):
         # tr(B_p^-1 Bp_dot) vanishes for traceless L and traceless D_G
@@ -139,7 +140,7 @@ class TestBpRate:
             lmat = rng.standard_normal((3, 3))
             lmat -= np.trace(lmat) / 3.0 * np.eye(3)
             rate = kernel_rate(b_p, random_spd(rng), lmat, UNIT)
-            drift = float(np.tensordot(np.linalg.inv(b_p.as_matrix()), rate))
+            drift = float(np.tensordot(np.linalg.inv(b_p), rate))
             assert abs(drift) <= 1e-10 * max(1.0, np.linalg.norm(rate))
 
 
@@ -175,19 +176,18 @@ class TestRateKernel:
         base = (row.mu_p_bar, row.mu_g_bar, row.eta)
         mu_p, mu_g, eta = (v * 10.0**d for v, d in zip(base, decades))
         mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
-        b_p = SymTensor3.from_matrix(spd_from((*bp_logs, -sum(bp_logs)), bp_angles), check=False)
-        b = SymTensor3.from_matrix(spd_from(b_logs, b_angles), check=False)
+        b_p = symmetrized(spd_from((*bp_logs, -sum(bp_logs)), bp_angles))
+        b = symmetrized(spd_from(b_logs, b_angles))
         lmat = np.reshape(vel, (3, 3)) * (mu_p / eta)
         lmat -= np.trace(lmat) / 3.0 * np.eye(3)
 
         v = spd_sqrt(b_p)
         v_inv = np.linalg.inv(v)
-        b_g = SymTensor3.from_matrix(v_inv @ b.as_matrix() @ v_inv, check=False)
-        d_g = dG_rate(b_p, b_g, mp).as_matrix()
-        lb = lmat @ b_p.as_matrix()
-        expected = SymTensor3.from_matrix(lb + lb.T - 2.0 * v @ d_g @ v, check=False)
-        expected = expected.as_components()
-        got = _rate_kernel(b_p.as_components(), b.as_matrix(), lmat, mp)
+        b_g = symmetrized(v_inv @ b @ v_inv)
+        d_g = dG_rate(b_p, b_g, mp)
+        lb = lmat @ b_p
+        expected = symmetrized(lb + lb.T - 2.0 * v @ d_g @ v)[_ROWS, _COLS]
+        got = _rate_kernel(b_p[_ROWS, _COLS], b, lmat, mp)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -197,7 +197,7 @@ class TestDrive:
         traj = drive(protocol, PMR15, SymTensor3.identity())
         assert traj.F.shape == (len(traj), 3, 3) and np.all(traj.F == np.eye(3))
         for b_p in traj.b_p:
-            assert (b_p - SymTensor3.identity()).norm() == 0.0
+            assert np.linalg.norm(b_p.as_matrix() - np.eye(3)) == 0.0
         assert np.all(traj.t_axial == 0.0)
         assert np.all(traj.xi_m == 0.0)
 
@@ -252,8 +252,9 @@ class TestDrive:
         protocol = shear_protocol(lambda t: 0.1 * t / 100.0, lambda t: 0.1 / 100.0, (0.0, 100.0))
         traj = drive(protocol, PMR15, SymTensor3.identity())
         assert traj.pressure_convention == "tr T = 0"
+        assert traj.stress.shape == (len(traj), 3, 3)
         for t_sym in traj.stress:
-            assert abs(t_sym.trace()) <= 1e-6 * max(t_sym.norm(), 1.0)
+            assert abs(np.trace(t_sym)) <= 1e-6 * max(np.linalg.norm(t_sym), 1.0)
         # shear exercises non-diagonal states
         assert any(abs(b_p.xy) > 1e-6 for b_p in traj.b_p[1:])
 
@@ -290,9 +291,9 @@ class TestScalarEquivalence:
         curve = simulate_creep([CreepSegment(1.0e7, 7.0e4)], PMR15)
         traj = replay_uniaxial(curve, PMR15, rtol=1e-8)[0]
         b = curve.segments[0].b
-        ref = SymTensor3.diag(b, b**-0.5, b**-0.5)
+        ref = np.diag([b, b**-0.5, b**-0.5])
         for b_p in traj.b_p:
-            assert (b_p - ref).norm() <= 1e-6 * ref.norm()
+            assert np.linalg.norm(b_p.as_matrix() - ref) <= 1e-6 * np.linalg.norm(ref)
         assert np.max(np.abs(traj.t_axial - 1.0e7)) <= 1e-6 * 1.0e7
 
     def test_replay_with_unloading(self):
@@ -347,8 +348,8 @@ class TestRotationEquivariance:
         traj_b = drive(rotated, PMR15, x0, **kw)
         for traj in (traj_a, traj_b):
             assert traj.t[-1] == span[1]
-        inv_a = eig_sym(traj_a.b_p[-1]).eigenvalues
-        inv_b = eig_sym(traj_b.b_p[-1]).eigenvalues
+        inv_a = eig_sym(traj_a.b_p[-1].as_matrix()).eigenvalues
+        inv_b = eig_sym(traj_b.b_p[-1].as_matrix()).eigenvalues
         for va, vb in zip(inv_a, inv_b):
             assert vb == pytest.approx(va, rel=1e-10, abs=1e-10)
         eig_a = eig_sym(traj_a.stress[-1]).eigenvalues
@@ -364,13 +365,13 @@ class TestRotationEquivariance:
             q = random_rotation(rng)
             b_p = random_unimodular_spd(rng)
             m = rng.standard_normal((3, 3)) * 0.3 + np.eye(3)
-            b_g = SymTensor3.from_matrix(0.5 * (m + m.T))
+            b_g = symmetrized(m)
             d_g = dG_rate(b_p, b_g, PMR15)
-            b_p_r = SymTensor3.from_matrix(q @ b_p.as_matrix() @ q.T, check=False)
-            b_g_r = SymTensor3.from_matrix(q @ b_g.as_matrix() @ q.T, check=False)
+            b_p_r = symmetrized(q @ b_p @ q.T)
+            b_g_r = symmetrized(q @ b_g @ q.T)
             d_g_r = dG_rate(b_p_r, b_g_r, PMR15)
-            diff = np.linalg.norm(d_g_r.as_matrix() - q @ d_g.as_matrix() @ q.T)
-            assert diff <= 1e-12 * max(d_g.norm(), 1e-30)
+            diff = np.linalg.norm(d_g_r - q @ d_g @ q.T)
+            assert diff <= 1e-12 * max(np.linalg.norm(d_g), 1e-30)
 
 
 class TestTrajectoryType:
@@ -380,7 +381,7 @@ class TestTrajectoryType:
                 t=np.array([0.0, 0.0]),
                 F=np.array([np.eye(3)] * 2),
                 b_p=[SymTensor3.identity()] * 2,
-                stress=[SymTensor3.zero()] * 2,
+                stress=np.zeros((2, 3, 3)),
                 eps_axial=np.zeros(2),
                 t_axial=np.zeros(2),
                 det_bp=np.ones(2),
@@ -394,7 +395,7 @@ class TestTrajectoryType:
                 t=np.array([0.0, 1.0]),
                 F=np.array([np.eye(3)] * 2),
                 b_p=[SymTensor3.identity()] * 2,
-                stress=[SymTensor3.zero()] * 2,
+                stress=np.zeros((2, 3, 3)),
                 eps_axial=np.zeros(2),
                 t_axial=np.zeros(2),
                 det_bp=np.ones(2),

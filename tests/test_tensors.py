@@ -23,29 +23,30 @@ def random_spd(rng, cond_max=1e6):
     lam_max = rng.uniform(0.5, 10.0)
     cond = 10 ** rng.uniform(0.0, math.log10(cond_max))
     lams = [lam_max, lam_max * rng.uniform(1.0 / cond, 1.0), lam_max / cond]
-    return SymTensor3.from_matrix(q @ np.diag(lams) @ q.T)
+    m = q @ np.diag(lams) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def random_sym(rng, scale=1.0):
     m = rng.standard_normal((3, 3)) * scale
-    return SymTensor3.from_matrix(0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
 
 
-def invariants(a: SymTensor3) -> tuple:
-    """(tr A, det A) from the type, and the eigenvalues."""
-    return (a.trace(), a.det(), *eig_sym(a).eigenvalues)
+def invariants(a: np.ndarray) -> tuple:
+    """(tr A, det A) and the eigenvalues."""
+    return (np.trace(a), np.linalg.det(a), *eig_sym(a).eigenvalues)
 
 
 class TestInvariants:
     def test_identity(self):
-        assert invariants(SymTensor3.identity()) == (3.0, 1.0, 1.0, 1.0, 1.0)
+        assert invariants(np.eye(3)) == (3.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_diagonal(self):
-        assert invariants(SymTensor3.diag(4.0, 1.0, 1.0)) == (6.0, 4.0, 4.0, 1.0, 1.0)
+        assert invariants(np.diag([4.0, 1.0, 1.0])) == (6.0, 4.0, 4.0, 1.0, 1.0)
 
     def test_uniaxial_diag(self):
         # eigenvalues (2, 2^-1/2, 2^-1/2): sums/products by hand
-        a = SymTensor3.diag(2.0, 2.0**-0.5, 2.0**-0.5)
+        a = np.diag([2.0, 2.0**-0.5, 2.0**-0.5])
         i1, i3, *eigs = invariants(a)
         assert i1 == pytest.approx(2.0 + 2.0**0.5, rel=1e-12)
         assert i3 == pytest.approx(1.0, rel=1e-12)
@@ -56,19 +57,20 @@ class TestInvariants:
         for _ in range(200):
             a = random_sym(rng)
             q = random_rotation(rng)
-            rotated = SymTensor3.from_matrix(q @ a.as_matrix() @ q.T)
+            rotated = q @ a @ q.T
+            rotated = 0.5 * (rotated + rotated.T)
             for v, w in zip(invariants(a), invariants(rotated)):
                 assert w == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
 class TestEigSym:
     def test_diagonal_input(self):
-        d = eig_sym(SymTensor3.diag(3.0, 2.0, 1.0))
+        d = eig_sym(np.diag([3.0, 2.0, 1.0]))
         assert d.eigenvalues == (3.0, 2.0, 1.0)
         assert np.allclose(np.abs(d.frame), np.eye(3))
 
     def test_identity_degenerate(self):
-        d = eig_sym(SymTensor3.identity())
+        d = eig_sym(np.eye(3))
         assert d.eigenvalues == (1.0, 1.0, 1.0)
         recon = d.spectral_map(d.eigenvalues)
         assert np.linalg.norm(recon - np.eye(3)) <= 1e-12
@@ -78,11 +80,12 @@ class TestEigSym:
         for _ in range(1000):
             lams = np.sort(rng.uniform(0.1, 5.0, size=3))[::-1]
             q = random_rotation(rng)
-            a = SymTensor3.from_matrix(q @ np.diag(lams) @ q.T)
+            a = q @ np.diag(lams) @ q.T
+            a = 0.5 * (a + a.T)
             d = eig_sym(a)
             assert np.allclose(d.eigenvalues, lams, rtol=1e-12, atol=1e-12)
-            err = np.linalg.norm(d.spectral_map(d.eigenvalues) - a.as_matrix())
-            assert err <= 1e-12 * np.linalg.norm(a.as_matrix())
+            err = np.linalg.norm(d.spectral_map(d.eigenvalues) - a)
+            assert err <= 1e-12 * np.linalg.norm(a)
 
     def test_frame_is_rotation(self):
         rng = np.random.default_rng(13)
@@ -103,10 +106,9 @@ class TestEigSym:
         rng = np.random.default_rng(19)
         for _ in range(300):
             a = random_sym(rng, scale=2.0)
-            m = a.as_matrix()
-            i1, i3 = a.trace(), a.det()
-            i2 = 0.5 * (i1 * i1 - float(np.trace(m @ m)))
-            scale = max(1.0, a.norm() ** 3)
+            i1, i3 = np.trace(a), np.linalg.det(a)
+            i2 = 0.5 * (i1 * i1 - float(np.trace(a @ a)))
+            scale = max(1.0, np.linalg.norm(a) ** 3)
             for lam in eig_sym(a).eigenvalues:
                 p = lam**3 - i1 * lam**2 + i2 * lam - i3
                 assert abs(p) <= 1e-10 * scale
@@ -115,7 +117,7 @@ class TestEigSym:
 def assert_eig_convention(a, d):
     """Descending eigenvalues, the first two columns' largest-|component|
     positive, and a right-handed frame (which fixes the third column's sign);
-    reconstruction to 1e-14 relative; bitwise repeatable, from either input form."""
+    reconstruction to 1e-14 relative; bitwise repeatable."""
     vals, q = d.eigenvalues, d.frame
     assert vals[0] >= vals[1] >= vals[2]
     for i in (0, 1):
@@ -123,11 +125,10 @@ def assert_eig_convention(a, d):
         assert col[np.argmax(np.abs(col))] > 0.0
     assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(q[:, 2] - np.cross(q[:, 0], q[:, 1])) <= 1e-14
-    am = a.as_matrix()
-    assert np.linalg.norm(d.spectral_map(vals) - am) <= 1e-14 * np.linalg.norm(am)
-    for again in (eig_sym(a), eig_sym(am)):
-        assert again.eigenvalues == vals
-        assert np.array_equal(again.frame, q)
+    assert np.linalg.norm(d.spectral_map(vals) - a) <= 1e-14 * np.linalg.norm(a)
+    again = eig_sym(a)
+    assert again.eigenvalues == vals
+    assert np.array_equal(again.frame, q)
 
 
 class TestEigConvention:
@@ -137,7 +138,8 @@ class TestEigConvention:
         for b in (1.0, 1.3, 0.8, 1.0 + 1e-9, 2.5):
             base = np.diag([b, b**-0.5, b**-0.5])
             for q in [np.eye(3)] + [random_rotation(rng) for _ in range(50)]:
-                a = SymTensor3.from_matrix(q @ base @ q.T, check=False)
+                a = q @ base @ q.T
+                a = 0.5 * (a + a.T)
                 d = eig_sym(a)
                 assert_eig_convention(a, d)
                 hi, lo = max(b, b**-0.5), min(b, b**-0.5)
@@ -153,27 +155,28 @@ class TestEigConvention:
     def test_rejects_non_finite(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                eig_sym(SymTensor3(1.0, 1.0, 1.0, bad, 0.0, 0.0))
+                eig_sym(SymTensor3(1.0, 1.0, 1.0, bad, 0.0, 0.0).as_matrix())
 
 
-def kernel_sqrt_inv(a: SymTensor3):
+def kernel_sqrt_inv(a: np.ndarray):
     """V = A^1/2 and A^-1 as the B_G split computes them: B_G = V^-1 I V^-1."""
-    v, inv, _ = _flow_terms(a.as_matrix(), np.eye(3), UNIT)
+    v, inv, _ = _flow_terms(a, np.eye(3), UNIT)
     return v, inv
 
 
 class TestSqrtSpd:
     def test_identity(self):
-        assert np.linalg.norm(kernel_sqrt_inv(SymTensor3.identity())[0] - np.eye(3)) == 0.0
+        assert np.linalg.norm(kernel_sqrt_inv(np.eye(3))[0] - np.eye(3)) == 0.0
 
     def test_diagonal(self):
-        r = kernel_sqrt_inv(SymTensor3.diag(4.0, 1.0, 1.0))[0]
+        r = kernel_sqrt_inv(np.diag([4.0, 1.0, 1.0]))[0]
         assert np.linalg.norm(r - np.diag([2.0, 1.0, 1.0])) <= 1e-14
 
     def test_rotated(self):
         rng = np.random.default_rng(23)
         q = random_rotation(rng)
-        a = SymTensor3.from_matrix(q @ np.diag([9.0, 4.0, 1.0]) @ q.T)
+        a = q @ np.diag([9.0, 4.0, 1.0]) @ q.T
+        a = 0.5 * (a + a.T)
         r = kernel_sqrt_inv(a)[0]
         expected = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
         assert np.linalg.norm(r - expected) <= 1e-12
@@ -183,68 +186,65 @@ class TestSqrtSpd:
         for _ in range(1000):
             a = random_spd(rng, cond_max=1e6)
             r = kernel_sqrt_inv(a)[0]
-            err = np.linalg.norm(r @ r - a.as_matrix())
-            assert err <= 1e-12 * np.linalg.norm(a.as_matrix())
+            err = np.linalg.norm(r @ r - a)
+            assert err <= 1e-12 * np.linalg.norm(a)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
-            kernel_sqrt_inv(SymTensor3.diag(1.0, 1.0, -1.0))
+            kernel_sqrt_inv(np.diag([1.0, 1.0, -1.0]))
 
     def test_inv_spd(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             a = random_spd(rng, cond_max=1e4)
-            prod = kernel_sqrt_inv(a)[1] @ a.as_matrix()
+            prod = kernel_sqrt_inv(a)[1] @ a
             assert np.linalg.norm(prod - np.eye(3)) <= 1e-10
 
 
-def sylvester(a: SymTensor3, m: SymTensor3) -> SymTensor3:
+def sylvester(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The flow rule's Sylvester solve A*X + X*A = M on A's decomposition."""
-    x = _sylvester_from_decomp(eig_sym(a), m.as_matrix())
-    return SymTensor3.from_matrix(x, check=False)
+    return _sylvester_from_decomp(eig_sym(a), m)
 
 
 class TestSylvester:
     def test_identity_coefficient(self):
         rng = np.random.default_rng(37)
         m = random_sym(rng)
-        x = sylvester(SymTensor3.identity(), m)
-        assert (x - m * 0.5).norm() <= 1e-14 * max(1.0, m.norm())
+        x = sylvester(np.eye(3), m)
+        assert np.linalg.norm(x - m * 0.5) <= 1e-14 * max(1.0, np.linalg.norm(m))
 
     def test_diagonal_componentwise(self):
         # in the diagonal basis X_ij = M_ij / (a_i + a_j)
-        a = SymTensor3.diag(2.0, 1.0, 1.0)
-        m = SymTensor3(4.0, 0.0, 0.0, 3.0, 0.0, 0.0)
+        a = np.diag([2.0, 1.0, 1.0])
+        m = np.array([[4.0, 3.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         x = sylvester(a, m)
-        assert x.xx == pytest.approx(1.0, abs=1e-14)
-        assert x.xy == pytest.approx(1.0, abs=1e-14)
-        assert abs(x.yy) + abs(x.zz) + abs(x.yz) + abs(x.xz) <= 1e-14
+        assert x[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert x[0, 1] == pytest.approx(1.0, abs=1e-14)
+        assert abs(x[1, 1]) + abs(x[2, 2]) + abs(x[1, 2]) + abs(x[0, 2]) <= 1e-14
 
     def test_construct_then_solve(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             a = random_spd(rng, cond_max=1e3)
             x_known = random_sym(rng)
-            am, xm = a.as_matrix(), x_known.as_matrix()
-            m = SymTensor3.from_matrix(am @ xm + xm @ am)
-            x = sylvester(a, m)
-            assert (x - x_known).norm() <= 1e-12 * max(1.0, x_known.norm())
+            m = a @ x_known + x_known @ a
+            x = sylvester(a, 0.5 * (m + m.T))
+            assert np.linalg.norm(x - x_known) <= 1e-12 * max(1.0, np.linalg.norm(x_known))
 
     def test_residual_and_symmetry(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
             a = random_spd(rng, cond_max=1e3)
             m = random_sym(rng)
-            x = _sylvester_from_decomp(eig_sym(a), m.as_matrix())
+            x = _sylvester_from_decomp(eig_sym(a), m)
             assert np.array_equal(x, x.T)
-            am = a.as_matrix()
-            res = np.linalg.norm(am @ x + x @ am - m.as_matrix())
-            assert res <= 1e-12 * max(1.0, m.norm())
+            res = np.linalg.norm(a @ x + x @ a - m)
+            assert res <= 1e-12 * max(1.0, np.linalg.norm(m))
 
     def test_rejects_indefinite(self):
         # the flow rule's entry point guards its Sylvester solve
         with pytest.raises(DomainError):
-            dG_rate(SymTensor3.diag(1.0, -2.0, 1.0), SymTensor3.identity(), UNIT)
+            dG_rate(np.diag([1.0, -2.0, 1.0]), np.eye(3), UNIT)
 
 
 class TestValueTypes:
@@ -259,9 +259,3 @@ class TestValueTypes:
     def test_from_matrix_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             SymTensor3.from_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-
-    def test_det_matches_numpy(self):
-        rng = np.random.default_rng(59)
-        for _ in range(100):
-            a = random_sym(rng, scale=3.0)
-            assert a.det() == pytest.approx(np.linalg.det(a.as_matrix()), rel=1e-10, abs=1e-12)

@@ -43,8 +43,21 @@ def assert_called(totals, names):
 
 
 def test_tensor_sites_are_bound_and_called():
+    # a relax and a replay sample under lateral traction-freeness, a shear
+    # drive under tr T = 0: both branches of the per-sample stress
     mp = get_preset("pmr15_288").params()
-    tracer, totals = traced(lambda: evolution.relax(1.01, mp, 0.5 * mp.retardation_time()))
+    tau = mp.retardation_time()
+    shear = kinematics.shear_protocol(lambda t: 0.05 * t / tau, lambda t: 0.05 / tau,
+                                      (0.0, 0.5 * tau))
+
+    def work():
+        evolution.relax(1.01, mp, 0.5 * tau)
+        traj = evolution.drive(shear, mp, tensors.SymTensor3.identity())
+        assert traj.pressure_convention == "tr T = 0"
+        curve = uniaxial.simulate_creep([(1.0e7, 0.5 * tau), (0.0, 0.5 * tau)], mp)
+        assert len(evolution.replay_uniaxial(curve, mp)) == 2
+
+    tracer, totals = traced(work)
 
     assert_called(totals, ("evolution.drive", "odesolve.integrate", "evolution.rhs",
                            "tensors.eig_sym", "tensors.sylvester", "material.identity_check",
