@@ -305,28 +305,9 @@ def _cmd_drive(args) -> int:
     if not (0.0 < ramp <= duration):
         raise UsageError("--ramp-time must lie in (0, duration]")
 
-    if args.protocol == "shear":
-        target = args.amplitude
-
-        def g(t):
-            return target * min(t / ramp, 1.0)
-
-        def g_dot(t):
-            return target / ramp if t < ramp else 0.0
-
-        protocol = kinematics.shear_protocol(g, g_dot, (0.0, duration))
-    else:
-        if not (args.amplitude > 0.0):
-            raise UsageError("uniaxial --amplitude must be a positive stretch")
-        lam1 = args.amplitude
-
-        def lam(t):
-            return 1.0 + (lam1 - 1.0) * min(t / ramp, 1.0)
-
-        def lam_dot(t):
-            return (lam1 - 1.0) / ramp if t < ramp else 0.0
-
-        protocol = kinematics.uniaxial_protocol(lam, lam_dot, (0.0, duration))
+    if args.protocol != "shear" and not (args.amplitude > 0.0):
+        raise UsageError("uniaxial --amplitude must be a positive stretch")
+    protocol = kinematics.ramp_hold(args.protocol, args.amplitude, ramp, duration)
 
     traj = evolution.drive(protocol, mp, SymTensor3.identity(), rtol=args.rtol)
     _print_trajectory_summary(traj)

@@ -19,9 +19,10 @@ motions and by tr(T) = 0 for shear, and records the convention used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .material import (
     pressure,
     stress,
 )
-from .odesolve import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, OdeProblem, integrate
+from .odesolve import (
+    _MIN_STEP_FRACTION,
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    IntegrationError,
+    OdeProblem,
+    integrate,
+)
 from .tensors import (
     _COLS,
     _ROWS,
@@ -49,6 +57,9 @@ from .uniaxial import CreepCurve
 
 # Abort threshold for unimodularity drift of B_p along a trajectory.
 DET_DRIFT_LIMIT = 1e-6
+# First step of a replay segment, as a fraction of its span: the exact solution
+# is constant, so the automatic start's tiny step would only be grown back.
+_REPLAY_FIRST_STEP = 0.05
 
 _I3 = np.eye(3)
 
@@ -160,20 +171,37 @@ def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarra
 
 
 def drive(
-    protocol: MotionProtocol,
+    protocol: Union[MotionProtocol, Sequence[MotionProtocol]],
     mp: MaterialParams,
     b_p0: SymTensor3,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
+    first_step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate B_p from ``b_p0`` under the protocol and record the trajectory.
 
+    ``protocol`` is one protocol or a sequence of smooth pieces with
+    abutting spans (``kinematics.ramp_hold``). Each piece is one
+    integration, so no step straddles a jump in the rate: it starts from the
+    previous piece's end state, with the previous piece's last accepted
+    step as its first step, and the breakpoint is recorded once.
+    ``first_step`` starts the first piece (None: the automatic start). The
+    step-size floor is taken from the whole drive's span.
+
     Raises IntegrationError if det(B_p) drifts beyond DET_DRIFT_LIMIT.
     """
+    pieces = (protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)
+    for prev, piece in zip(pieces, pieces[1:]):
+        if piece.span[0] != prev.span[1]:
+            raise ValueError(f"protocol pieces must abut, got spans {prev.span} and {piece.span}")
+    min_step = _MIN_STEP_FRACTION * (pieces[-1].span[1] - pieces[0].span[0])
 
-    def rhs(t, y):
-        f = protocol.F(t)
-        return _rate_kernel(y, f @ f.T, protocol.L(t), mp)
+    def rhs_of(piece):
+        def rhs(t, y):
+            f = piece.F(t)
+            return _rate_kernel(y, f @ f.T, piece.L(t), mp)
+
+        return rhs
 
     def step_hook(t, y):
         det = np.linalg.det(y[_SYM_INDEX])
@@ -184,14 +212,28 @@ def drive(
                 y,
             )
 
-    problem = OdeProblem(
-        rhs=rhs, span=protocol.span, y0=b_p0.as_components(), rtol=rtol, atol=atol
-    )
-    return _build_trajectory(protocol, mp, integrate(problem, step_hook=step_hook))
+    y = b_p0.as_components()
+    sols = []
+    for piece in pieces:
+        problem = OdeProblem(
+            rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol, atol=atol,
+            first_step=first_step, min_step=min_step,
+        )
+        sol = integrate(problem, step_hook=step_hook)
+        sols.append(sol)
+        y = sol.ys[-1]
+        first_step = sol.ts[-1] - sol.ts[-2]
+    return _build_trajectory(pieces, sols, mp)
 
 
-def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Trajectory:
-    n = sol.ts.size
+def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
+    # a later piece's first time is the previous piece's last: it is sampled once, on
+    # the earlier piece (F and the stretch are continuous there, so either gives the same)
+    rows = []
+    for k, (piece, sol) in enumerate(zip(pieces, sols)):
+        first = 0 if k == 0 else 1
+        rows.extend((piece, t, y) for t, y in zip(sol.ts[first:], sol.ys[first:]))
+    n = len(rows)
     fs = np.empty((n, 3, 3))
     bps: List[SymTensor3] = []
     stresses = np.empty((n, 3, 3))
@@ -200,8 +242,8 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
     xi = np.empty(n)
     res = np.empty(n)
     convention = "lateral traction-free"
-    for i, (t, y) in enumerate(zip(sol.ts, sol.ys)):
-        f, b_p, t_sym, e, ta, x, r, convention = _sample(protocol, mp, t, y)
+    for i, (piece, t, y) in enumerate(rows):
+        f, b_p, t_sym, e, ta, x, r, convention = _sample(piece, mp, t, y)
         fs[i] = f
         bps.append(b_p)
         stresses[i] = t_sym
@@ -209,14 +251,15 @@ def _build_trajectory(protocol: MotionProtocol, mp: MaterialParams, sol) -> Traj
         t_ax[i] = ta
         xi[i] = x
         res[i] = r
+    ys = np.array([y for _, _, y in rows])
     return Trajectory(
-        t=sol.ts.copy(),
+        t=np.array([t for _, t, _ in rows]),
         F=fs,
         b_p=bps,
         stress=stresses,
         eps_axial=eps_ax,
         t_axial=t_ax,
-        det_bp=np.linalg.det(sol.ys[:, _SYM_INDEX]),
+        det_bp=np.linalg.det(ys[:, _SYM_INDEX]),
         xi_m=xi,
         identity_residual=res,
         pressure_convention=convention,
@@ -270,12 +313,16 @@ def replay_uniaxial(
             jump = np.diag([j, 1.0 / math.sqrt(j), 1.0 / math.sqrt(j)])
             b_p = SymTensor3.from_matrix(jump @ b_p.as_matrix() @ jump.T)
 
+        # F, L and the samples all ask for the stretch: solve it once per time
+        lam = functools.lru_cache(maxsize=None)(seg.lam_at)
         protocol = uniaxial_protocol(
-            lam=seg.lam_at,
-            lam_dot=lambda t, _s=seg: _uniaxial.lambda_rate(_s.lam_at(t), _s.b, mp),
+            lam=lam,
+            lam_dot=lambda t, _lam=lam, _b=seg.b: _uniaxial.lambda_rate(_lam(t), _b, mp),
             span=(seg.t_start, seg.t_end),
         )
-        traj = drive(protocol, mp, b_p, rtol=rtol, atol=atol)
+        span = seg.t_end - seg.t_start
+        traj = drive(protocol, mp, b_p, rtol=rtol, atol=atol,
+                     first_step=_REPLAY_FIRST_STEP * span)
         trajectories.append(traj)
         b_p = traj.b_p[-1]
     return trajectories

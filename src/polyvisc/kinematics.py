@@ -3,7 +3,8 @@
 A motion protocol prescribes the deformation gradient F(t) and velocity
 gradient L(t) of a strain-controlled experiment, each a plain 3x3 array:
 isochoric uniaxial extension or simple shear, each driven by a scalar
-history and its rate.
+history and its rate. A history whose rate jumps, such as ramp-and-hold,
+is a tuple of protocols, one per smooth piece.
 """
 
 from __future__ import annotations
@@ -99,3 +100,25 @@ def shear_protocol(
 ) -> MotionProtocol:
     return MotionProtocol("shear", (float(span[0]), float(span[1])), gamma, gamma_dot)
 
+
+def ramp_hold(kind: str, amplitude: float, ramp: float, duration: float) -> tuple:
+    """Ramp from rest to ``amplitude`` at a constant rate over (0, ramp), then hold to ``duration``.
+
+    ``amplitude`` is the end stretch of a "uniaxial" ramp or the end shear of
+    a "shear" ramp. The rate jumps to 0 at t = ramp, so the motion is
+    returned as its smooth pieces: the ramp, then the hold (omitted when
+    ramp == duration), with abutting spans. Both pieces give the same
+    stretch at t = ramp.
+    """
+    if kind not in ("uniaxial", "shear"):
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    start = 0.0 if kind == "shear" else 1.0
+    delta = amplitude - start
+    rate = delta / ramp
+    pieces = [MotionProtocol(kind, (0.0, float(ramp)),
+                             lambda t: start + delta * min(t / ramp, 1.0), lambda t: rate)]
+    if ramp < duration:
+        end = start + delta
+        pieces.append(MotionProtocol(kind, (float(ramp), float(duration)),
+                                     lambda t: end, lambda t: 0.0))
+    return tuple(pieces)

@@ -57,13 +57,21 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """An initial-value problem dy/dt = f(t, y) over a time span."""
+    """An initial-value problem dy/dt = f(t, y) over a time span.
+
+    ``first_step`` replaces the automatic start (``_initial_step``) when the
+    caller knows the problem's time scale, e.g. from the piece before a
+    breakpoint. ``min_step`` is the step size below which integration fails
+    as stiff or singular; it defaults to ``_MIN_STEP_FRACTION`` of the span.
+    """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     span: tuple
     y0: np.ndarray
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
+    first_step: Optional[float] = None
+    min_step: Optional[float] = None
 
     def __post_init__(self):
         t0, t1 = self.span
@@ -71,6 +79,10 @@ class OdeProblem:
             raise ValueError(f"span must be increasing, got {self.span}")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
+        for name in ("first_step", "min_step"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -98,8 +110,9 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
     floor however long the span is.
     """
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf: h0 = 0 below
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     stationary_step = max(1e-6, _STATIONARY_STEP_FRACTION * (t1 - t0))
     h0 = stationary_step if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
@@ -110,7 +123,8 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
             y0,
         )
     f1 = rhs(t0 + h0, y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    with np.errstate(over="ignore"):
+        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(stationary_step, h0 * 1e-3)
     else:
@@ -136,8 +150,11 @@ def integrate(
     t = t0
     f = np.asarray(rhs(t, y), dtype=float)
     n_rhs = 1
-    h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
-    n_rhs += 1
+    if problem.first_step is None:
+        h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
+        n_rhs += 1
+    else:
+        h = problem.first_step
 
     ts = [t0]
     ys = [y.copy()]
@@ -146,7 +163,9 @@ def integrate(
     err_prev = 1e-4  # PI controller memory
 
     k = np.empty((7, dim))
-    min_step = _MIN_STEP_FRACTION * (t1 - t0)
+    min_step = problem.min_step
+    if min_step is None:
+        min_step = _MIN_STEP_FRACTION * (t1 - t0)
 
     def _partial():
         return OdeSolution(
@@ -164,7 +183,9 @@ def integrate(
                 y,
                 _partial(),
             )
-        h = min(h, t1 - t)
+        last = h >= t1 - t
+        if last:  # land on t1 exactly, so a following span starts where this one ends
+            h = t1 - t
 
         k[0] = f
         for i in range(1, 7):
@@ -184,7 +205,7 @@ def integrate(
             continue
 
         if err <= 1.0:
-            t_new = t + h
+            t_new = t1 if last else t + h
             if step_hook is not None:
                 try:
                     step_hook(t_new, y_new)

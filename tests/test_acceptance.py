@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import sqrtm
 
 from polyvisc import dataio, evolution, fitting, uniaxial
-from polyvisc.kinematics import shear_protocol
+from polyvisc.kinematics import ramp_hold
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import OdeProblem, integrate
 from polyvisc.tensors import SymTensor3, _sylvester_from_decomp, eig_sym
@@ -61,11 +61,7 @@ def acceptance_trajectories(replay_bundle):
     """Every tensor trajectory the acceptance suite drives (criterion 5)."""
     _, replay_traj, _ = replay_bundle
     relax_traj = evolution.relax(1.01, PMR15, hold_time=5 * TAU_PMR15)
-    shear = shear_protocol(
-        lambda t: 0.05 * min(t / TAU_PMR15, 1.0),
-        lambda t: 0.05 / TAU_PMR15 if t < TAU_PMR15 else 0.0,
-        (0.0, 3 * TAU_PMR15),
-    )
+    shear = ramp_hold("shear", 0.05, TAU_PMR15, 3 * TAU_PMR15)
     shear_traj = evolution.drive(shear, PMR15, SymTensor3.identity())
     return {"replay": replay_traj, "relax": relax_traj, "shear": shear_traj}
 

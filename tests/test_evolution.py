@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 from scipy.spatial.transform import Rotation
 
+from polyvisc import evolution, uniaxial
 from polyvisc.dataio import get_preset, presets
 from polyvisc.evolution import (
     Trajectory,
@@ -19,6 +21,7 @@ from polyvisc.evolution import (
 )
 from polyvisc.kinematics import (
     constant_stretch,
+    ramp_hold,
     shear_protocol,
     uniaxial_L,
     uniaxial_protocol,
@@ -285,6 +288,68 @@ class TestDrive:
         assert traj.eps_axial[-1] == pytest.approx(math.log(1.01), rel=1e-9)
 
 
+def traced_solutions(monkeypatch):
+    """Record the OdeSolution of every integrate call that evolution makes."""
+    sols = []
+    integrate = evolution.integrate
+
+    def recording(problem, step_hook=None):
+        sol = integrate(problem, step_hook)
+        sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(evolution, "integrate", recording)
+    return sols
+
+
+class TestPiecewiseDrive:
+    def test_breakpoint_is_recorded_once(self):
+        tau = PMR15.retardation_time()
+        ramp = 0.7 * tau
+        traj = drive(ramp_hold("shear", 0.05, ramp, 3.0 * tau), PMR15, SymTensor3.identity())
+        assert np.count_nonzero(traj.t == ramp) == 1
+        assert traj.t[0] == 0.0 and traj.t[-1] == 3.0 * tau
+
+    def test_pieces_must_abut(self):
+        ramp, hold = ramp_hold("uniaxial", 1.01, 10.0, 20.0)
+        gap = constant_stretch(1.01, (11.0, 20.0))
+        with pytest.raises(ValueError, match="abut"):
+            drive((ramp, gap), PMR15, SymTensor3.identity())
+
+    @pytest.mark.parametrize("preset", ["hfpe285", "pmr15_288"])
+    @pytest.mark.parametrize("ramp_fraction", [0.5, 0.2])
+    def test_no_step_is_rejected_at_the_ramp_end(self, monkeypatch, preset, ramp_fraction):
+        # a step across t = ramp sees a jump in the rate and is rejected
+        # (19-20 rejections per drive when the drive was one span)
+        mp = get_preset(preset).params()
+        duration = 5.0 * mp.retardation_time()
+        pieces = ramp_hold("uniaxial", 1.01, ramp_fraction * duration, duration)
+        sols = traced_solutions(monkeypatch)
+        traj = drive(pieces, mp, SymTensor3.identity())
+        assert len(sols) == 2
+        assert sum(sol.n_rejected for sol in sols) == 0
+        ref = drive(pieces, mp, SymTensor3.identity(), rtol=1e-11)
+        assert traj.t_axial[-1] == pytest.approx(ref.t_axial[-1], rel=5e-7)
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(
+        preset=st.sampled_from(sorted(presets())),
+        kind=st.sampled_from(["uniaxial", "shear"]),
+        amplitude_frac=st.floats(0.0, 1.0),
+        ramp_taus=st.floats(0.2, 2.5),
+    )
+    def test_det_drift_over_random_ramp_hold_drives(self, preset, kind, amplitude_frac,
+                                                    ramp_taus):
+        # criterion 5's det bound over the benchmark's drive ranges
+        mp = get_preset(preset).params()
+        tau = mp.retardation_time()
+        low, high = (1.002, 1.05) if kind == "uniaxial" else (0.01, 0.1)
+        amplitude = low + amplitude_frac * (high - low)
+        traj = drive(ramp_hold(kind, amplitude, ramp_taus * tau, 5.0 * tau), mp,
+                     SymTensor3.identity())
+        assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
+
+
 class TestScalarEquivalence:
     def test_replay_reproduces_scalar_creep(self):
         # the central cross-validation: tensor vs scalar on the same history
@@ -320,6 +385,34 @@ class TestScalarEquivalence:
         b = seg.b
         traj = drive(protocol, PMR15, SymTensor3.diag(b, b**-0.5, b**-0.5))
         assert np.max(np.abs(traj.t_axial - 1.0e7)) <= 1e-6 * 1.0e7
+
+    def test_replay_segments_start_at_their_time_scale(self, monkeypatch):
+        # each segment's exact solution is constant: a first step on the
+        # segment's own scale reaches the end in a few steps
+        tau = PMR15.retardation_time()
+        curve = simulate_creep(
+            [CreepSegment(1.0e7, 2 * tau), CreepSegment(0.0, 2 * tau)], PMR15
+        )
+        sols = traced_solutions(monkeypatch)
+        replay_uniaxial(curve, PMR15)
+        assert len(sols) == 2
+        assert all(sol.n_accepted <= 4 for sol in sols)
+
+    def test_replay_solves_the_stretch_once_per_time(self, monkeypatch):
+        tau = PMR15.retardation_time()
+        curve = simulate_creep(
+            [CreepSegment(1.0e7, 2 * tau), CreepSegment(0.0, 2 * tau)], PMR15
+        )
+        solves = collections.Counter()
+        lam_at = uniaxial.SegmentTrace.lam_at
+
+        def counting(self, t):
+            solves[id(self), float(t)] += 1
+            return lam_at(self, t)
+
+        monkeypatch.setattr(uniaxial.SegmentTrace, "lam_at", counting)
+        replay_uniaxial(curve, PMR15)
+        assert solves and max(solves.values()) == 1
 
 
 class TestRotationEquivariance:

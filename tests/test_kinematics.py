@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from polyvisc.evolution import _flow_terms
-from polyvisc.kinematics import constant_stretch, shear_protocol, uniaxial_F, uniaxial_L
+from polyvisc.kinematics import (
+    constant_stretch,
+    ramp_hold,
+    shear_protocol,
+    uniaxial_F,
+    uniaxial_L,
+)
 from polyvisc.material import MaterialParams
 from polyvisc.tensors import DomainError
 
@@ -140,3 +146,29 @@ class TestProtocols:
         rot = MotionProtocol(base.kind, base.span, base.drive, base.drive_rate, rotation=q)
         f_rot = rot.F(0.5)
         assert np.linalg.norm(f_rot - q @ base.F(0.5)) <= 1e-14
+
+
+class TestRampHold:
+    @pytest.mark.parametrize("kind, rest, amplitude", [("uniaxial", 1.0, 1.03), ("shear", 0.0, 0.05)])
+    def test_abutting_pieces_with_constant_rates(self, kind, rest, amplitude):
+        ramp, hold = ramp_hold(kind, amplitude, 2.0, 5.0)
+        assert ramp.kind == hold.kind == kind
+        assert ramp.span == (0.0, 2.0) and hold.span == (2.0, 5.0)
+        assert ramp.drive(0.0) == rest
+        # the stretch is continuous at the breakpoint, the rate jumps to 0
+        assert ramp.drive(2.0) == hold.drive(2.0) == pytest.approx(amplitude, rel=1e-15)
+        for t in np.linspace(0.0, 2.0, 9):
+            assert ramp.drive_rate(t) == (amplitude - rest) / 2.0
+            assert ramp.drive(t) == pytest.approx(rest + (amplitude - rest) * t / 2.0, rel=1e-15)
+        for t in np.linspace(2.0, 5.0, 9):
+            assert hold.drive_rate(t) == 0.0
+            assert hold.drive(t) == hold.drive(2.0)
+
+    def test_ramp_to_the_end_is_one_piece(self):
+        (ramp,) = ramp_hold("uniaxial", 1.01, 5.0, 5.0)
+        assert ramp.span == (0.0, 5.0)
+        assert ramp.drive_rate(5.0) == pytest.approx(0.01 / 5.0)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            ramp_hold("torsion", 0.1, 1.0, 2.0)

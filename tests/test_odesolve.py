@@ -87,6 +87,9 @@ class TestFailureModes:
             OdeProblem(rhs=lambda t, y: y, span=(1.0, 1.0), y0=np.array([1.0]))
         with pytest.raises(ValueError):
             OdeProblem(rhs=lambda t, y: y, span=(0.0, 1.0), y0=np.array([1.0]), rtol=-1.0)
+        for bad in ({"first_step": 0.0}, {"min_step": -1e-9}, {"first_step": math.nan}):
+            with pytest.raises(ValueError, match="must be positive"):
+                OdeProblem(rhs=lambda t, y: y, span=(0.0, 1.0), y0=np.array([1.0]), **bad)
 
 
 class TestStepHook:
@@ -114,3 +117,26 @@ class TestStatistics:
         assert sol.n_accepted == len(sol.ts) - 1
         assert sol.n_rhs >= 6 * sol.n_accepted
         assert sol.n_rejected >= 0
+
+
+class TestStepControls:
+    def test_first_step_replaces_the_automatic_start(self):
+        sol = integrate(OdeProblem(rhs=lambda t, y: -y, span=(0.0, 1.0), y0=np.array([1.0]),
+                                   first_step=1e-3))
+        assert sol.ts[1] == 1e-3
+        # no rhs call for the automatic start
+        assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+        assert sol.ys[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+    def test_min_step_is_the_underflow_floor(self):
+        problem = dict(rhs=lambda t, y: -y, span=(0.0, 1.0), y0=np.array([1.0]), first_step=1e-3)
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            integrate(OdeProblem(**problem, min_step=2e-3))
+        assert integrate(OdeProblem(**problem, min_step=1e-3)).ts[-1] == 1.0
+
+    def test_last_step_lands_on_the_span_end(self):
+        # a last step from below half the span can miss t1 by rounding in t + (t1 - t)
+        for t1 in np.random.default_rng(5).uniform(1.0, 1.0e4, 200):
+            sol = integrate(OdeProblem(rhs=lambda t, y: np.zeros_like(y), span=(0.0, t1),
+                                       y0=np.array([1.0]), first_step=0.05 * t1))
+            assert sol.ts[-1] == t1
