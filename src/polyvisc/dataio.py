@@ -225,16 +225,15 @@ def save_dataset(ds: ExperimentalDataset, path) -> None:
 def save_curve(curve: CreepCurve, path) -> None:
     """Write a strain curve with one comment marker per stress segment.
 
-    Each segment is written on its ``sample_times`` grid, both ends included,
-    so a boundary time appears twice: pre-jump, then post-jump.
+    Each segment is written on its row of ``curve.samples``, both ends
+    included, so a boundary time appears twice: pre-jump, then post-jump.
     """
+    ts, eps = curve.samples
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,strain\n")
-        for seg in curve.segments:
+        for seg, t_row, e_row in zip(curve.segments, ts.tolist(), eps.tolist()):
             fh.write(f"# segment {seg.index} stress_pa={seg.stress!r}\n")
-            ts = seg.sample_times()
-            for t, e in zip(ts, curve.strain_in_segment(seg.index, ts)):
-                fh.write(f"{t:.9f},{e:.9f}\n")
+            fh.writelines(f"{t:.9f},{e:.9f}\n" for t, e in zip(t_row, e_row))
 
 
 def save_trajectory(traj, path) -> None:
@@ -387,7 +386,8 @@ def render_svg(curves: Sequence[Series]) -> str:
 
     for i, (label, t, e) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(ti, ei) for ti, ei in zip(t, e)))
+        xs, ys = to_px(t, e)  # elementwise, in the scalar operation order
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         poly = ET.SubElement(root, "polyline", fill="none", stroke=color)
         poly.set("stroke-width", "1.5")
         poly.set("points", pts)

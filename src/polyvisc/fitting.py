@@ -111,6 +111,7 @@ class FitResult:
     iterations: int
     converged: bool
     weight: float
+    n_fev: int  # objective evaluations
 
     def to_dict(self) -> dict:
         return {
@@ -121,10 +122,19 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "w": self.weight,
+            "n_fev": self.n_fev,
         }
 
 
+# Above this magnitude a squared strain can overflow; such data are scaled by
+# their largest value first (ordinary data keep their exact sums).
+_SQUARE_SAFE = 1e150
+
+
 def _phase_term(eps_sim: np.ndarray, eps_exp: np.ndarray) -> float:
+    scale = float(np.max(np.abs(eps_exp)))
+    if scale > _SQUARE_SAFE:
+        eps_sim, eps_exp = eps_sim / scale, eps_exp / scale
     denom = float(np.sum(eps_exp * eps_exp))
     num = float(np.sum((eps_sim - eps_exp) ** 2))
     if denom == 0.0:
@@ -154,16 +164,17 @@ def creep_error(
             raise ValueError("unload phase must extend past the unload start")
         segments.append(CreepSegment(0.0, t_end - t_u))
 
+    with_unload = ds.has_unload and w < 1.0
     try:
         curve = simulate_creep(segments, mp)
-        eps_sim_load = curve.strain_in_segment(0, ds.t_load)
-        term = w * _phase_term(eps_sim_load, ds.eps_load)
-        if ds.has_unload and w < 1.0:
-            eps_sim_unload = curve.strain_in_segment(1, ds.t_unload)
-            term += (1.0 - w) * _phase_term(eps_sim_unload, ds.eps_unload)
-        return term
+        eps_sim = curve.strains_in_segments((ds.t_load, ds.t_unload) if with_unload
+                                            else (ds.t_load,))
     except DomainError:
         return PENALTY
+    term = w * _phase_term(eps_sim[0], ds.eps_load)
+    if with_unload:
+        term += (1.0 - w) * _phase_term(eps_sim[1], ds.eps_unload)
+    return term
 
 
 @dataclass
@@ -268,7 +279,8 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
     """Fit (mu_p_bar, mu_g_bar, eta) to one dataset by simplex search.
 
     The search runs over log-parameters so every trial set is positive;
-    non-convergence is reported on the result, not raised.
+    non-convergence is reported on the result, not raised. A search whose
+    every trial set was penalised has no result and raises DomainError.
     """
     if cfg.initial is None:
         raise ValueError("FitConfig.initial is required for fitting")
@@ -283,6 +295,8 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
         return creep_error(mp, ds, cfg.weight)
 
     res = nelder_mead(objective, x0, step=cfg.step, max_iter=cfg.max_iter)
+    if not res.fun < PENALTY:
+        raise DomainError(f"every trial parameter set was penalised ({res.n_fev} evaluations)")
     mu_p, mu_g, eta = np.exp(res.x)
     return FitResult(
         params=MaterialParams(mu_p_bar=float(mu_p), mu_g_bar=float(mu_g), eta=float(eta)),
@@ -290,4 +304,5 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
         iterations=res.iterations,
         converged=res.converged,
         weight=cfg.weight if ds.has_unload else 1.0,
+        n_fev=res.n_fev,
     )

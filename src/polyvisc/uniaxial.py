@@ -33,7 +33,7 @@ from .tensors import DomainError
 
 STRAIN_MEASURES = ("log", "engineering")
 
-# Samples per segment, both ends included, of CreepCurve.t/epsilon and save_curve.
+# Samples per segment, both ends included, of CreepCurve.samples (t/epsilon, save_curve).
 SEGMENT_SAMPLES = 17
 
 
@@ -129,25 +129,115 @@ def _flow_constants(b: float, mp: MaterialParams):
         r -= step
         if step <= 1e-15 * r:
             break
+    if not (r > 0.0):
+        raise DomainError(f"no positive creep asymptote at B = {b}: got {r}")
     rate = kappa * c3 * (2.0 * r * r + b15 / r)
     if not (math.isfinite(r) and math.isfinite(rate)):
         raise DomainError(f"no finite creep solution at B = {b}: asymptote {r}, rate {rate}")
     return r, rate
 
 
-# lam_at runs one Newton body on math for scalar times and on numpy for arrays.
+# int_{lam_start}^{lam} dlam/Q(lam) = g(dl, a) with dl = lam - lam_start and
+# a = 2 lam + r, by the sign of the discriminant r^2 - 4q of Q.
+def _atan_term(dl, a, c, ops):
+    return 2.0 / c.w * ops.atan(2.0 * c.w * dl / (c.w * c.w + a * c.a0))
+
+
+def _log_term(dl, a, c, ops):
+    return ops.log1p(4.0 * c.w * dl / ((a + c.w) * c.a0_w)) / c.w
+
+
+def _rational_term(dl, a, c, ops):
+    return 4.0 * dl / (a * c.a0)
+
+
+def _mixed_term(dl, a, c, ops):
+    """Each element through its own segment's term (``c.cases``: term, mask, constants)."""
+    g = np.empty_like(dl)
+    for term, mask, sub in c.cases:
+        g[mask] = term(dl[mask], a[mask], sub, ops)
+    return g
+
+
+def _h_term(disc: float):
+    return _atan_term if disc < 0.0 else _log_term if disc > 0.0 else _rational_term
+
+
+_NEWTON_MAX_ITER = 200
+
+
+def _newton(c, dt, ops):
+    """Stretch at dt >= 0 after the segment start: Newton on v (see ``SegmentTrace``).
+
+    ``c`` holds the segment constants: floats for one time on ``_SCALAR``,
+    floats for one segment's array of times on ``_ONE_SEGMENT``, or arrays
+    gathered per element for a batch on ``_batch_ops``. A batch stops
+    updating a segment once every element of it has converged, so each
+    element takes exactly the steps it takes with its segment solved alone.
+    At extreme parameters an intermediate value can overflow: Python floats
+    do so silently, numpy warns, so the array callers run this with numpy's
+    warnings off. Both paths bisect past a non-finite Newton step, and their
+    callers reject a non-finite stretch as DomainError.
+    """
+    if c.maxwell:
+        return c.lam_start * ops.exp(-c.rate * dt)
+    lam0, r, d0, rho, q0, qr = c.lam_start, c.lam_inf, c.d0, c.rho, c.q0, c.qr
+    k = c.rate * dt
+    lo, hi = -k * ops.maximum(1.0, rho), -k * ops.minimum(1.0, rho)
+    tol = 1e-12 * (1.0 + k)
+    v = -k * rho
+    dv = 2.0 * (hi - lo)
+    done = False
+    for _ in range(_NEWTON_MAX_ITER):
+        dl = d0 * ops.expm1(v)
+        lam = lam0 + dl
+        dq = dl * (lam + lam0 + r)  # Q(lam) - Q(lam_start)
+        f = v + k - (0.5 * ops.log1p(dq / q0) + 1.5 * r * c.term(dl, 2.0 * lam + r, c, ops))
+        lo, hi = ops.where(f < 0.0, v, lo), ops.where(f > 0.0, v, hi)
+        newton = f * (q0 + dq) / qr
+        step, v_newton = abs(newton), v - newton
+        # bisect where an unconverged Newton step would leave the bracket
+        # or does not halve the last step
+        bisect = (step > tol) & ((step > 0.5 * abs(dv)) | (v_newton < lo) | (v_newton > hi))
+        dv = ops.freeze(ops.where(bisect, v - 0.5 * (lo + hi), newton), done)
+        v = v - dv
+        done = ops.converged(abs(dv) <= tol)
+        if ops.finished(done):
+            break
+    else:
+        raise DomainError("creep solution did not converge")
+    return lam0 + d0 * ops.expm1(v)
+
+
+def _unfrozen(dv, done):
+    return dv
+
+
 _SCALAR = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log1p=math.log1p, atan=math.atan,
-    where=lambda c, x, y: x if c else y,
-    all_within=lambda x, tol: abs(x) <= tol,
-    all_positive=lambda x: 0.0 < x < math.inf,
+    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y,
+    freeze=_unfrozen, converged=bool, finished=bool,
 )
-_ARRAY = SimpleNamespace(
-    exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan, where=np.where,
-    all_within=lambda x, tol: bool((np.abs(x) <= tol).all()),
-    all_positive=lambda x: bool(((x > 0.0) & (x < np.inf)).all()),
+_NUMPY = dict(exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
+              maximum=np.maximum, minimum=np.minimum, where=np.where)
+_ONE_SEGMENT = SimpleNamespace(
+    **_NUMPY, freeze=_unfrozen, converged=lambda within: within.all(), finished=bool,
 )
-_NEWTON_MAX_ITER = 200
+
+
+def _batch_ops(counts) -> SimpleNamespace:
+    """numpy ops for a batch of counts[k] contiguous elements per segment k."""
+    groups = [n for n in counts if n]
+    if len(groups) == 1:
+        return _ONE_SEGMENT
+    starts = np.cumsum([0] + groups[:-1])
+    group = np.repeat(np.arange(len(groups)), groups)
+    return SimpleNamespace(
+        **_NUMPY,
+        freeze=lambda dv, done: np.where(done, 0.0, dv),
+        converged=lambda within: np.logical_and.reduceat(within, starts)[group],
+        finished=lambda done: done.all(),
+    )
 
 
 @dataclass
@@ -161,15 +251,20 @@ class SegmentTrace:
         v + k = H(lam) - H(lam_start),  v = ln((lam - r)/(lam_start - r)),
         k = rate * (t - t_start),       H = ln(Q)/2 + (3r/2) * int dlam/Q,
 
-    where the integral is an atan or a log term by the sign of r^2 - 4q.
-    ``lam_at`` solves this for v by Newton: dF/dv = Q(r)/Q(lam) > 0 for
-    F = v + k - H(lam) + H(lam_start), and v lies in [-k max(1, rho),
-    -k min(1, rho)] with rho = Q(lam_start)/Q(r). It starts at v = -k rho,
-    the end from which Newton approaches the root of the convex (lam < r) or
-    concave (lam > r) F monotonically, and bisects the shrinking bracket
-    instead of any step that would leave it or fails to halve the previous
-    one, so lam stays between lam_start and r. In the Maxwell limit
-    lam = lam_start * exp(-rate (t - t_start)).
+    where the integral is an atan, a log or a rational term by the sign of
+    the discriminant disc = r^2 - 4q (``term``). ``_newton`` solves this for
+    v: dF/dv = Q(r)/Q(lam) > 0 for F = v + k - H(lam) + H(lam_start), and v
+    lies in [-k max(1, rho), -k min(1, rho)] with rho = Q(lam_start)/Q(r).
+    It starts at v = -k rho, the end from which Newton approaches the root
+    of the convex (lam < r) or concave (lam > r) F monotonically, and
+    bisects the shrinking bracket instead of any step that would leave it or
+    fails to halve the previous one, so lam stays between lam_start and r.
+    In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
+
+    The constants ``_newton`` reads are set here: d0 = lam_start - r,
+    q0 = Q(lam_start), qr = Q(r), rho, a0 = 2 lam_start + r,
+    w = sqrt(|disc|) and a0_w = a0 - w = 2 lam_start + 4q/(r + w), the log
+    term's factor formed without cancellation.
     """
 
     index: int
@@ -183,89 +278,69 @@ class SegmentTrace:
 
     def __post_init__(self):
         r, lam0 = self.lam_inf, self.lam_start
-        if r == 0.0:
+        self.maxwell = r == 0.0
+        if self.maxwell:
             return
         q = self.b * math.sqrt(self.b) / r
-        disc = r * r - 4.0 * q
-        self._d0 = lam0 - r
-        self._q0 = lam0 * (lam0 + r) + q  # Q(lam_start)
-        self._qr = 2.0 * r * r + q  # Q(r)
-        self._rho = self._q0 / self._qr
-        self._a0 = 2.0 * lam0 + r
-        self._w = math.sqrt(abs(disc))
-        self._disc = disc
+        self.disc = r * r - 4.0 * q
+        self.d0 = lam0 - r
+        self.q0 = lam0 * (lam0 + r) + q
+        self.qr = 2.0 * r * r + q
+        self.rho = self.q0 / self.qr
+        self.a0 = 2.0 * lam0 + r
+        self.w = math.sqrt(abs(self.disc))
+        self.a0_w = 2.0 * lam0 + 4.0 * q / (r + self.w)
+        self.term = _h_term(self.disc)
+        if not all(map(math.isfinite, (self.q0, self.qr, self.rho, self.w, self.a0_w))):
+            raise DomainError(f"no finite creep solution in segment {self.index}")
 
-    def _delta_h(self, dl, lam, dq, ops):
-        """H(lam) - H(lam_start), with dl = lam - lam_start and dq = Q(lam) - Q(lam_start)."""
-        r, w, a0 = self.lam_inf, self._w, self._a0
-        a = 2.0 * lam + r  # a - a0 = 2 dl
-        if self._disc < 0.0:
-            g = 2.0 / w * ops.atan(2.0 * w * dl / (w * w + a * a0))
-        elif self._disc > 0.0:
-            g = ops.log1p(4.0 * w * dl / ((a + w) * (a0 - w))) / w
-        else:
-            g = 4.0 * dl / (a * a0)
-        return 0.5 * ops.log1p(dq / self._q0) + 1.5 * r * g
-
-    def _solve(self, dt, ops):
-        if self.lam_inf == 0.0:
-            lam = self.lam_start * ops.exp(-self.rate * dt)
-        else:
-            lam0, r, d0 = self.lam_start, self.lam_inf, self._d0
-            k = self.rate * dt
-            lo, hi = -k * max(1.0, self._rho), -k * min(1.0, self._rho)
-            tol = 1e-12 * (1.0 + k)
-            v = -k * self._rho
-            dv = 2.0 * (hi - lo)
-            for _ in range(_NEWTON_MAX_ITER):
-                dl = d0 * ops.expm1(v)
-                lam = lam0 + dl
-                dq = dl * (lam + lam0 + r)
-                f = v + k - self._delta_h(dl, lam, dq, ops)
-                lo, hi = ops.where(f < 0.0, v, lo), ops.where(f > 0.0, v, hi)
-                newton = f * (self._q0 + dq) / self._qr
-                # bisect where an unconverged Newton step would leave the bracket
-                # or does not halve the last step
-                bisect = (abs(newton) > tol) & (
-                    (abs(newton) > 0.5 * abs(dv)) | (v - newton < lo) | (v - newton > hi)
-                )
-                dv = ops.where(bisect, v - 0.5 * (lo + hi), newton)
-                v = v - dv
-                if ops.all_within(dv, tol):
-                    break
-            else:
-                raise DomainError(f"creep solution did not converge in segment {self.index}")
-            lam = lam0 + d0 * ops.expm1(v)
-        if not ops.all_positive(lam):
-            raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
-        return lam
+    def _check_times(self, t_min: float, t_max: float) -> None:
+        slack = 1e-12 * max(1.0, abs(self.t_end))
+        if t_min < self.t_start - slack or t_max > self.t_end + slack:
+            raise ValueError(f"times outside segment {self.index} requested")
 
     def lam_at(self, t):
         """Stretch at time(s) t in [t_start, t_end]: a float for a scalar t."""
-        slack = 1e-12 * max(1.0, abs(self.t_end))
         if np.ndim(t) == 0:
             t = float(t)
-            if not (self.t_start - slack <= t <= self.t_end + slack):
-                raise ValueError(f"time {t} lies outside segment {self.index}")
-            return self._solve(max(t - self.t_start, 0.0), _SCALAR)
-        ts = np.asarray(t, dtype=float)
-        if ts.size and (ts.min() < self.t_start - slack or ts.max() > self.t_end + slack):
-            raise ValueError(f"times outside segment {self.index} requested")
-        return self._solve(np.maximum(ts - self.t_start, 0.0), _ARRAY)
+            self._check_times(t, t)
+            try:
+                lam = _newton(self, max(t - self.t_start, 0.0), _SCALAR)
+            except DomainError:
+                raise
+            except (ArithmeticError, ValueError):  # math's range and domain errors
+                lam = math.nan
+            ok = 0.0 < lam < math.inf
+        else:
+            ts = np.asarray(t, dtype=float)
+            if not ts.size:
+                return ts.copy()
+            self._check_times(ts.min(), ts.max())
+            with np.errstate(all="ignore"):
+                lam = _newton(self, np.maximum(ts - self.t_start, 0.0), _ONE_SEGMENT)
+            ok = 0.0 < lam.min() and lam.max() < math.inf
+        if not ok:
+            raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
+        return lam
 
-    def sample_times(self) -> np.ndarray:
-        """The fixed output grid: SEGMENT_SAMPLES even steps ending exactly at t_end."""
-        return np.linspace(self.t_start, self.t_end, SEGMENT_SAMPLES)
+
+# What a batch gathers per element from its segment: the span, then the constants.
+_BATCH_FIELDS = ("t_start", "t_end", "lam_start", "lam_inf", "rate",
+                 "d0", "q0", "qr", "rho", "a0", "w", "a0_w")
+_MAXWELL_FIELDS = _BATCH_FIELDS[:5]
 
 
 @dataclass
 class CreepCurve:
     """Strain history of a piecewise-constant stress program.
 
-    ``t``/``epsilon`` sample every segment on its ``sample_times`` grid,
-    flattened over segments; the post-jump sample at each interior boundary
+    ``samples`` solves every segment on its output grid, SEGMENT_SAMPLES
+    even steps from t_start to t_end, in one batch. ``t``/``epsilon``
+    flatten it over segments; the post-jump sample at each interior boundary
     is omitted there so times stay strictly increasing (``strain_in_segment``
-    evaluates either side at any time).
+    and ``strains_in_segments`` evaluate either side at any time). The
+    segments share one material, so either all or none of them are in the
+    Maxwell limit.
     """
 
     segments: List[SegmentTrace]
@@ -281,19 +356,76 @@ class CreepCurve:
         lam = self.segments[index].lam_at(np.atleast_1d(times))
         return self._to_strain(lam)
 
-    def _grid(self, index: int) -> np.ndarray:
-        ts = self.segments[index].sample_times()
-        return ts[1:] if index > 0 else ts
+    @cached_property
+    def _fields(self) -> SimpleNamespace:
+        """Each segment's ``_BATCH_FIELDS`` as a column of ``table`` (the
+        Maxwell limit has no Newton constants), and its discriminant's sign."""
+        segs = self.segments
+        maxwell = segs[0].maxwell
+        names = _MAXWELL_FIELDS if maxwell else _BATCH_FIELDS
+        return SimpleNamespace(
+            maxwell=maxwell, names=names,
+            table=np.array([[getattr(s, name) for s in segs] for name in names]),
+            branch=None if maxwell else np.sign([s.disc for s in segs]),
+        )
+
+    def _lam(self, counts, times: np.ndarray) -> np.ndarray:
+        """Stretch at ``times``, the first counts[0] in segment 0, the next
+        counts[1] in segment 1 and so on: one Newton call."""
+        fields = self._fields
+        seg = np.repeat(np.arange(len(counts)), counts)
+        c = SimpleNamespace(maxwell=fields.maxwell, **dict(zip(fields.names, fields.table[:, seg])))
+        if not fields.maxwell:
+            kinds = {fields.branch[k] for k, n in enumerate(counts) if n}
+            if len(kinds) == 1:
+                c.term = _h_term(kinds.pop())
+            else:  # rare: a log-branch load next to an atan-branch unload, say
+                branch = fields.branch[seg]
+                c.term, c.cases = _mixed_term, []
+                for kind in kinds:
+                    mask = branch == kind
+                    sub = SimpleNamespace(w=c.w[mask], a0=c.a0[mask], a0_w=c.a0_w[mask])
+                    c.cases.append((_h_term(kind), mask, sub))
+        with np.errstate(all="ignore"):
+            lam = _newton(c, np.maximum(times - c.t_start, 0.0), _batch_ops(counts))
+        if not (0.0 < lam.min() and lam.max() < math.inf):
+            bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
+            raise DomainError(f"creep solution left lambda > 0 in segment {bad}")
+        return lam
+
+    def strains_in_segments(self, times) -> List[np.ndarray]:
+        """Strain at times[k] inside segment k, for each k < len(times): one
+        batched solve."""
+        times = [np.asarray(t, dtype=float) for t in times]
+        if len(times) > len(self.segments):
+            raise ValueError(f"times for {len(times)} segments, the curve has {len(self.segments)}")
+        counts = [t.size for t in times]
+        for seg, t in zip(self.segments, times):
+            if t.size:
+                seg._check_times(t.min(), t.max())
+        if not any(counts):
+            return [t.copy() for t in times]
+        eps = self._to_strain(self._lam(counts, np.concatenate(times)))
+        return np.split(eps, np.cumsum(counts[:-1]))
+
+    @cached_property
+    def samples(self):
+        """(times, strains), each (n_segments, SEGMENT_SAMPLES): every segment's
+        output grid, np.linspace(t_start, t_end, SEGMENT_SAMPLES) row by row."""
+        t_start, t_end = self._fields.table[:2]
+        ts = np.linspace(t_start, t_end, SEGMENT_SAMPLES, axis=1)
+        lam = self._lam([SEGMENT_SAMPLES] * len(self.segments), ts.ravel())
+        return ts, self._to_strain(lam.reshape(ts.shape))
 
     @cached_property
     def t(self) -> np.ndarray:
-        return np.concatenate([self._grid(k) for k in range(len(self.segments))])
+        ts = self.samples[0]
+        return np.concatenate([ts[0], ts[1:, 1:].ravel()])
 
     @cached_property
     def epsilon(self) -> np.ndarray:
-        return np.concatenate(
-            [self.strain_in_segment(k, self._grid(k)) for k in range(len(self.segments))]
-        )
+        eps = self.samples[1]
+        return np.concatenate([eps[0], eps[1:, 1:].ravel()])
 
 
 def simulate_creep(segments, mp: MaterialParams, strain_measure: str = "log") -> CreepCurve:
@@ -320,8 +452,11 @@ def simulate_creep(segments, mp: MaterialParams, strain_measure: str = "log") ->
     for k, seg in enumerate(segments):
         b = solve_B(seg.stress, mp.mu_p_bar)
         lam = math.sqrt(b) if k == 0 else lam * math.sqrt(b / b_prev)
-        trace = SegmentTrace(k, seg.stress, b, t0, t0 + seg.duration, lam,
-                             *_flow_constants(b, mp))
+        try:
+            trace = SegmentTrace(k, seg.stress, b, t0, t0 + seg.duration, lam,
+                                 *_flow_constants(b, mp))
+        except ZeroDivisionError:  # a denominator underflowed
+            raise DomainError(f"no finite creep solution in segment {k}") from None
         traces.append(trace)
         lam = trace.lam_at(trace.t_end)
         t0 = trace.t_end

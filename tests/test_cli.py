@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polyvisc
 from polyvisc import cli
 from polyvisc.dataio import load_dataset, make_synthetic_dataset, save_dataset
+from polyvisc.fitting import PENALTY
 from polyvisc.material import MaterialParams
 
 HFPE285 = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=3.95e13)
@@ -95,6 +98,16 @@ class TestSimulate:
         assert run("simulate", "--mu-p", "1e8", "--mu-g", "1e8", "--eta", "1e12",
                    "--load-fraction", "0.4") == 1
 
+    def test_no_positive_asymptote_is_a_numerical_failure(self, capsys):
+        # at -1e30 Pa the asymptote's Newton iteration cancels to r = 0, which
+        # raised a ZeroDivisionError in the creep rate
+        code = run("simulate", "--preset", "pmr15_288",
+                   "--segment=-1e30:30000", "--segment=0:30000")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no positive creep asymptote")
+        assert "Traceback" not in err
+
     def test_export_dataset_rejects_a_loaded_second_segment(self, tmp_path):
         # the dataset format is a load then a zero-stress unload, which this is not
         ds_path, out = tmp_path / "d.csv", tmp_path / "c.csv"
@@ -135,6 +148,56 @@ def test_bad_numeric_option_is_usage_error(argv, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "d.csv").exists()
+
+
+HUGE_STRESS_DATASET = """# stress_pa=1e30
+segment,t_s,strain
+load,0,0.0088
+load,30000,0.0162
+unload,36000,0.00315
+unload,60000,0.0001
+"""
+
+_FUZZ_BASE = """# stress_pa=1.0e7
+# temperature_c=288
+segment,t_s,strain
+load,0.0,0.0088
+load,10000.0,0.0120
+load,30000.0,0.0162
+unload,36000.0,0.00315
+unload,48000.0,0.0009
+unload,60000.0,0.0001
+""".splitlines()
+_FUZZ_NUMBERS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1", "1e30")
+_FUZZ_TOKENS = _FUZZ_NUMBERS + ("", "0.01,", ",", "load", "unload", "segment", "bogus")
+_FUZZ_STRESSES = ("1.0e7", "1e30", "-1e30", "1e308", "-1e308", "1e-320", "-1e-320", "0",
+                  "-1e7", "nan", "inf", "1e7,")
+
+
+@st.composite
+def mutated_dataset(draw):
+    """The valid dataset above with an extreme or malformed stress and up to
+    three edits: a line deleted, a time or strain replaced by an extreme
+    number, any field replaced by a malformed token, or a row inserted."""
+    lines = list(_FUZZ_BASE)
+    lines[0] = f"# stress_pa={draw(st.sampled_from(_FUZZ_STRESSES))}"
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("delete", "number", "field", "insert")))
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        if kind == "delete":
+            del lines[i]
+        elif kind == "number" and len(fields) == 3:
+            fields[draw(st.integers(1, 2))] = draw(st.sampled_from(_FUZZ_NUMBERS))
+            lines[i] = ",".join(fields)
+        elif kind == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = ",".join(fields)
+        elif kind == "insert":
+            label = draw(st.sampled_from(("load", "unload", "bogus", "")))
+            t, e = draw(st.sampled_from(_FUZZ_TOKENS)), draw(st.sampled_from(_FUZZ_TOKENS))
+            lines.insert(i, f"{label},{t},{e}")
+    return "\n".join(lines) + "\n"
 
 
 class TestFit:
@@ -250,6 +313,41 @@ class TestFit:
 
     def test_directory_is_data_error(self, tmp_path):
         assert run("fit", "--data", str(tmp_path), "--init", "hfpe285") == 2
+
+    def test_huge_stress_is_fitted(self, tmp_path, capsys):
+        # at 1e30 Pa the creep asymptote is ~1e21 and the log term's factor
+        # a0 - w, formed as a difference, cancelled to 0: a ZeroDivisionError
+        # escaped. The model is solvable there, so the fit runs to its end:
+        # exit 0 with a finite objective.
+        data, out = tmp_path / "huge.csv", tmp_path / "fit.json"
+        data.write_text(HUGE_STRESS_DATASET)
+        code = run("fit", "--data", str(data), "--init", "pmr15_288", "--out", str(out))
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert 0.0 <= json.loads(out.read_text())["error"] < PENALTY
+
+    def test_every_trial_penalised_is_a_numerical_failure(self, tmp_path, capsys):
+        data = tmp_path / "neg.csv"
+        data.write_text(HUGE_STRESS_DATASET.replace("1e30", "-1e308"))
+        assert run("fit", "--data", str(data), "--init", "pmr15_288") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: every trial parameter set was penalised")
+
+    def test_out_records_the_objective_evaluations(self, dataset_file, tmp_path):
+        out = tmp_path / "fit.json"
+        assert run("fit", "--data", str(dataset_file), "--init", "hfpe285",
+                   "--max-iter", "20", "--out", str(out)) == 0
+        result = json.loads(out.read_text())
+        assert result["n_fev"] > result["iterations"] > 0
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_dataset())
+    def test_fuzzed_dataset_ends_with_an_exit_code(self, tmp_path, text):
+        data = tmp_path / "fuzz.csv"
+        data.write_text(text)
+        assert run("fit", "--data", str(data), "--init", "pmr15_288",
+                   "--max-iter", "50") in (0, 1, 2, 3)
 
 
 class TestDriveRelax:

@@ -13,6 +13,7 @@ from polyvisc.fitting import (
     nelder_mead,
 )
 from polyvisc.material import MaterialParams
+from polyvisc.tensors import DomainError
 from polyvisc.uniaxial import CreepSegment, simulate_creep
 
 HFPE285 = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=3.95e13)
@@ -124,6 +125,15 @@ class TestCreepError:
         monkeypatch.setattr(fitting, "simulate_creep", broken)
         with pytest.raises(ValueError, match="bug"):
             creep_error(HFPE285, synthetic(HFPE285, n_load=5, n_unload=3), w=0.5)
+
+    def test_huge_strain_does_not_overflow(self):
+        # a squared 1e308 overflowed to inf, and inf/inf made the objective nan
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array([0.0088, 1e308]),
+            t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1.0e7,
+        )
+        err = creep_error(PMR15, ds, w=0.5)
+        assert math.isfinite(err) and err >= 0.5  # the load term is 1 to rounding
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -282,8 +292,28 @@ class TestFitDataset:
         res = fit_dataset(ds, cfg)
         d = res.to_dict()
         assert set(d) == {"mu_p_bar", "mu_g_bar", "eta", "error", "iterations",
-                          "converged", "w"}
+                          "converged", "w", "n_fev"}
         assert d["w"] == 0.75
+
+    def test_n_fev_counts_the_objective_evaluations(self, monkeypatch):
+        import polyvisc.fitting as fitting
+
+        calls = []
+        monkeypatch.setattr(fitting, "creep_error",
+                            lambda *args: calls.append(args) or creep_error(*args))
+        ds = synthetic(HFPE285, n_load=10, n_unload=5)
+        res = fit_dataset(ds, FitConfig(initial=(4e8, 1.2e9, 3e13), max_iter=30))
+        assert res.n_fev == len(calls) > res.iterations
+
+    def test_every_trial_penalised_is_a_domain_error(self):
+        # at -1e308 Pa no parameter set has a positive creep asymptote, so
+        # every trial is a penalty and the simplex has nothing to report
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array([-0.01, -0.02]),
+            t_unload=np.array([200.0]), eps_unload=np.array([-0.004]), stress=-1e308,
+        )
+        with pytest.raises(DomainError, match="every trial parameter set was penalised"):
+            fit_dataset(ds, FitConfig(initial=(3.76e8, 4.42e8, 6.22e12), max_iter=50))
 
 
 class TestFitConfig:

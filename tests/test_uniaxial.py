@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyvisc.dataio import get_preset, presets
+from polyvisc import dataio, fitting, uniaxial
+from polyvisc.dataio import get_preset, presets, save_curve, save_svg
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import OdeProblem, integrate
 from polyvisc.tensors import DomainError
 from polyvisc.uniaxial import (
+    SEGMENT_SAMPLES,
     CreepSegment,
     lambda_rate,
     simulate_creep,
@@ -300,6 +302,97 @@ class TestClosedForm:
         assert curve.t[-1] == 4.0e4
         assert np.all(np.diff(curve.t) > 0.0)
         assert curve.t.size == curve.epsilon.size
+
+
+def _scalar_strains(curve, ts):
+    """Per-segment scalar solves of the (n_segments, m) times ``ts``."""
+    return np.array([[math.log(seg.lam_at(float(t))) for t in row]
+                     for seg, row in zip(curve.segments, ts)])
+
+
+# A log-branch load (mu_g << mu_p) followed by an atan-branch unload.
+MIXED = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=4.79e6, eta=3.95e13)
+MIXED_PROGRAM = [(0.3 * 4.79e8, 2.0e4), (0.0, 4.0e4)]
+
+
+class TestBatch:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        preset=st.sampled_from(sorted(presets())),
+        decades=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        maxwell=st.booleans(),
+        program=st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(-0.3, 0.3)), st.floats(0.1, 5.0)),
+            min_size=2, max_size=8),
+    )
+    @example(preset="pmr15_288", decades=(0.0, 0.0, 0.0), maxwell=False,
+             program=[(0.0, 1.0), (0.0, 1.0)])
+    # segments that converge after different numbers of Newton steps
+    @example(preset="pmr15_288", decades=(1.0, 0.1, -1.0), maxwell=False,
+             program=[(0.29, 3.0), (0.0, 1.7), (-0.19, 3.4)])
+    def test_one_solve_matches_the_scalar_solves(self, preset, decades, maxwell, program):
+        # parameters and loads as in TestClosedForm, over 2-8 segment
+        # programs with zero-stress segments
+        row = get_preset(preset)
+        base = (row.mu_p_bar, row.mu_g_bar, row.eta)
+        mu_p, mu_g, eta = (v * 10.0**d for v, d in zip(base, decades))
+        mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=0.0 if maxwell else mu_g, eta=eta)
+        tau = eta / (2.0 * (mp.mu_g_bar or mu_p))
+        curve = simulate_creep([(load * mu_p, d * tau) for load, d in program], mp)
+
+        ts, eps = curve.samples
+        for seg, row_t in zip(curve.segments, ts):
+            assert np.array_equal(row_t, np.linspace(seg.t_start, seg.t_end, SEGMENT_SAMPLES))
+        assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
+        # each segment takes the same Newton steps as when solved alone
+        for k, row_t in enumerate(ts):
+            assert np.array_equal(eps[k], curve.strain_in_segment(k, row_t))
+        # arbitrary stamps, several segments in one call, and without segment 1
+        stamps = ts[:, [4, 9, 13]]
+        eps_stamps = curve.strains_in_segments(stamps)
+        assert np.max(np.abs(np.array(eps_stamps) - _scalar_strains(curve, stamps))) <= 1e-13
+        skipped = curve.strains_in_segments([stamps[0], [], *stamps[2:]])
+        assert skipped[1].size == 0
+        assert all(np.array_equal(a, b) for k, (a, b) in enumerate(zip(skipped, eps_stamps))
+                   if k != 1)
+
+    @pytest.fixture()
+    def array_solves(self, monkeypatch):
+        """Counts the Newton body's array calls; each read resets the count."""
+        calls = []
+        newton = uniaxial._newton
+        monkeypatch.setattr(uniaxial, "_newton",
+                            lambda c, dt, ops: calls.append(ops) or newton(c, dt, ops))
+
+        def count():
+            n = sum(ops is not uniaxial._SCALAR for ops in calls)
+            calls.clear()
+            return n
+
+        return count
+
+    def test_mixed_branches_in_one_solve(self, array_solves):
+        curve = simulate_creep(MIXED_PROGRAM, MIXED)
+        load, unload = curve.segments
+        assert load.disc > 0.0 > unload.disc  # log term, then atan term
+        ts, eps = curve.samples
+        assert array_solves() == 1
+        assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
+
+    def test_one_array_solve_per_curve_and_per_objective(self, array_solves, tmp_path):
+        tau = PMR15.retardation_time()
+        curve = simulate_creep([(1.0e7, tau), (-5.0e6, tau), (0.0, 2 * tau)], PMR15)
+        assert array_solves() == 0  # the segment ends are scalar solves
+        save_curve(curve, tmp_path / "c.csv")
+        save_svg([curve], tmp_path / "c.svg")
+        assert curve.t.size == curve.epsilon.size
+        assert array_solves() == 1
+
+        ds = dataio.make_synthetic_dataset(PMR15, stress=1.0e7, t_load=5 * tau,
+                                           t_unload=5 * tau, n_load=20, n_unload=10)
+        array_solves()
+        fitting.creep_error(PMR15, ds, 0.5)
+        assert array_solves() == 1
 
 
 class TestAnalyticCurve:
