@@ -5,12 +5,13 @@ instant the flow rule determines the stretching D_G of the natural
 configuration: an incompressibility multiplier makes D_G exactly traceless,
 and a Sylvester-type solve inverts the symmetrized viscous term. The rate
 of B_p then follows from the frame-indifferent kinematic identity
-(``_convected_rate``). Unimodularity of B_p is a consequence, not an input:
-the integrator monitors det(B_p) and aborts on drift rather than
-renormalizing. Every tensor here is a plain 3x3 matrix (F and L come from
-the protocol as arrays), and ``_flow_terms`` is the one place that splits
-the total stretch. ``SymTensor3`` appears only as the record of a B_p
-state: ``drive``'s initial state and ``Trajectory.b_p``.
+L*B_p + B_p*L^T - 2*V*D_G*V, V = B_p^1/2. One ``eigh`` of B_p carries all
+of it (``_elastic_split``): in B_p's eigenbasis V is diagonal and the solve
+is a componentwise divide (``_flow``). Unimodularity of B_p is a
+consequence, not an input: the integrator monitors det(B_p) and aborts on
+drift rather than renormalizing. Every tensor here is a plain 3x3 matrix
+(F and L come from the protocol as arrays). ``SymTensor3`` appears only as
+the record of a B_p state: ``drive``'s initial state and ``Trajectory.b_p``.
 
 Stress and dissipation on the trajectory come from ``material``; this
 module only fixes the pressure, by lateral traction-freeness for uniaxial
@@ -64,59 +65,51 @@ _REPLAY_FIRST_STEP = 0.05
 _I3 = np.eye(3)
 
 
-def _spd_decomp(bpm: np.ndarray, what: str):
-    d = eig_sym(bpm)
-    _require_spd(d, what)
-    return d
+def _elastic_split(bpm: np.ndarray, b: np.ndarray):
+    """(lam, Q, s s^T, B_G) from one decomposition B_p = Q diag(lam) Q^T = V^2.
 
-
-def _flow_direction(d, bpm: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
-    """D_G (matrix) from the flow rule, given B_p's spectral decomposition.
-
-    The multiplier c = (mu_g*tr(B_p^-1 B_G) - 3*mu_p) / tr(B_p^-1) enforces
-    tr(D_G) = 0; the cancellation (c*I + mu_p*B_p - mu_g*B_G) runs before
-    the 2/eta scaling so exact equilibria map to an exactly zero rate.
+    With s = sqrt(lam), B_G = V^-1 B V^-1 = Q ((Q^T B Q) / s s^T) Q^T: the
+    elastic map is taken as its own stretch tensor (symmetric factor
+    convention), so the intermediate rotation is absorbed.
     """
-    bp_inv = d.spectral_map(1.0 / np.array(d.eigenvalues))
+    lam, q = eig_sym(bpm)
+    _require_spd(lam, "evolution")
+    s = np.sqrt(lam)
+    ss = s[:, None] * s
+    b_g = q @ ((q.T @ b @ q) / ss) @ q.T
+    return lam, q, ss, 0.5 * (b_g + b_g.T)
+
+
+def _flow(bpm: np.ndarray, b_g: np.ndarray, lam, q, mp: MaterialParams) -> np.ndarray:
+    """D_G from the flow rule, in B_p's eigenbasis (B_p = Q diag(lam) Q^T).
+
+    The multiplier c = (mu_g*tr(B_p^-1 B_G) - 3*mu_p) / tr(B_p^-1), from
+    that basis's diagonals, enforces tr(D_G) = 0. M = (2/eta)(c*I + mu_p*B_p
+    - mu_g*B_G) is formed in the lab frame from the arrays the stress and
+    the identity check see, so its large terms cancel in one frame (exact
+    equilibria give an exactly zero rate), and is rotated once for the solve.
+    """
+    inv = 1.0 / lam
     mu_p, mu_g = mp.mu_p_bar, mp.mu_g_bar
-    c = (mu_g * float(np.vdot(bp_inv, b_g)) - 3.0 * mu_p) / float(bp_inv.trace())
+    c = (mu_g * float(np.vdot(q * inv, b_g @ q)) - 3.0 * mu_p) / float(inv.sum())
     m = (2.0 / mp.eta) * (c * _I3 + mu_p * bpm - mu_g * b_g)
-    return _sylvester_from_decomp(d, m)
-
-
-def _flow_terms(bpm: np.ndarray, b: np.ndarray, mp: MaterialParams):
-    """Shared kernel: decompose B_p once, return (V, B_G, D_G) as matrices.
-
-    The total stretch B splits into the natural-configuration part
-    B_p = V^2 and the elastic part B_G = V^-1 B V^-1, under the symmetric
-    factor convention: the elastic map is taken as its own stretch tensor,
-    so the intermediate rotation is absorbed. det(B_G) = det(B)/det(B_p).
-    """
-    d = _spd_decomp(bpm, "evolution")
-    sq = np.sqrt(d.eigenvalues)
-    v = d.spectral_map(sq)
-    v_inv = d.spectral_map(1.0 / sq)
-    b_g = v_inv @ b @ v_inv
-    b_g = 0.5 * (b_g + b_g.T)
-    return v, b_g, _flow_direction(d, bpm, b_g, mp)
-
-
-def _convected_rate(v: np.ndarray, bpm: np.ndarray, lmat: np.ndarray, d_g: np.ndarray) -> np.ndarray:
-    """L*B_p + B_p*L^T - 2*V*D_G*V (matrix)."""
-    lb = lmat @ bpm
-    return lb + lb.T - 2.0 * (v @ d_g @ v)
+    return _sylvester_from_decomp(lam, q.T @ m @ q)
 
 
 def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """Rate of B_p's components ``y`` under total stretch B and velocity gradient L."""
     bpm = y[_SYM_INDEX]
-    v, _, d_g = _flow_terms(bpm, b, mp)
-    return _convected_rate(v, bpm, lmat, d_g)[_ROWS, _COLS]
+    lam, q, ss, b_g = _elastic_split(bpm, b)
+    lb = lmat @ bpm
+    # V D_G V is (D_G * s s^T) in the eigenbasis
+    return (lb + lb.T - 2.0 * (q @ (_flow(bpm, b_g, lam, q, mp) * ss) @ q.T))[_ROWS, _COLS]
 
 
 def dG_rate(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """Natural-configuration stretching from the flow rule."""
-    return _flow_direction(_spd_decomp(b_p, "dG_rate"), b_p, b_g, mp)
+    lam, q = eig_sym(b_p)
+    _require_spd(lam, "dG_rate")
+    return q @ _flow(b_p, b_g, lam, q, mp) @ q.T
 
 
 @dataclass
@@ -148,7 +141,8 @@ def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarra
     """Stress and diagnostics for one mesh state."""
     b_p = y[_SYM_INDEX]
     f = protocol.F(t)
-    _, b_g, d_g = _flow_terms(b_p, f @ f.T, mp)
+    lam, q, _, b_g = _elastic_split(b_p, f @ f.T)
+    d_g = q @ _flow(b_p, b_g, lam, q, mp) @ q.T
 
     axial = np.array([1.0, 0.0, 0.0])
     if protocol.kind == "shear":

@@ -280,10 +280,18 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
 
     The search runs over log-parameters so every trial set is positive;
     non-convergence is reported on the result, not raised. A search whose
-    every trial set was penalised has no result and raises DomainError.
+    every trial set was penalised has no result and raises DomainError. A
+    phase with positive weight whose measured strains are all zero has no
+    relative misfit and raises ConfigError.
     """
     if cfg.initial is None:
         raise ValueError("FitConfig.initial is required for fitting")
+    w = cfg.weight if ds.has_unload else 1.0
+    for phase, weight, eps in (("load", w, ds.eps_load), ("unload", 1.0 - w, ds.eps_unload)):
+        if weight > 0.0 and not np.any(eps):
+            raise ConfigError(f"the {phase} phase has weight {weight:g} but its measured "
+                              "strains are all zero, so it has no relative misfit; "
+                              "give it weight 0")
     x0 = np.log(np.asarray(cfg.initial, dtype=float))
 
     def objective(logp: np.ndarray) -> float:
@@ -303,6 +311,6 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
         error=res.fun,
         iterations=res.iterations,
         converged=res.converged,
-        weight=cfg.weight if ds.has_unload else 1.0,
+        weight=w,
         n_fev=res.n_fev,
     )

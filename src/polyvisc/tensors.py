@@ -7,13 +7,13 @@ order (xx, yy, zz, xy, yz, xz), immutable, with no algebra of its own. This
 module owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
 components, ``_ROWS``/``_COLS`` pick the components out of a matrix).
 
-The spectral routines (LAPACK ``eigh`` under a deterministic frame
-convention, and the Sylvester-type solve on a decomposition) are the
-workhorses of the natural-configuration evolution equation: the flow rule
-requires solving A*X + X*A = M with A symmetric positive definite at every
-right-hand-side evaluation. Functions of an SPD tensor (square root,
-inverse) are ``SpectralDecomp.spectral_map`` of its eigenvalues. Every SPD
-test is ``_spd_eigenvalues``, on the eigenvalue floor ``SPD_EIG_FLOOR``.
+The spectral routines are the workhorses of the natural-configuration
+evolution equation: the flow rule solves A*X + X*A = M with A symmetric
+positive definite at every right-hand-side evaluation. ``eig_sym`` is
+LAPACK ``eigh`` behind a finiteness check, and ``_sylvester_from_decomp``
+solves the equation in A's eigenbasis, where it is a componentwise divide.
+Every SPD test is ``_require_spd`` on the eigenvalues, against the floor
+``SPD_EIG_FLOOR``.
 """
 
 from __future__ import annotations
@@ -80,75 +80,30 @@ class SymTensor3:
         return np.array([self.xx, self.yy, self.zz, self.xy, self.yz, self.xz])
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomp:
-    """Eigenvalues (descending) and an orthonormal right-handed eigenframe.
+def eig_sym(a):
+    """numpy's ``eigh`` pair (eigenvalues ascending, eigenvectors as columns).
 
-    ``frame[:, i]`` is the eigenvector of ``eigenvalues[i]``; the frame has
-    determinant +1 and a deterministic sign convention so that repeated
-    decompositions of the same tensor are bitwise identical.
-    """
-
-    eigenvalues: tuple
-    frame: np.ndarray
-
-    def spectral_map(self, values) -> np.ndarray:
-        """Q diag(values) Q^T for the frame Q: a function of the tensor, as a matrix."""
-        q = self.frame
-        return (q * values) @ q.T
-
-
-def eig_sym(a) -> SpectralDecomp:
-    """Spectral decomposition of a symmetric tensor by LAPACK ``eigh``.
-
-    ``a`` is a 3x3 matrix, taken as symmetric: only the lower triangle is
-    read. Eigenvalues are sorted descending. Each
-    eigenvector's sign is fixed so its largest-magnitude component is
-    positive; the last column is then flipped if needed to keep
-    det(frame) = +1. Non-finite input raises DomainError.
+    ``a`` is a 3x3 matrix taken as symmetric (LAPACK reads its lower
+    triangle). Eigenvector signs are LAPACK's: every consumer forms
+    Q f(Lambda) Q^T, which does not depend on them. Non-finite input raises
+    DomainError.
     """
     if not np.isfinite(a).all():
         raise DomainError("eig_sym requires a finite tensor")
-    vals, vecs = np.linalg.eigh(a)
-    # eigh sorts ascending; the sign convention runs on plain lists, which
-    # costs less than numpy calls at this size
-    cols = vecs.T.tolist()[::-1]
-    for i, col in enumerate(cols):
-        if max(col, key=abs) < 0.0:
-            cols[i] = [-v for v in col]
-    e1, e2, e3 = cols
-    det = (
-        e3[0] * (e1[1] * e2[2] - e1[2] * e2[1])
-        + e3[1] * (e1[2] * e2[0] - e1[0] * e2[2])
-        + e3[2] * (e1[0] * e2[1] - e1[1] * e2[0])
-    )
-    if det < 0.0:
-        cols[2] = [-v for v in e3]
-    return SpectralDecomp(tuple(vals[::-1].tolist()), np.array(cols).T)
+    return np.linalg.eigh(a)
 
 
-def _spd_eigenvalues(eigenvalues) -> bool:
-    """The SPD test on descending eigenvalues: the smallest clears the floor."""
-    return eigenvalues[2] > SPD_EIG_FLOOR * max(eigenvalues[0], 0.0)
+def _require_spd(eigenvalues, what: str) -> None:
+    """The SPD test on ascending eigenvalues: the smallest clears the floor."""
+    if not eigenvalues[0] > SPD_EIG_FLOOR * max(eigenvalues[-1], 0.0):
+        raise DomainError(f"{what} requires an SPD tensor (eigenvalues {eigenvalues.tolist()})")
 
 
-def _require_spd(decomp: SpectralDecomp, what: str) -> None:
-    if not _spd_eigenvalues(decomp.eigenvalues):
-        raise DomainError(
-            f"{what} requires an SPD tensor (eigenvalues {decomp.eigenvalues})"
-        )
+def _sylvester_from_decomp(eigenvalues: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """Sylvester solve A*X + X*A = M in the eigenbasis of A (matrix in/out).
 
-
-def _sylvester_from_decomp(d: SpectralDecomp, m: np.ndarray) -> np.ndarray:
-    """Sylvester solve A*X + X*A = M in A's eigenbasis (matrix in/out).
-
-    There the solution is componentwise ``X_ij = M_ij / (a_i + a_j)``; for
-    an SPD A the denominators are positive and the solution is unique.
+    With ``mt`` = Q^T M Q for A = Q diag(eigenvalues) Q^T, the solution in
+    that basis is componentwise ``X_ij = M_ij / (a_i + a_j)``; for an SPD A
+    the denominators are positive and the solution is unique.
     """
-    q = d.frame
-    mt = q.T @ m @ q
-    lam = np.array(d.eigenvalues)
-    xt = mt / (lam[:, None] + lam[None, :])
-    x = q @ xt @ q.T
-    return 0.5 * (x + x.T)
-
+    return mt / (eigenvalues[:, None] + eigenvalues)

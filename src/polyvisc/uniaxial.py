@@ -116,11 +116,13 @@ def _flow_constants(b: float, mp: MaterialParams):
     if mu_g == 0.0:
         return 0.0, kappa * c1
     c3 = mu_g * b15
-    # P/c3 = r^3 + p r - b^1.5; sqrt(b) is its root at p = 0 and
-    # sqrt(b) + sqrt(-p) bounds it from above otherwise, so Newton on the
-    # convex cubic decreases monotonically onto r.
+    # P/c3 = r^3 + p r - b^1.5; sqrt(b) is its root at p = 0 and bounds it
+    # from above for p > 0, as does b^1.5/p (the root's limit for p >> r^2,
+    # where Newton from sqrt(b) would cancel to 0); sqrt(b) + sqrt(-p)
+    # bounds it for p < 0. Newton on the convex cubic then decreases
+    # monotonically onto r.
     p = c1 / c3
-    r = math.sqrt(b) + math.sqrt(max(-p, 0.0))
+    r = min(math.sqrt(b), b15 / p) if p > 0.0 else math.sqrt(b) + math.sqrt(-p)
     for _ in range(100):
         g = (r * r + p) * r - b15
         if not (g > 0.0):

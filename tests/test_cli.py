@@ -98,15 +98,17 @@ class TestSimulate:
         assert run("simulate", "--mu-p", "1e8", "--mu-g", "1e8", "--eta", "1e12",
                    "--load-fraction", "0.4") == 1
 
-    def test_no_positive_asymptote_is_a_numerical_failure(self, capsys):
-        # at -1e30 Pa the asymptote's Newton iteration cancels to r = 0, which
-        # raised a ZeroDivisionError in the creep rate
-        code = run("simulate", "--preset", "pmr15_288",
-                   "--segment=-1e30:30000", "--segment=0:30000")
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: no positive creep asymptote")
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("segments", [["--segment=-1e30:30000"],
+                                          ["--segment=-1e30:30000", "--segment=0:30000"]],
+                             ids=["load", "load_unload"])
+    def test_extreme_compression_is_solved(self, capsys, segments):
+        # at -1e30 Pa, B = 1.4e-43 and the asymptote r ~ 1.7e-43: Newton from
+        # sqrt(B) cancelled to r = 0, and the run exited 3 with "no positive
+        # creep asymptote"
+        assert run("simulate", "--preset", "pmr15_288", *segments) == 0
+        captured = capsys.readouterr()
+        assert "B = 1.41376e-43" in captured.out
+        assert captured.err == ""
 
     def test_export_dataset_rejects_a_loaded_second_segment(self, tmp_path):
         # the dataset format is a load then a zero-stress unload, which this is not
@@ -304,6 +306,20 @@ class TestFit:
         )
         assert run("fit", "--data", str(bad), "--init", "pmr15_288") == 2
         assert "load times must not precede the load start" in capsys.readouterr().err
+
+    def test_all_zero_phase_is_data_error(self, tmp_path, capsys):
+        # a relative misfit needs a nonzero measured strain: with the load
+        # phase all zero the fit optimised the unload term alone and printed
+        # "error = 5.000000e+05 (converged ...)"
+        data = tmp_path / "zero.csv"
+        data.write_text("# stress_pa=1e7\nsegment,t_s,strain\nload,0,0\nload,30000,0\n"
+                        "unload,36000,0.00315\nunload,60000,0.0001\n")
+        assert run("fit", "--data", str(data), "--init", "pmr15_288") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: the load phase has weight 0.5")
+        # with no weight on that phase the fit is well posed
+        assert run("fit", "--data", str(data), "--init", "pmr15_288", "--weight", "0",
+                   "--max-iter", "20") == 0
 
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "utf16.csv"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from polyvisc.evolution import _flow_terms
 from polyvisc.kinematics import (
     constant_stretch,
     ramp_hold,
@@ -11,12 +10,9 @@ from polyvisc.kinematics import (
     uniaxial_F,
     uniaxial_L,
 )
-from polyvisc.material import MaterialParams
 from polyvisc.tensors import DomainError
 
-from test_tensors import random_rotation, random_spd
-
-UNIT = MaterialParams(mu_p_bar=1.0, mu_g_bar=0.8, eta=1.0)
+from test_tensors import kernel_b_g, random_rotation, random_spd
 
 
 class TestUniaxialF:
@@ -61,35 +57,26 @@ class TestUniaxialL:
             uniaxial_L(-0.5, 1.0)
 
 
-def split_stretch(b: np.ndarray, b_p: np.ndarray) -> tuple:
-    """(V, B_G) of the split B_p = V^2, B_G = V^-1 B V^-1 that drive's kernel runs."""
-    v, b_g, _ = _flow_terms(b_p, b, UNIT)
-    return v, b_g
-
-
 class TestNaturalMaps:
     def test_full_relaxation(self):
         rng = np.random.default_rng(7)
         b = random_spd(rng, cond_max=100.0)
-        _, b_g = split_stretch(b, b)
+        b_g = kernel_b_g(b, b)
         assert np.linalg.norm(b_g - np.eye(3)) <= 1e-12
 
     def test_no_elastic_stretch(self):
         rng = np.random.default_rng(11)
         b = random_spd(rng, cond_max=100.0)
-        v, b_g = split_stretch(b, np.eye(3))
+        b_g = kernel_b_g(np.eye(3), b)
         assert np.linalg.norm(b_g - b) <= 1e-12 * np.linalg.norm(b)
-        assert np.linalg.norm(v - np.eye(3)) <= 1e-13
 
     @pytest.mark.parametrize("lam,b", [(1.3, 1.1), (0.8, 0.95), (2.0, 1.6)])
     def test_uniaxial_closed_form(self, lam, b):
         total = np.diag([lam**2, 1.0 / lam, 1.0 / lam])
         b_p = np.diag([b, b**-0.5, b**-0.5])
-        v, b_g = split_stretch(total, b_p)
+        b_g = kernel_b_g(b_p, total)
         expected = np.diag([lam**2 / b, math.sqrt(b) / lam, math.sqrt(b) / lam])
         assert np.linalg.norm(b_g - expected) <= 1e-12 * np.linalg.norm(expected)
-        v_expected = np.diag([b**0.5, b**-0.25, b**-0.25])
-        assert np.linalg.norm(v - v_expected) <= 1e-13 * np.linalg.norm(v)
         # and the relative-stretch product B_p^-1 B_G
         prod = np.diag([1.0 / b, b**0.5, b**0.5]) @ b_g
         expected_prod = np.diag([lam**2 / b**2, b / lam, b / lam])
@@ -100,7 +87,7 @@ class TestNaturalMaps:
         for _ in range(200):
             b = random_spd(rng, cond_max=100.0)
             b_p = random_spd(rng, cond_max=100.0)
-            _, b_g = split_stretch(b, b_p)
+            b_g = kernel_b_g(b_p, b)
             lhs = np.linalg.det(b_g) * np.linalg.det(b_p)
             assert lhs == pytest.approx(np.linalg.det(b), rel=1e-10)
 
@@ -108,7 +95,7 @@ class TestNaturalMaps:
         # a singular B_p has no square root to split by; inside drive the
         # total stretch B = F F^T is SPD by construction
         with pytest.raises(DomainError):
-            split_stretch(np.eye(3), np.diag([1.0, 0.0, 1.0]))
+            kernel_b_g(np.diag([1.0, 0.0, 1.0]), np.eye(3))
 
     def test_unimodular_inputs_give_unimodular_output(self):
         rng = np.random.default_rng(17)
@@ -117,7 +104,7 @@ class TestNaturalMaps:
                 a = random_spd(rng, cond_max=50.0)
                 return a / np.linalg.det(a) ** (1.0 / 3.0)
 
-            _, b_g = split_stretch(unimodular(), unimodular())
+            b_g = kernel_b_g(unimodular(), unimodular())
             assert abs(np.linalg.det(b_g) - 1.0) <= 1e-10
 
 

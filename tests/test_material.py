@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyvisc.evolution import _flow_terms, dG_rate
+from polyvisc.evolution import dG_rate
 from polyvisc.material import (
     ConfigError,
     MaterialParams,
@@ -15,14 +15,9 @@ from polyvisc.material import (
 )
 from polyvisc.tensors import DomainError
 
-from test_tensors import random_spd, random_sym
+from test_tensors import kernel_b_g, random_spd, random_sym
 
 PMR15 = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=4.42e8, eta=6.22e12)
-
-
-def elastic_stretch(b: np.ndarray, b_p: np.ndarray) -> np.ndarray:
-    """B_G of the total stretch B on B_p, as drive's kernel splits it."""
-    return _flow_terms(b_p, b, PMR15)[1]
 
 
 class TestStateFunctions:
@@ -133,7 +128,7 @@ class TestDissipation:
             b_p = q @ np.diag(lams) @ q.T
             b_p = 0.5 * (b_p + b_p.T)
             b = random_spd(rng, cond_max=10.0)
-            b_g = elastic_stretch(b, b_p)
+            b_g = kernel_b_g(b_p, b)
             d_g = dG_rate(b_p, b_g, PMR15)
             xi = dissipation_rate(b_p, d_g, PMR15)
             t = stress(b_p, -PMR15.mu_p_bar * b_p[1, 1], PMR15)
@@ -143,7 +138,7 @@ class TestDissipation:
     def test_identity_negative_control(self):
         rng = np.random.default_rng(101)
         b_p = np.diag([1.2, 1.2**-0.5, 1.2**-0.5])
-        b_g = elastic_stretch(random_spd(rng, cond_max=5.0), b_p)
+        b_g = kernel_b_g(b_p, random_spd(rng, cond_max=5.0))
         d_g = dG_rate(b_p, b_g, PMR15)
         xi = dissipation_rate(b_p, d_g, PMR15)
         t = stress(b_p, -PMR15.mu_p_bar * b_p[1, 1], PMR15)

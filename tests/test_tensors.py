@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polyvisc.evolution import _flow_terms, dG_rate
+from scipy.linalg import sqrtm
+
+from polyvisc.evolution import _elastic_split, dG_rate
 from polyvisc.material import MaterialParams
 from polyvisc.tensors import DomainError, SymTensor3, _sylvester_from_decomp, eig_sym
 
@@ -42,7 +44,7 @@ class TestInvariants:
         assert invariants(np.eye(3)) == (3.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_diagonal(self):
-        assert invariants(np.diag([4.0, 1.0, 1.0])) == (6.0, 4.0, 4.0, 1.0, 1.0)
+        assert invariants(np.diag([4.0, 1.0, 1.0])) == (6.0, 4.0, 1.0, 1.0, 4.0)
 
     def test_uniaxial_diag(self):
         # eigenvalues (2, 2^-1/2, 2^-1/2): sums/products by hand
@@ -50,7 +52,7 @@ class TestInvariants:
         i1, i3, *eigs = invariants(a)
         assert i1 == pytest.approx(2.0 + 2.0**0.5, rel=1e-12)
         assert i3 == pytest.approx(1.0, rel=1e-12)
-        assert eigs == pytest.approx([2.0, 2.0**-0.5, 2.0**-0.5], rel=1e-12)
+        assert eigs == pytest.approx([2.0**-0.5, 2.0**-0.5, 2.0], rel=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(7)
@@ -63,44 +65,39 @@ class TestInvariants:
                 assert w == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
+def reconstruct(lam, q) -> np.ndarray:
+    """Q diag(lam) Q^T."""
+    return (q * lam) @ q.T
+
+
 class TestEigSym:
     def test_diagonal_input(self):
-        d = eig_sym(np.diag([3.0, 2.0, 1.0]))
-        assert d.eigenvalues == (3.0, 2.0, 1.0)
-        assert np.allclose(np.abs(d.frame), np.eye(3))
+        lam, q = eig_sym(np.diag([3.0, 2.0, 1.0]))
+        assert lam.tolist() == [1.0, 2.0, 3.0]
+        assert np.allclose(np.abs(q), np.eye(3)[:, ::-1])
 
     def test_identity_degenerate(self):
-        d = eig_sym(np.eye(3))
-        assert d.eigenvalues == (1.0, 1.0, 1.0)
-        recon = d.spectral_map(d.eigenvalues)
-        assert np.linalg.norm(recon - np.eye(3)) <= 1e-12
+        lam, q = eig_sym(np.eye(3))
+        assert lam.tolist() == [1.0, 1.0, 1.0]
+        assert np.linalg.norm(reconstruct(lam, q) - np.eye(3)) <= 1e-12
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            lams = np.sort(rng.uniform(0.1, 5.0, size=3))[::-1]
+            lams = np.sort(rng.uniform(0.1, 5.0, size=3))
             q = random_rotation(rng)
             a = q @ np.diag(lams) @ q.T
             a = 0.5 * (a + a.T)
-            d = eig_sym(a)
-            assert np.allclose(d.eigenvalues, lams, rtol=1e-12, atol=1e-12)
-            err = np.linalg.norm(d.spectral_map(d.eigenvalues) - a)
+            lam, vecs = eig_sym(a)
+            assert np.allclose(lam, lams, rtol=1e-12, atol=1e-12)
+            err = np.linalg.norm(reconstruct(lam, vecs) - a)
             assert err <= 1e-12 * np.linalg.norm(a)
 
-    def test_frame_is_rotation(self):
+    def test_eigenvectors_are_orthonormal(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            d = eig_sym(random_sym(rng))
-            q = d.frame
+            q = eig_sym(random_sym(rng)).eigenvectors
             assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-13
-            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-13)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(17)
-        a = random_sym(rng)
-        d1, d2 = eig_sym(a), eig_sym(a)
-        assert d1.eigenvalues == d2.eigenvalues
-        assert np.array_equal(d1.frame, d2.frame)
 
     def test_eigenvalues_solve_characteristic_polynomial(self):
         rng = np.random.default_rng(19)
@@ -114,21 +111,12 @@ class TestEigSym:
                 assert abs(p) <= 1e-10 * scale
 
 
-def assert_eig_convention(a, d):
-    """Descending eigenvalues, the first two columns' largest-|component|
-    positive, and a right-handed frame (which fixes the third column's sign);
-    reconstruction to 1e-14 relative; bitwise repeatable."""
-    vals, q = d.eigenvalues, d.frame
-    assert vals[0] >= vals[1] >= vals[2]
-    for i in (0, 1):
-        col = q[:, i]
-        assert col[np.argmax(np.abs(col))] > 0.0
-    assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-14)
-    assert np.linalg.norm(q[:, 2] - np.cross(q[:, 0], q[:, 1])) <= 1e-14
-    assert np.linalg.norm(d.spectral_map(vals) - a) <= 1e-14 * np.linalg.norm(a)
-    again = eig_sym(a)
-    assert again.eigenvalues == vals
-    assert np.array_equal(again.frame, q)
+def assert_eig_convention(a, lam, q):
+    """eigh's convention: ascending eigenvalues, orthonormal eigenvector
+    columns (their signs are LAPACK's), reconstruction to 1e-14 relative."""
+    assert lam[0] <= lam[1] <= lam[2]
+    assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-14
+    assert np.linalg.norm(reconstruct(lam, q) - a) <= 1e-14 * np.linalg.norm(a)
 
 
 class TestEigConvention:
@@ -140,17 +128,17 @@ class TestEigConvention:
             for q in [np.eye(3)] + [random_rotation(rng) for _ in range(50)]:
                 a = q @ base @ q.T
                 a = 0.5 * (a + a.T)
-                d = eig_sym(a)
-                assert_eig_convention(a, d)
+                lam, vecs = eig_sym(a)
+                assert_eig_convention(a, lam, vecs)
                 hi, lo = max(b, b**-0.5), min(b, b**-0.5)
-                assert d.eigenvalues[0] == pytest.approx(hi, rel=1e-14)
-                assert d.eigenvalues[2] == pytest.approx(lo, rel=1e-14)
+                assert lam[2] == pytest.approx(hi, rel=1e-14)
+                assert lam[0] == pytest.approx(lo, rel=1e-14)
 
     def test_random_spd(self):
         rng = np.random.default_rng(67)
         for _ in range(500):
             a = random_spd(rng, cond_max=1e6)
-            assert_eig_convention(a, eig_sym(a))
+            assert_eig_convention(a, *eig_sym(a))
 
     def test_rejects_non_finite(self):
         for bad in (math.nan, math.inf):
@@ -158,52 +146,61 @@ class TestEigConvention:
                 eig_sym(SymTensor3(1.0, 1.0, 1.0, bad, 0.0, 0.0).as_matrix())
 
 
-def kernel_sqrt_inv(a: np.ndarray):
-    """V = A^1/2 and A^-1 as the B_G split computes them: B_G = V^-1 I V^-1."""
-    v, inv, _ = _flow_terms(a, np.eye(3), UNIT)
-    return v, inv
+def kernel_b_g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B_G = V^-1 B V^-1, V = A^1/2, as drive's kernel splits it, checked
+    against scipy's Schur-based sqrtm, which shares no code with the kernel."""
+    b_g = _elastic_split(a, b)[3]
+    v_inv = np.linalg.inv(np.real(sqrtm(a)))
+    ref = v_inv @ b @ v_inv
+    assert np.linalg.norm(b_g - ref) <= 1e-9 * np.linalg.norm(ref)
+    return b_g
 
 
 class TestSqrtSpd:
     def test_identity(self):
-        assert np.linalg.norm(kernel_sqrt_inv(np.eye(3))[0] - np.eye(3)) == 0.0
+        assert np.linalg.norm(kernel_b_g(np.eye(3), np.eye(3)) - np.eye(3)) == 0.0
 
     def test_diagonal(self):
-        r = kernel_sqrt_inv(np.diag([4.0, 1.0, 1.0]))[0]
-        assert np.linalg.norm(r - np.diag([2.0, 1.0, 1.0])) <= 1e-14
+        b_g = kernel_b_g(np.diag([4.0, 1.0, 1.0]), np.diag([2.0, 3.0, 5.0]))
+        assert np.linalg.norm(b_g - np.diag([0.5, 3.0, 5.0])) <= 1e-14
 
     def test_rotated(self):
         rng = np.random.default_rng(23)
         q = random_rotation(rng)
         a = q @ np.diag([9.0, 4.0, 1.0]) @ q.T
         a = 0.5 * (a + a.T)
-        r = kernel_sqrt_inv(a)[0]
-        expected = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
-        assert np.linalg.norm(r - expected) <= 1e-12
+        b = random_spd(rng, cond_max=10.0)
+        v_inv = q @ np.diag([1.0 / 3.0, 0.5, 1.0]) @ q.T
+        expected = v_inv @ b @ v_inv
+        assert np.linalg.norm(kernel_b_g(a, b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_square_recovers_input(self):
+        # the split's V = Q diag(sqrt(lam)) Q^T squares to A
         rng = np.random.default_rng(29)
         for _ in range(1000):
             a = random_spd(rng, cond_max=1e6)
-            r = kernel_sqrt_inv(a)[0]
-            err = np.linalg.norm(r @ r - a)
+            lam, q, _, _ = _elastic_split(a, np.eye(3))
+            v = (q * np.sqrt(lam)) @ q.T
+            err = np.linalg.norm(v @ v - a)
             assert err <= 1e-12 * np.linalg.norm(a)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
-            kernel_sqrt_inv(np.diag([1.0, 1.0, -1.0]))
+            _elastic_split(np.diag([1.0, 1.0, -1.0]), np.eye(3))
 
     def test_inv_spd(self):
+        # B = I splits into B_G = A^-1
         rng = np.random.default_rng(31)
         for _ in range(100):
             a = random_spd(rng, cond_max=1e4)
-            prod = kernel_sqrt_inv(a)[1] @ a
+            prod = kernel_b_g(a, np.eye(3)) @ a
             assert np.linalg.norm(prod - np.eye(3)) <= 1e-10
 
 
 def sylvester(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The flow rule's Sylvester solve A*X + X*A = M on A's decomposition."""
-    return _sylvester_from_decomp(eig_sym(a), m)
+    """The flow rule's Sylvester solve A*X + X*A = M, rotated into A's eigenbasis and back."""
+    lam, q = eig_sym(a)
+    return q @ _sylvester_from_decomp(lam, q.T @ m @ q) @ q.T
 
 
 class TestSylvester:
@@ -232,12 +229,17 @@ class TestSylvester:
             assert np.linalg.norm(x - x_known) <= 1e-12 * max(1.0, np.linalg.norm(x_known))
 
     def test_residual_and_symmetry(self):
+        # a symmetric right-hand side in the eigenbasis gives an exactly
+        # symmetric solution there
         rng = np.random.default_rng(43)
         for _ in range(300):
             a = random_spd(rng, cond_max=1e3)
             m = random_sym(rng)
-            x = _sylvester_from_decomp(eig_sym(a), m)
-            assert np.array_equal(x, x.T)
+            lam, q = eig_sym(a)
+            mt = q.T @ m @ q
+            xt = _sylvester_from_decomp(lam, 0.5 * (mt + mt.T))
+            assert np.array_equal(xt, xt.T)
+            x = q @ xt @ q.T
             res = np.linalg.norm(a @ x + x @ a - m)
             assert res <= 1e-12 * max(1.0, np.linalg.norm(m))
 

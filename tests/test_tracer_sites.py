@@ -64,6 +64,8 @@ def test_tensor_sites_are_bound_and_called():
                            "kinematics.protocol"))
     assert tracer.counts["odesolve.steps_accepted"] > 0
     assert tracer.counts["evolution.samples"] == totals["material.identity_check"][0]
+    # one decomposition and one solve per kernel evaluation and per sample
+    assert totals["tensors.eig_sym"][0] == totals["tensors.sylvester"][0]
     # uninstall restores the undecorated names
     assert evolution.eig_sym is tensors.eig_sym
 

@@ -282,6 +282,15 @@ class TestClosedForm:
         assert abs(lambda_rate(seg.lam_inf, seg.b, PMR15)) <= 1e-12 * initial_rate
         assert seg.lam_start < seg.lam_at(seg.t_end) < seg.lam_inf
 
+    def test_asymptote_solves_the_cubic_at_extreme_compression(self):
+        # r^3 + p r - b^1.5 = 0 with p = c1/c3 >> r^2: r ~ b^1.5/p ~ 1.7e-43
+        seg = simulate_creep([(-1.0e30, 3.0e4)], PMR15).segments[0]
+        b15 = seg.b**1.5
+        p = PMR15.mu_p_bar * seg.b**2 * (1.0 - b15) / (PMR15.mu_g_bar * b15)
+        r = seg.lam_inf
+        assert r == pytest.approx(b15 / p, rel=1e-12)
+        assert abs((r * r + p) * r - b15) <= 1e-12 * b15
+
     def test_nonfinite_solution_is_a_domain_error(self):
         # eta this small overflows the creep rate
         mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=4.42e8, eta=1e-320)
