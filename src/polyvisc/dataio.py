@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -308,29 +308,18 @@ _SVG_H = 600
 _MARGIN_FRACTION = 0.05
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-Series = Union[CreepCurve, Tuple[str, Sequence[float], Sequence[float]]]
 
+def render_svg(curves: Sequence[CreepCurve]) -> str:
+    """Render strain-vs-time curves as a standalone 800x600 SVG document.
 
-def _as_series(item: Series, index: int) -> Tuple[str, np.ndarray, np.ndarray]:
-    if isinstance(item, CreepCurve):
-        return f"curve {index}", np.asarray(item.t), np.asarray(item.epsilon)
-    label, t, e = item
-    return str(label), np.asarray(t, dtype=float), np.asarray(e, dtype=float)
-
-
-def render_svg(curves: Sequence[Series]) -> str:
-    """Render strain-vs-time series as a standalone 800x600 SVG document.
-
-    Accepts CreepCurve objects or (label, times, strains) triples; axes are
-    linear and auto-scaled with a 5 percent margin, one polyline per series,
-    legend from the labels.
+    Axes are linear and auto-scaled with a 5 percent margin, one polyline
+    per curve, legend "curve 0", "curve 1", ...
     """
     if not curves:
         raise ValueError("render_svg needs at least one curve")
-    series = [_as_series(c, i) for i, c in enumerate(curves)]
 
-    all_t = np.concatenate([s[1] for s in series])
-    all_e = np.concatenate([s[2] for s in series])
+    all_t = np.concatenate([c.t for c in curves])
+    all_e = np.concatenate([c.epsilon for c in curves])
     t_lo, t_hi = float(np.min(all_t)), float(np.max(all_t))
     e_lo, e_hi = float(np.min(all_e)), float(np.max(all_e))
     t_pad = (t_hi - t_lo) * _MARGIN_FRACTION or 1.0
@@ -384,9 +373,9 @@ def render_svg(curves: Sequence[Series]) -> str:
         tick.set("font-size", "11")
         tick.text = f"{e_val:.4g}"
 
-    for i, (label, t, e) in enumerate(series):
+    for i, curve in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        xs, ys = to_px(t, e)  # elementwise, in the scalar operation order
+        xs, ys = to_px(curve.t, curve.epsilon)  # elementwise, in the scalar operation order
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         poly = ET.SubElement(root, "polyline", fill="none", stroke=color)
         poly.set("stroke-width", "1.5")
@@ -397,12 +386,12 @@ def render_svg(curves: Sequence[Series]) -> str:
                       y2=str(ly), stroke=color)
         entry = ET.SubElement(root, "text", x=str(px1 - 112), y=str(ly + 4), fill="black")
         entry.set("font-size", "12")
-        entry.text = label
+        entry.text = f"curve {i}"
 
     return ET.tostring(root, encoding="unicode")
 
 
-def save_svg(curves: Sequence[Series], path) -> None:
+def save_svg(curves: Sequence[CreepCurve], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         fh.write(render_svg(curves))

@@ -36,6 +36,11 @@ _XTOL = 1e-8
 _FTOL = 1e-12
 _FTOL_REL = 1e-4
 _FTOL_FLOOR = 1e-14
+# The stop is confirmed by polling the best vertex this far along each
+# coordinate; a lower neighbour restarts the simplex there.
+_POLL_STEP = 1e-3
+# Initial simplex spread of the creep fit (log-parameter units).
+_FIT_STEP = 0.25
 
 
 @dataclass
@@ -90,12 +95,11 @@ class ExperimentalDataset:
 
 @dataclass
 class FitConfig:
-    """Weight, initial guess and simplex controls for a creep fit."""
+    """Weight, initial guess and iteration cap for a creep fit."""
 
     weight: float = 0.5
     initial: Optional[Sequence[float]] = None  # (mu_p_bar, mu_g_bar, eta)
     max_iter: int = 2000
-    step: float = 0.25  # initial simplex spread (log-parameter units)
 
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
@@ -195,32 +199,38 @@ def nelder_mead(
     step: float = 0.05,
     max_iter: int = 2000,
 ) -> SimplexResult:
-    """Minimize f by the Nelder-Mead simplex method.
+    """Minimize f by the Nelder-Mead simplex method with a polled stop.
 
     Standard coefficients (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5). Terminates when the simplex diameter drops below ``_XTOL``
-    and the objective spread below both ``_FTOL`` and a fraction
-    ``_FTOL_REL`` of the best value (floored at ``_FTOL_FLOOR``), or at the
-    iteration cap (reported via ``converged``). The diameter is measured in
-    the search coordinates, which callers are expected to scale (the creep
-    fit runs over log-parameters, so _XTOL is a relative parameter tolerance
-    there).
-    The returned vertex is never worse than f(x0).
+    shrink 0.5); the start simplex is x0 and x0 + step along each axis. The
+    simplex ends when its diameter is below ``_XTOL`` and its objective
+    spread below both ``_FTOL`` and ``_FTOL_REL`` of the best value (floored
+    at ``_FTOL_FLOOR``), or when a shrink moves no vertex. The best vertex is
+    then polled at +-``_POLL_STEP`` along each axis: a lower neighbour
+    restarts the simplex at the lowest one (counted as an iteration), and
+    the run is ``converged`` only when none is lower. The poll catches a
+    simplex that collapses onto a non-stationary point (McKinnon, SIAM J.
+    Optim. 9 (1998) 148-158; Kelley, SIAM J. Optim. 10 (1999) 43-55); its
+    evaluations count in ``n_fev``. Lengths are in the search coordinates,
+    which callers scale (the creep fit runs over log-parameters, so _XTOL
+    is a relative parameter tolerance there). The returned vertex is never
+    worse than f(x0).
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
-    verts = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += step  # absolute offsets; callers scale their own coordinates
-        verts.append(v)
-    verts = np.array(verts)
-    fvals = np.array([f(v) for v in verts])
+    offsets = np.eye(n)
+
+    def simplex(x, fx):
+        verts = np.vstack([x, x + step * offsets])  # absolute offsets
+        return verts, np.array([fx] + [f(v) for v in verts[1:]])
+
+    verts, fvals = simplex(x0, f(x0))
     n_fev = n + 1
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     iterations = 0
     converged = False
+    stalled = False
 
     while iterations < max_iter:
         order = np.argsort(fvals, kind="stable")
@@ -229,9 +239,19 @@ def nelder_mead(
 
         diam = float(np.max(np.abs(verts[1:] - verts[0])))
         spread_tol = min(_FTOL, max(_FTOL_REL * abs(fvals[0]), _FTOL_FLOOR))
-        if diam < _XTOL and (fvals[-1] - fvals[0]) < spread_tol:
-            converged = True
-            break
+        if stalled or (diam < _XTOL and (fvals[-1] - fvals[0]) < spread_tol):
+            stalled = False
+            poll = verts[0] + _POLL_STEP * np.vstack([offsets, -offsets])
+            f_poll = np.array([f(x) for x in poll])
+            n_fev += 2 * n
+            best = int(np.argmin(f_poll))
+            if not f_poll[best] < fvals[0]:
+                converged = True
+                break
+            verts, fvals = simplex(poll[best], f_poll[best])
+            n_fev += n
+            iterations += 1
+            continue
 
         iterations += 1
         centroid = np.mean(verts[:-1], axis=0)
@@ -259,10 +279,12 @@ def nelder_mead(
             if f_c < min(f_r, fvals[-1]):
                 verts[-1], fvals[-1] = contracted, f_c
             else:  # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    verts[i] = verts[0] + sigma * (verts[i] - verts[0])
-                    fvals[i] = f(verts[i])
-                n_fev += n
+                shrunk = verts[0] + sigma * (verts[1:] - verts[0])
+                stalled = np.array_equal(shrunk, verts[1:])
+                if not stalled:
+                    verts[1:] = shrunk
+                    fvals[1:] = [f(v) for v in shrunk]
+                    n_fev += n
 
     order = np.argsort(fvals, kind="stable")
     best = order[0]
@@ -302,7 +324,7 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
             return PENALTY
         return creep_error(mp, ds, cfg.weight)
 
-    res = nelder_mead(objective, x0, step=cfg.step, max_iter=cfg.max_iter)
+    res = nelder_mead(objective, x0, step=_FIT_STEP, max_iter=cfg.max_iter)
     if not res.fun < PENALTY:
         raise DomainError(f"every trial parameter set was penalised ({res.n_fev} evaluations)")
     mu_p, mu_g, eta = np.exp(res.x)

@@ -51,8 +51,8 @@ def helmholtz(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> float:
     Neo-Hookean terms in the traces of B_p and B_G:
     ``mu_p_bar/2 (tr B_p - 3) + mu_g_bar/2 (tr B_G - 3)``.
     """
-    _require_spd(eig_sym(b_p).eigenvalues, "helmholtz (B_p)")
-    _require_spd(eig_sym(b_g).eigenvalues, "helmholtz (B_G)")
+    _require_spd(eig_sym(b_p)[0], "helmholtz (B_p)")  # (eigenvalues, eigenvectors)
+    _require_spd(eig_sym(b_g)[0], "helmholtz (B_G)")
     return 0.5 * mp.mu_p_bar * (np.trace(b_p) - 3.0) + 0.5 * mp.mu_g_bar * (np.trace(b_g) - 3.0)
 
 

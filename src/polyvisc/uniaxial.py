@@ -19,6 +19,7 @@ use the three-dimensional value.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,41 +52,43 @@ class CreepSegment:
             raise ValueError("segment stress must be finite")
 
 
+def _cubic_root(p: float, q: float) -> float:
+    """The one positive root r of r^3 + p*r - q = 0, for q > 0.
+
+    min(cbrt(q), q/p) for p > 0 and cbrt(q) + sqrt(-p) for p <= 0 bound r
+    from above (q/p is the root's limit for p >> r^2, where a start at
+    cbrt(q) would cancel to 0). The cubic is convex on r > 0, so Newton from
+    there decreases monotonically onto r. Callers check the result: a
+    non-finite p gives 0, inf or nan.
+    """
+    cbrt_q = float(np.cbrt(q))
+    r = min(cbrt_q, q / p) if p > 0.0 else cbrt_q + math.sqrt(-p)
+    for _ in range(100):
+        g = (r * r + p) * r - q
+        if not (g > 0.0):
+            break
+        step = g / (3.0 * r * r + p)
+        r -= step
+        if step <= 1e-15 * r:
+            break
+    return r
+
+
 def solve_B(t11: float, mu_p_bar: float) -> float:
     """Natural-configuration stretch B under axial stress t11, lateral faces free.
 
     B solves mu_p_bar*(B - B^-1/2) = t11; in s = sqrt(B) this is the cubic
-    s^3 - (t11/mu_p_bar)*s - 1 = 0, which has exactly one positive root.
-    Newton from s = 1 + a/3 with a bisection safeguard.
+    s^3 - (t11/mu_p_bar)*s - 1 = 0, which has exactly one positive root
+    (``_cubic_root``). Raises DomainError where B is not a normal positive
+    finite double (|t11/mu_p_bar| beyond about 1e154 in compression).
     """
     if not (mu_p_bar > 0.0):
         raise DomainError(f"mu_p_bar must be positive, got {mu_p_bar}")
     a = float(t11) / float(mu_p_bar)
-
-    def g(s):
-        return s * s * s - a * s - 1.0
-
-    lo, hi = 0.0, 2.0 + abs(a)  # g(0) = -1 < 0 < g(2 + |a|) for every finite a
-    s = 1.0 + a / 3.0
-    if not (lo < s < hi):
-        s = 0.5 * (lo + hi)
-    for _ in range(100):
-        gs = g(s)
-        if gs == 0.0:
-            break
-        if gs > 0.0:
-            hi = s
-        else:
-            lo = s
-        dg = 3.0 * s * s - a
-        s_new = s - gs / dg if dg != 0.0 else 0.5 * (lo + hi)
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) <= 1e-14:
-            s = s_new
-            break
-        s = s_new
-    return s * s
+    b = _cubic_root(-a, 1.0) ** 2
+    if not (sys.float_info.min <= b < math.inf):
+        raise DomainError(f"stretch B = {b} at t11/mu_p_bar = {a:g} is not a normal double")
+    return b
 
 
 def lambda_rate(lam: float, b: float, mp: MaterialParams) -> float:
@@ -116,21 +119,7 @@ def _flow_constants(b: float, mp: MaterialParams):
     if mu_g == 0.0:
         return 0.0, kappa * c1
     c3 = mu_g * b15
-    # P/c3 = r^3 + p r - b^1.5; sqrt(b) is its root at p = 0 and bounds it
-    # from above for p > 0, as does b^1.5/p (the root's limit for p >> r^2,
-    # where Newton from sqrt(b) would cancel to 0); sqrt(b) + sqrt(-p)
-    # bounds it for p < 0. Newton on the convex cubic then decreases
-    # monotonically onto r.
-    p = c1 / c3
-    r = min(math.sqrt(b), b15 / p) if p > 0.0 else math.sqrt(b) + math.sqrt(-p)
-    for _ in range(100):
-        g = (r * r + p) * r - b15
-        if not (g > 0.0):
-            break
-        step = g / (3.0 * r * r + p)
-        r -= step
-        if step <= 1e-15 * r:
-            break
+    r = _cubic_root(c1 / c3, b15)  # P/c3 = r^3 + (c1/c3) r - b^1.5
     if not (r > 0.0):
         raise DomainError(f"no positive creep asymptote at B = {b}: got {r}")
     rate = kappa * c3 * (2.0 * r * r + b15 / r)
@@ -172,14 +161,13 @@ def _newton(c, dt, ops):
     """Stretch at dt >= 0 after the segment start: Newton on v (see ``SegmentTrace``).
 
     ``c`` holds the segment constants: floats for one time on ``_SCALAR``,
-    floats for one segment's array of times on ``_ONE_SEGMENT``, or arrays
-    gathered per element for a batch on ``_batch_ops``. A batch stops
-    updating a segment once every element of it has converged, so each
-    element takes exactly the steps it takes with its segment solved alone.
-    At extreme parameters an intermediate value can overflow: Python floats
-    do so silently, numpy warns, so the array callers run this with numpy's
-    warnings off. Both paths bisect past a non-finite Newton step, and their
-    callers reject a non-finite stretch as DomainError.
+    floats or arrays gathered per element (``CreepCurve._lam``) for an array
+    of times on ``_NUMPY``. An element stops updating once its own step is
+    within tolerance, so each takes exactly the steps it takes when solved
+    alone. At extreme parameters an intermediate value can overflow: Python
+    floats do so silently, numpy warns, so the array callers run this with
+    numpy's warnings off. Both paths bisect past a non-finite Newton step,
+    and their callers reject a non-finite stretch as DomainError.
     """
     if c.maxwell:
         return c.lam_start * ops.exp(-c.rate * dt)
@@ -201,45 +189,24 @@ def _newton(c, dt, ops):
         # bisect where an unconverged Newton step would leave the bracket
         # or does not halve the last step
         bisect = (step > tol) & ((step > 0.5 * abs(dv)) | (v_newton < lo) | (v_newton > hi))
-        dv = ops.freeze(ops.where(bisect, v - 0.5 * (lo + hi), newton), done)
+        dv = ops.where(done, 0.0, ops.where(bisect, v - 0.5 * (lo + hi), newton))
         v = v - dv
-        done = ops.converged(abs(dv) <= tol)
-        if ops.finished(done):
+        done = abs(dv) <= tol
+        if ops.all(done):
             break
     else:
         raise DomainError("creep solution did not converge")
     return lam0 + d0 * ops.expm1(v)
 
 
-def _unfrozen(dv, done):
-    return dv
-
-
 _SCALAR = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log1p=math.log1p, atan=math.atan,
-    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y,
-    freeze=_unfrozen, converged=bool, finished=bool,
+    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y, all=bool,
 )
-_NUMPY = dict(exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
-              maximum=np.maximum, minimum=np.minimum, where=np.where)
-_ONE_SEGMENT = SimpleNamespace(
-    **_NUMPY, freeze=_unfrozen, converged=lambda within: within.all(), finished=bool,
+_NUMPY = SimpleNamespace(
+    exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
+    maximum=np.maximum, minimum=np.minimum, where=np.where, all=np.all,
 )
-
-
-def _batch_ops(counts) -> SimpleNamespace:
-    """numpy ops for a batch of counts[k] contiguous elements per segment k."""
-    groups = [n for n in counts if n]
-    if len(groups) == 1:
-        return _ONE_SEGMENT
-    starts = np.cumsum([0] + groups[:-1])
-    group = np.repeat(np.arange(len(groups)), groups)
-    return SimpleNamespace(
-        **_NUMPY,
-        freeze=lambda dv, done: np.where(done, 0.0, dv),
-        converged=lambda within: np.logical_and.reduceat(within, starts)[group],
-        finished=lambda done: done.all(),
-    )
 
 
 @dataclass
@@ -319,7 +286,7 @@ class SegmentTrace:
                 return ts.copy()
             self._check_times(ts.min(), ts.max())
             with np.errstate(all="ignore"):
-                lam = _newton(self, np.maximum(ts - self.t_start, 0.0), _ONE_SEGMENT)
+                lam = _newton(self, np.maximum(ts - self.t_start, 0.0), _NUMPY)
             ok = 0.0 < lam.min() and lam.max() < math.inf
         if not ok:
             raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
@@ -389,7 +356,7 @@ class CreepCurve:
                     sub = SimpleNamespace(w=c.w[mask], a0=c.a0[mask], a0_w=c.a0_w[mask])
                     c.cases.append((_h_term(kind), mask, sub))
         with np.errstate(all="ignore"):
-            lam = _newton(c, np.maximum(times - c.t_start, 0.0), _batch_ops(counts))
+            lam = _newton(c, np.maximum(times - c.t_start, 0.0), _NUMPY)
         if not (0.0 < lam.min() and lam.max() < math.inf):
             bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
             raise DomainError(f"creep solution left lambda > 0 in segment {bad}")
@@ -449,20 +416,20 @@ def simulate_creep(segments, mp: MaterialParams, strain_measure: str = "log") ->
 
     traces: List[SegmentTrace] = []
     t0 = 0.0
-    lam = None
-    b_prev = None
     for k, seg in enumerate(segments):
         b = solve_B(seg.stress, mp.mu_p_bar)
-        lam = math.sqrt(b) if k == 0 else lam * math.sqrt(b / b_prev)
+        if traces:
+            prev = traces[-1]
+            lam = prev.lam_at(t0) * math.sqrt(b / prev.b)
+        else:
+            lam = math.sqrt(b)
         try:
             trace = SegmentTrace(k, seg.stress, b, t0, t0 + seg.duration, lam,
                                  *_flow_constants(b, mp))
         except ZeroDivisionError:  # a denominator underflowed
             raise DomainError(f"no finite creep solution in segment {k}") from None
         traces.append(trace)
-        lam = trace.lam_at(trace.t_end)
         t0 = trace.t_end
-        b_prev = b
     return CreepCurve(segments=traces, strain_measure=strain_measure)
 
 

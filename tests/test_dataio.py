@@ -172,14 +172,15 @@ class TestCurveExport:
 
 class TestSvg:
     def test_well_formed_with_one_polyline_per_curve(self):
-        t = np.linspace(0.0, 10.0, 20)
-        doc = render_svg([("a", t, np.sin(t) * 0.01), ("b", t, np.cos(t) * 0.01)])
+        load = simulate_creep([CreepSegment(1.0e7, 100.0)], HFPE285)
+        unload = simulate_creep([CreepSegment(1.0e7, 100.0), CreepSegment(0.0, 100.0)], HFPE285)
+        doc = render_svg([load, unload])
         root = ET.fromstring(doc)
         ns = "{http://www.w3.org/2000/svg}"
         polylines = root.findall(f"{ns}polyline")
         assert len(polylines) == 2
         labels = [el.text for el in root.findall(f"{ns}text")]
-        assert "a" in labels and "b" in labels
+        assert "curve 0" in labels and "curve 1" in labels
         assert "time (s)" in labels and "strain" in labels
         assert root.get("width") == "800" and root.get("height") == "600"
 
@@ -190,8 +191,10 @@ class TestSvg:
         assert len(root.findall(f"{ns}polyline")) == 1
 
     def test_constant_zero_curve(self):
-        t = np.linspace(0.0, 5.0, 10)
-        root = ET.fromstring(render_svg([("zero", t, np.zeros_like(t))]))
+        # zero stress from the virgin state stays exactly at zero strain
+        zero = simulate_creep([(0.0, 5.0)], HFPE285)
+        assert not np.any(zero.epsilon)
+        root = ET.fromstring(render_svg([zero]))
         ns = "{http://www.w3.org/2000/svg}"
         poly = root.findall(f"{ns}polyline")[0]
         ys = {p.split(",")[1] for p in poly.get("points").split()}
@@ -202,9 +205,8 @@ class TestSvg:
             render_svg([])
 
     def test_save_svg_writes_xml_declaration(self, tmp_path):
-        t = np.linspace(0.0, 1.0, 5)
         path = tmp_path / "plot.svg"
-        save_svg([("x", t, t * 0.01)], path)
+        save_svg([simulate_creep([CreepSegment(1.0e7, 1.0)], HFPE285)], path)
         content = path.read_text()
         assert content.startswith('<?xml version="1.0"')
         ET.fromstring(content[content.index("<svg"):])

@@ -91,6 +91,23 @@ class TestSolveB:
         s = math.sqrt(solve_B(-2000.0 * mu_p, mu_p))
         assert abs(s**3 + 2000.0 * s - 1.0) <= 1e-12
 
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(decade=st.floats(-12.0, 150.0), compression=st.booleans())
+    @example(decade=math.log10(1e37 / 3.76e8), compression=True)
+    def test_relative_residual_over_all_loads(self, decade, compression):
+        # |t11/mu_p| log-uniform over 162 decades: from -1e37 Pa on PMR-15 the
+        # bracket-and-bisect solver returned B = 2.8e-4 (residual 4.4e26)
+        mu_p = 3.76e8
+        t11 = (-1.0 if compression else 1.0) * 10.0**decade * mu_p
+        a = t11 / mu_p
+        s = math.sqrt(solve_B(t11, mu_p))
+        assert abs(s * s - a - 1.0 / s) <= 2e-15 * max(s * s, abs(a), 1.0 / s)
+
+    def test_unrepresentable_stretch_is_a_domain_error(self):
+        # B ~ (mu_p/t11)^2 ~ 1e-383 underflows
+        with pytest.raises(DomainError):
+            solve_B(-1.0e200, 3.76e8)
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
             solve_B(1.0e7, 0.0)
