@@ -20,7 +20,7 @@ from . import dataio, evolution, fitting, kinematics, uniaxial, validation
 from .dataio import DatasetError
 from .material import ConfigError, MaterialParams
 from .odesolve import IntegrationError
-from .tensors import DomainError, SymTensor3
+from .tensors import DomainError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -309,7 +309,7 @@ def _cmd_drive(args) -> int:
         raise UsageError("uniaxial --amplitude must be a positive stretch")
     protocol = kinematics.ramp_hold(args.protocol, args.amplitude, ramp, duration)
 
-    traj = evolution.drive(protocol, mp, SymTensor3.identity(), rtol=args.rtol)
+    traj = evolution.drive(protocol, mp, np.eye(3), rtol=args.rtol)
     _print_trajectory_summary(traj)
     if args.out:
         dataio.save_trajectory(traj, args.out)

@@ -9,13 +9,17 @@ L*B_p + B_p*L^T - 2*V*D_G*V, V = B_p^1/2. One ``eigh`` of B_p carries all
 of it (``_elastic_split``): in B_p's eigenbasis V is diagonal and the solve
 is a componentwise divide (``_flow``). Unimodularity of B_p is a
 consequence, not an input: the integrator monitors det(B_p) and aborts on
-drift rather than renormalizing. Every tensor here is a plain 3x3 matrix
-(F and L come from the protocol as arrays). ``SymTensor3`` appears only as
-the record of a B_p state: ``drive``'s initial state and ``Trajectory.b_p``.
+drift rather than renormalizing. Every tensor here is a plain 3x3 matrix:
+F and L come from the protocol as arrays, and ``drive`` starts from a 3x3
+B_p. ``SymTensor3`` appears only as the element type of ``Trajectory.b_p``.
 
-Stress and dissipation on the trajectory come from ``material``; this
-module only fixes the pressure, by lateral traction-freeness for uniaxial
-motions and by tr(T) = 0 for shear, and records the convention used.
+The right-hand side runs once per state. The trajectory is built in one
+pass over the stacked accepted states: per state only F, B_G and D_G come
+from the kernel (``_sample``); stress, dissipation, the identity residual
+and det(B_p) are array expressions over the stack. Stress and dissipation
+come from ``material``; this module only fixes the pressure, by lateral
+traction-freeness for uniaxial motions and by tr(T) = 0 for shear, and
+records the convention used.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class Trajectory:
 
     t: np.ndarray
     F: np.ndarray = field(repr=False)  # (n, 3, 3)
-    b_p: List[SymTensor3] = field(repr=False)
+    b_p: List[SymTensor3] = field(repr=False)  # one record per sample; the benchmark reads it
     stress: np.ndarray = field(repr=False)  # (n, 3, 3), Pa
     eps_axial: np.ndarray = field(repr=False)
     t_axial: np.ndarray = field(repr=False)  # Pa
@@ -137,57 +141,53 @@ class Trajectory:
         return self.t.size
 
 
-def _sample(protocol: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
-    """Stress and diagnostics for one mesh state."""
+def _sample(piece: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
+    """F, B_G and D_G at one accepted state, from the right-hand side's own kernel."""
     b_p = y[_SYM_INDEX]
-    f = protocol.F(t)
+    f = piece.F(t)
     lam, q, _, b_g = _elastic_split(b_p, f @ f.T)
-    d_g = q @ _flow(b_p, b_g, lam, q, mp) @ q.T
+    return f, b_g, q @ _flow(b_p, b_g, lam, q, mp) @ q.T
 
-    axial = np.array([1.0, 0.0, 0.0])
-    if protocol.kind == "shear":
-        p = pressure(b_p, mp)
-        convention = "tr T = 0"
-    else:
-        lateral = np.array([0.0, 1.0, 0.0])
-        if protocol.rotation is not None:
-            lateral = protocol.rotation @ lateral
-            axial = protocol.rotation @ axial
-        p = pressure(b_p, mp, lateral)
-        convention = "lateral traction-free"
 
-    t_sym = stress(b_p, p, mp)
-    t_ax = float(axial @ t_sym @ axial)
-    xi_m = dissipation_rate(b_p, d_g, mp)
-    residual = check_dissipation_identity(t_sym, b_g, d_g, xi_m, mp)
-    eps_ax = math.log(protocol.drive(t)) if protocol.kind != "shear" else 0.0
-    return f, SymTensor3(*y.tolist()), t_sym, eps_ax, t_ax, xi_m, residual, convention
+def _frame(piece: MotionProtocol) -> np.ndarray:
+    """The piece's rotation; its columns are the axial and the lateral directions."""
+    return _I3 if piece.rotation is None else piece.rotation
 
 
 def drive(
     protocol: Union[MotionProtocol, Sequence[MotionProtocol]],
     mp: MaterialParams,
-    b_p0: SymTensor3,
+    b_p0: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     first_step: Optional[float] = None,
 ) -> Trajectory:
-    """Integrate B_p from ``b_p0`` under the protocol and record the trajectory.
+    """Integrate B_p from the 3x3 array ``b_p0`` under the protocol and record the trajectory.
 
     ``protocol`` is one protocol or a sequence of smooth pieces with
-    abutting spans (``kinematics.ramp_hold``). Each piece is one
-    integration, so no step straddles a jump in the rate: it starts from the
-    previous piece's end state, with the previous piece's last accepted
-    step as its first step, and the breakpoint is recorded once.
-    ``first_step`` starts the first piece (None: the automatic start). The
-    step-size floor is taken from the whole drive's span.
+    abutting spans and one kind and rotation (``kinematics.ramp_hold``).
+    Each piece is one integration, so no step straddles a jump in the rate:
+    it starts from the previous piece's end state, with the previous piece's
+    last accepted step as its first step, and the breakpoint is recorded
+    once. ``first_step`` starts the first piece (None: the automatic
+    start). The step-size floor is taken from the whole drive's span.
 
-    Raises IntegrationError if det(B_p) drifts beyond DET_DRIFT_LIMIT.
+    Raises DomainError unless ``b_p0`` is a finite 3x3 matrix, symmetric
+    within 1e-8 of its norm, and IntegrationError if det(B_p) drifts beyond
+    DET_DRIFT_LIMIT.
     """
     pieces = (protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)
     for prev, piece in zip(pieces, pieces[1:]):
         if piece.span[0] != prev.span[1]:
             raise ValueError(f"protocol pieces must abut, got spans {prev.span} and {piece.span}")
+        # the trajectory records one pressure convention and one axial direction
+        if piece.kind != prev.kind or not np.array_equal(_frame(piece), _frame(prev)):
+            raise ValueError("protocol pieces must share their kind and rotation")
+    b_p0 = np.asarray(b_p0, dtype=float)
+    if b_p0.shape != (3, 3) or not np.isfinite(b_p0).all():
+        raise DomainError(f"b_p0 must be a finite 3x3 matrix, got {b_p0.tolist()}")
+    if np.linalg.norm(b_p0 - b_p0.T) > 1e-8 * np.linalg.norm(b_p0):
+        raise DomainError(f"b_p0 is not symmetric within tolerance, got {b_p0.tolist()}")
     min_step = _MIN_STEP_FRACTION * (pieces[-1].span[1] - pieces[0].span[0])
 
     def rhs_of(piece):
@@ -206,7 +206,8 @@ def drive(
                 y,
             )
 
-    y = b_p0.as_components()
+    # averaging removes the rounding asymmetry of a product such as J B_p J
+    y = (0.5 * (b_p0 + b_p0.T))[_ROWS, _COLS]
     sols = []
     for piece in pieces:
         problem = OdeProblem(
@@ -223,39 +224,35 @@ def drive(
 def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
     # a later piece's first time is the previous piece's last: it is sampled once, on
     # the earlier piece (F and the stretch are continuous there, so either gives the same)
-    rows = []
-    for k, (piece, sol) in enumerate(zip(pieces, sols)):
-        first = 0 if k == 0 else 1
-        rows.extend((piece, t, y) for t, y in zip(sol.ts[first:], sol.ys[first:]))
-    n = len(rows)
-    fs = np.empty((n, 3, 3))
-    bps: List[SymTensor3] = []
-    stresses = np.empty((n, 3, 3))
-    eps_ax = np.empty(n)
-    t_ax = np.empty(n)
-    xi = np.empty(n)
-    res = np.empty(n)
-    convention = "lateral traction-free"
-    for i, (piece, t, y) in enumerate(rows):
-        f, b_p, t_sym, e, ta, x, r, convention = _sample(piece, mp, t, y)
-        fs[i] = f
-        bps.append(b_p)
-        stresses[i] = t_sym
-        eps_ax[i] = e
-        t_ax[i] = ta
-        xi[i] = x
-        res[i] = r
+    rows = [(piece, t, y) for k, (piece, sol) in enumerate(zip(pieces, sols))
+            for t, y in zip(sol.ts[k > 0:], sol.ys[k > 0:])]
     ys = np.array([y for _, _, y in rows])
+    b_p = ys[:, _SYM_INDEX]
+    samples = [_sample(piece, mp, t, y) for piece, t, y in rows]
+    fs, b_g, d_g = (np.array(part) for part in zip(*samples))
+
+    if pieces[0].kind == "shear":
+        axial = _I3[0]  # a shear's T11 is the lab frame's, rotated or not
+        p = pressure(b_p, mp)
+        convention = "tr T = 0"
+        eps_ax = np.zeros(len(rows))
+    else:
+        axial, lateral = _frame(pieces[0])[:, :2].T
+        p = pressure(b_p, mp, lateral)
+        convention = "lateral traction-free"
+        eps_ax = np.array([math.log(piece.drive(t)) for piece, t, _ in rows])
+    t_sym = stress(b_p, p, mp)
+    xi = dissipation_rate(b_p, d_g, mp)
     return Trajectory(
         t=np.array([t for _, t, _ in rows]),
         F=fs,
-        b_p=bps,
-        stress=stresses,
+        b_p=[SymTensor3(*row) for row in ys.tolist()],
+        stress=t_sym,
         eps_axial=eps_ax,
-        t_axial=t_ax,
-        det_bp=np.linalg.det(ys[:, _SYM_INDEX]),
+        t_axial=np.einsum("nij,i,j->n", t_sym, axial, axial),
+        det_bp=np.linalg.det(b_p),
         xi_m=xi,
-        identity_residual=res,
+        identity_residual=check_dissipation_identity(t_sym, b_g, d_g, xi, mp),
         pressure_convention=convention,
     )
 
@@ -275,7 +272,7 @@ def relax(
     if not (lambda_hold > 0.0):
         raise DomainError(f"hold stretch must be positive, got {lambda_hold}")
     protocol = constant_stretch(lambda_hold, (0.0, hold_time))
-    b_p0 = SymTensor3.diag(lambda_hold**2, 1.0 / lambda_hold, 1.0 / lambda_hold)
+    b_p0 = np.diag([lambda_hold**2, 1.0 / lambda_hold, 1.0 / lambda_hold])
     return drive(protocol, mp, b_p0, rtol=rtol, atol=atol)
 
 
@@ -297,15 +294,13 @@ def replay_uniaxial(
     applied stress) is a genuine cross-check of the two reductions.
     """
     trajectories: List[Trajectory] = []
-    b_p = None
+    b = curve.segments[0].b
+    b_p = np.diag([b, b**-0.5, b**-0.5])
     for k, seg in enumerate(curve.segments):
-        if k == 0:
-            b_p = SymTensor3.diag(seg.b, seg.b**-0.5, seg.b**-0.5)
-        else:
-            prev = curve.segments[k - 1]
-            j = math.sqrt(seg.b / prev.b)  # axial jump of the elastic loading
+        if k > 0:
+            j = math.sqrt(seg.b / curve.segments[k - 1].b)  # axial jump of the elastic loading
             jump = np.diag([j, 1.0 / math.sqrt(j), 1.0 / math.sqrt(j)])
-            b_p = SymTensor3.from_matrix(jump @ b_p.as_matrix() @ jump.T)
+            b_p = jump @ b_p @ jump
 
         # F, L and the samples all ask for the stretch: solve it once per time
         lam = functools.lru_cache(maxsize=None)(seg.lam_at)
@@ -318,5 +313,5 @@ def replay_uniaxial(
         traj = drive(protocol, mp, b_p, rtol=rtol, atol=atol,
                      first_step=_REPLAY_FIRST_STEP * span)
         trajectories.append(traj)
-        b_p = traj.b_p[-1]
+        b_p = traj.b_p[-1].as_matrix()
     return trajectories

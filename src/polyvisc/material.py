@@ -4,6 +4,11 @@ The model is purely mechanical and is controlled by three parameters: the
 two shear moduli ``mu_p_bar`` and ``mu_g_bar`` (Pa) and the viscosity
 ``eta`` (Pa*s). ``mu_g_bar = 0`` degenerates to a fluid-like
 (non-recovering) response.
+
+``stress``, ``pressure``, ``dissipation_rate`` and
+``check_dissipation_identity`` take one 3x3 state or a stack of them along
+a leading axis (with ``p`` and ``xi_m`` of the stack's length); a stacked
+call gives each state the single call's result.
 """
 
 from __future__ import annotations
@@ -56,35 +61,53 @@ def helmholtz(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> float:
     return 0.5 * mp.mu_p_bar * (np.trace(b_p) - 3.0) + 0.5 * mp.mu_g_bar * (np.trace(b_g) - 3.0)
 
 
-def stress(b_p: np.ndarray, p: float, mp: MaterialParams) -> np.ndarray:
+def stress(b_p: np.ndarray, p, mp: MaterialParams) -> np.ndarray:
     """Cauchy stress T = p*I + mu_p_bar * B_p (Pa)."""
-    return p * _I3 + mp.mu_p_bar * b_p
+    return np.multiply.outer(p, _I3) + mp.mu_p_bar * b_p
 
 
-def pressure(b_p: np.ndarray, mp: MaterialParams, normal=None) -> float:
+def pressure(b_p: np.ndarray, mp: MaterialParams, normal=None):
     """The pressure p of ``stress`` fixed by a boundary condition (Pa).
 
     With a unit ``normal`` n, the traction-free one (n . T n = 0); without,
     the one that makes T traceless.
     """
     if normal is None:
-        return -mp.mu_p_bar * np.trace(b_p) / 3.0
-    return -mp.mu_p_bar * float(normal @ b_p @ normal)
+        return -mp.mu_p_bar * np.trace(b_p, axis1=-2, axis2=-1) / 3.0
+    return -mp.mu_p_bar * np.einsum("...ij,i,j->...", b_p, normal, normal)
 
 
-def dissipation_rate(b_p: np.ndarray, d_g: np.ndarray, mp: MaterialParams) -> float:
+def _ddot(a: np.ndarray, b: np.ndarray):
+    """A : B over the last two axes, as one (1, 9) @ (9, 1) BLAS dot per state.
+
+    That is the dot ``np.vdot`` takes on one state, so a stack of states
+    gets each state's single result.
+    """
+    lead = a.shape[:-2]
+    return (a.reshape(*lead, 1, 9) @ b.reshape(*lead, 9, 1))[..., 0, 0]
+
+
+def dissipation_rate(b_p: np.ndarray, d_g: np.ndarray, mp: MaterialParams):
     """Mechanical dissipation rate ``xi_m = eta * (D_G : B_p D_G)`` (W/m^3).
 
     Evaluated as ``eta * ||C^T D_G||_F^2`` with the Cholesky factor
     B_p = C C^T, a sum of squares, so it is non-negative in floating point
-    too. Raises DomainError if B_p is not SPD (it has no Cholesky factor).
+    too. Raises DomainError if B_p, or a state of a stack, is not SPD (it
+    has no Cholesky factor).
     """
     try:
         c = np.linalg.cholesky(b_p)
     except np.linalg.LinAlgError:
-        raise DomainError(f"dissipation_rate requires an SPD B_p, got {b_p.tolist()}") from None
-    cd = c.T @ d_g
-    return mp.eta * float(np.vdot(cd, cd))
+        for i, m in enumerate(np.reshape(b_p, (-1, 3, 3))):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                where = f" (state {i})" if np.ndim(b_p) > 2 else ""
+                raise DomainError(
+                    f"dissipation_rate requires an SPD B_p{where}, got {m.tolist()}") from None
+        raise
+    cd = np.swapaxes(c, -1, -2) @ d_g
+    return mp.eta * _ddot(cd, cd)
 
 
 # Relative residuals are reported against max(xi_m, this floor, W/m^3) so
@@ -93,16 +116,16 @@ DISSIPATION_FLOOR = 1e-30
 
 
 def _deviator(a: np.ndarray) -> np.ndarray:
-    return a - (np.trace(a) / 3.0) * _I3
+    return a - np.multiply.outer(np.trace(a, axis1=-2, axis2=-1) / 3.0, _I3)
 
 
 def check_dissipation_identity(
     t_stress: np.ndarray,
     b_g: np.ndarray,
     d_g: np.ndarray,
-    xi_m: float,
+    xi_m,
     mp: MaterialParams,
-) -> float:
+):
     """Residual of the working identity (T - mu_g_bar*B_G) : D_G = xi_m.
 
     ``xi_m`` is the dissipation rate reported for the same state (the
@@ -115,5 +138,5 @@ def check_dissipation_identity(
     # Contract deviatoric parts: the spherical terms vanish analytically
     # (D_G is traceless), and dropping them keeps machine-level trace noise
     # from swamping the residual near equilibrium.
-    work = float(np.vdot(_deviator(lhs), _deviator(d_g)))
-    return abs(work - xi_m) / max(xi_m, DISSIPATION_FLOOR)
+    work = _ddot(_deviator(lhs), _deviator(d_g))
+    return np.abs(work - xi_m) / np.maximum(xi_m, DISSIPATION_FLOOR)

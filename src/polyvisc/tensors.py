@@ -1,8 +1,9 @@
 """Exact-shape 3x3 tensor algebra.
 
-Every tensor, symmetric or not, is a plain 3x3 numpy array. The one
-exception is ``SymTensor3``, the public record of a B_p state (``drive``'s
-initial state and ``Trajectory.b_p``): six components in the canonical
+Every tensor, symmetric or not, is a plain 3x3 numpy array; ``drive``
+takes its initial B_p as one. The one exception is ``SymTensor3``, the
+element type of ``Trajectory.b_p`` (kept because the benchmark reads the
+recorded states through ``as_matrix``): six components in the canonical
 order (xx, yy, zz, xy, yz, xz), immutable, with no algebra of its own. This
 module owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
 components, ``_ROWS``/``_COLS`` pick the components out of a matrix).
@@ -48,36 +49,8 @@ class SymTensor3:
     yz: float
     xz: float
 
-    @staticmethod
-    def identity() -> "SymTensor3":
-        return SymTensor3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def diag(a: float, b: float, c: float) -> "SymTensor3":
-        return SymTensor3(float(a), float(b), float(c), 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "SymTensor3":
-        """Build from a 3x3 matrix, averaging away floating-point asymmetry.
-
-        Raises DomainError if the asymmetric part exceeds 1e-8 of the matrix
-        norm (the input was not actually symmetric).
-        """
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        scale = np.linalg.norm(m)
-        if scale > 0.0 and np.linalg.norm(m - m.T) > 1e-8 * scale:
-            raise DomainError("matrix is not symmetric within tolerance")
-        s = 0.5 * (m + m.T)
-        return SymTensor3(*s[_ROWS, _COLS].tolist())
-
     def as_matrix(self) -> np.ndarray:
-        return self.as_components()[_SYM_INDEX]
-
-    def as_components(self) -> np.ndarray:
-        """Canonical (xx, yy, zz, xy, yz, xz) vector."""
-        return np.array([self.xx, self.yy, self.zz, self.xy, self.yz, self.xz])
+        return np.array([self.xx, self.yy, self.zz, self.xy, self.yz, self.xz])[_SYM_INDEX]
 
 
 def eig_sym(a):

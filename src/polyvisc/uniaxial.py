@@ -111,18 +111,18 @@ def _flow_constants(b: float, mp: MaterialParams):
     c0 = -mu_g b^3. For mu_g > 0, P is convex on lam > 0 with P(0) < 0, so it
     has exactly one positive root r, the creep asymptote; rate = kappa*P'(r).
     In the Maxwell limit (mu_g = 0) P = c1 lam: lam_inf = 0, rate = kappa*c1.
+    kappa and the c's are not formed: below b ~ 1e-154 kappa overflows and
+    c1 underflows, while c1/c3 and kappa*c3 (b's powers cancelled) are finite.
     """
     mu_p, mu_g, eta = float(mp.mu_p_bar), float(mp.mu_g_bar), float(mp.eta)
-    b15 = b * math.sqrt(b)
-    kappa = 2.0 / (eta * b * b * (1.0 + 2.0 * b15))
-    c1 = mu_p * b * b * (1.0 - b15)
+    sqrt_b = math.sqrt(b)
+    b15 = b * sqrt_b
     if mu_g == 0.0:
-        return 0.0, kappa * c1
-    c3 = mu_g * b15
-    r = _cubic_root(c1 / c3, b15)  # P/c3 = r^3 + (c1/c3) r - b^1.5
+        return 0.0, 2.0 * mu_p * (1.0 - b15) / (eta * (1.0 + 2.0 * b15))
+    r = _cubic_root(mu_p * sqrt_b * (1.0 - b15) / mu_g, b15)  # P/c3 = r^3 + (c1/c3) r - b^1.5
     if not (r > 0.0):
         raise DomainError(f"no positive creep asymptote at B = {b}: got {r}")
-    rate = kappa * c3 * (2.0 * r * r + b15 / r)
+    rate = 2.0 * mu_g * (2.0 * r * r + b15 / r) / (eta * sqrt_b * (1.0 + 2.0 * b15))
     if not (math.isfinite(r) and math.isfinite(rate)):
         raise DomainError(f"no finite creep solution at B = {b}: asymptote {r}, rate {rate}")
     return r, rate

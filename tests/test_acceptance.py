@@ -20,7 +20,7 @@ from polyvisc import dataio, evolution, fitting, uniaxial
 from polyvisc.kinematics import ramp_hold
 from polyvisc.material import MaterialParams
 from polyvisc.odesolve import OdeProblem, integrate
-from polyvisc.tensors import SymTensor3, _sylvester_from_decomp, eig_sym
+from polyvisc.tensors import _sylvester_from_decomp, eig_sym
 
 from test_tensors import random_rotation, random_spd, random_sym
 
@@ -62,7 +62,7 @@ def acceptance_trajectories(replay_bundle):
     _, replay_traj, _ = replay_bundle
     relax_traj = evolution.relax(1.01, PMR15, hold_time=5 * TAU_PMR15)
     shear = ramp_hold("shear", 0.05, TAU_PMR15, 3 * TAU_PMR15)
-    shear_traj = evolution.drive(shear, PMR15, SymTensor3.identity())
+    shear_traj = evolution.drive(shear, PMR15, np.eye(3))
     return {"replay": replay_traj, "relax": relax_traj, "shear": shear_traj}
 
 

@@ -102,12 +102,15 @@ class TestSimulate:
         (["--segment=-1e30:30000"], "1.41376e-43"),
         (["--segment=-1e30:30000", "--segment=0:30000"], "1.41376e-43"),
         (["--segment=-1e37:30000"], "1.41376e-57"),
-    ], ids=["load", "load_unload", "load_1e37"])
+        (["--segment=-1e90:30000"], "1.41376e-163"),
+    ], ids=["load", "load_unload", "load_1e37", "load_1e90"])
     def test_extreme_compression_is_solved(self, capsys, segments, b):
         # at -1e30 Pa, B = 1.4e-43 and the asymptote r ~ 1.7e-43: Newton from
         # sqrt(B) cancelled to r = 0, and the run exited 3 with "no positive
         # creep asymptote"; at -1e37 Pa the bisection for B ran out of
-        # iterations and printed B = 0.000278989 with a strain of -4.09
+        # iterations and printed B = 0.000278989 with a strain of -4.09; at
+        # -1e90 Pa the flow rate's factor 2/(eta B^2 (1 + 2 B^1.5)) overflowed
+        # and the run exited 3 with "no finite creep solution"
         assert run("simulate", "--preset", "pmr15_288", *segments) == 0
         captured = capsys.readouterr()
         assert f"B = {b}" in captured.out

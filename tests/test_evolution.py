@@ -201,7 +201,7 @@ class TestRateKernel:
 class TestDrive:
     def test_rest_state_stays_at_rest(self):
         protocol = constant_stretch(1.0, (0.0, 1.0e4))
-        traj = drive(protocol, PMR15, SymTensor3.identity())
+        traj = drive(protocol, PMR15, np.eye(3))
         assert traj.F.shape == (len(traj), 3, 3) and np.all(traj.F == np.eye(3))
         for b_p in traj.b_p:
             assert np.linalg.norm(b_p.as_matrix() - np.eye(3)) == 0.0
@@ -251,13 +251,30 @@ class TestDrive:
     def test_det_drift_abort(self):
         # a non-unimodular start trips the determinant monitor immediately
         protocol = constant_stretch(1.2, (0.0, 1.0e4))
-        bad = SymTensor3.diag(1.1, 1.0, 1.0)  # det 1.1
+        bad = np.diag([1.1, 1.0, 1.0])  # det 1.1
         with pytest.raises(IntegrationError, match="det"):
             drive(protocol, PMR15, bad)
 
+    @pytest.mark.parametrize("b_p0", [
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # asymmetric
+        np.diag([1.0, math.nan, 1.0]),
+        np.diag([1.0, 1.0, math.inf]),
+        np.eye(2),
+    ], ids=["asymmetric", "nan", "inf", "2x2"])
+    def test_rejects_a_bad_initial_state(self, b_p0):
+        with pytest.raises(DomainError, match="b_p0"):
+            drive(constant_stretch(1.0, (0.0, 1.0e4)), PMR15, b_p0)
+
+    def test_symmetrizes_rounding_asymmetry(self):
+        # a jump J B_p J is symmetric only to rounding: averaged, not refused
+        b_p0 = np.eye(3)
+        b_p0[0, 1] = 1e-12
+        traj = drive(constant_stretch(1.0, (0.0, 1.0e4)), PMR15, b_p0)
+        assert traj.b_p[0].xy == 5e-13
+
     def test_shear_drive_reports_deviatoric_convention(self):
         protocol = shear_protocol(lambda t: 0.1 * t / 100.0, lambda t: 0.1 / 100.0, (0.0, 100.0))
-        traj = drive(protocol, PMR15, SymTensor3.identity())
+        traj = drive(protocol, PMR15, np.eye(3))
         assert traj.pressure_convention == "tr T = 0"
         assert traj.stress.shape == (len(traj), 3, 3)
         for t_sym in traj.stress:
@@ -281,7 +298,7 @@ class TestDrive:
             lambda t: 0.01 / ramp if t < ramp else 0.0,
             (0.0, 3.0 * tau),
         )
-        traj = drive(protocol, PMR15, SymTensor3.identity())
+        traj = drive(protocol, PMR15, np.eye(3))
         assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
         assert np.min(traj.xi_m) >= 0.0
         assert np.max(traj.identity_residual) <= 1e-8
@@ -310,7 +327,7 @@ class TestPiecewiseDrive:
     def test_breakpoint_is_recorded_once(self):
         tau = PMR15.retardation_time()
         ramp = 0.7 * tau
-        traj = drive(ramp_hold("shear", 0.05, ramp, 3.0 * tau), PMR15, SymTensor3.identity())
+        traj = drive(ramp_hold("shear", 0.05, ramp, 3.0 * tau), PMR15, np.eye(3))
         assert np.count_nonzero(traj.t == ramp) == 1
         assert traj.t[0] == 0.0 and traj.t[-1] == 3.0 * tau
 
@@ -318,7 +335,17 @@ class TestPiecewiseDrive:
         ramp, hold = ramp_hold("uniaxial", 1.01, 10.0, 20.0)
         gap = constant_stretch(1.01, (11.0, 20.0))
         with pytest.raises(ValueError, match="abut"):
-            drive((ramp, gap), PMR15, SymTensor3.identity())
+            drive((ramp, gap), PMR15, np.eye(3))
+
+    def test_pieces_must_share_kind_and_rotation(self):
+        ramp, _ = ramp_hold("uniaxial", 1.01, 10.0, 20.0)
+        shear = shear_protocol(lambda t: 0.0, lambda t: 0.0, (10.0, 20.0))
+        with pytest.raises(ValueError, match="kind and rotation"):
+            drive((ramp, shear), PMR15, np.eye(3))
+        turned = dataclasses.replace(constant_stretch(1.01, (10.0, 20.0)),
+                                     rotation=random_rotation(np.random.default_rng(5)))
+        with pytest.raises(ValueError, match="kind and rotation"):
+            drive((ramp, turned), PMR15, np.eye(3))
 
     @pytest.mark.parametrize("preset", ["hfpe285", "pmr15_288"])
     @pytest.mark.parametrize("ramp_fraction", [0.5, 0.2])
@@ -329,10 +356,10 @@ class TestPiecewiseDrive:
         duration = 5.0 * mp.retardation_time()
         pieces = ramp_hold("uniaxial", 1.01, ramp_fraction * duration, duration)
         sols = traced_solutions(monkeypatch)
-        traj = drive(pieces, mp, SymTensor3.identity())
+        traj = drive(pieces, mp, np.eye(3))
         assert len(sols) == 2
         assert sum(sol.n_rejected for sol in sols) == 0
-        ref = drive(pieces, mp, SymTensor3.identity(), rtol=1e-11)
+        ref = drive(pieces, mp, np.eye(3), rtol=1e-11)
         assert traj.t_axial[-1] == pytest.approx(ref.t_axial[-1], rel=5e-7)
 
     @pytest.mark.parametrize("preset", sorted(presets()))
@@ -347,7 +374,7 @@ class TestPiecewiseDrive:
         for amplitude in (0.01, 0.05, 0.1):
             for ramp_taus in (0.2, 1.0, 2.5):
                 traj = drive(ramp_hold("shear", amplitude, ramp_taus * tau, 5.0 * tau), mp,
-                             SymTensor3.identity())
+                             np.eye(3))
                 worst = max(worst, float(np.max(traj.identity_residual)))
         assert worst <= 1e-10
 
@@ -366,7 +393,7 @@ class TestPiecewiseDrive:
         low, high = (1.002, 1.05) if kind == "uniaxial" else (0.01, 0.1)
         amplitude = low + amplitude_frac * (high - low)
         traj = drive(ramp_hold(kind, amplitude, ramp_taus * tau, 5.0 * tau), mp,
-                     SymTensor3.identity())
+                     np.eye(3))
         assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
 
 
@@ -403,7 +430,7 @@ class TestScalarEquivalence:
             span=(0.0, 3.0e4),
         )
         b = seg.b
-        traj = drive(protocol, PMR15, SymTensor3.diag(b, b**-0.5, b**-0.5))
+        traj = drive(protocol, PMR15, np.diag([b, b**-0.5, b**-0.5]))
         assert np.max(np.abs(traj.t_axial - 1.0e7)) <= 1e-6 * 1.0e7
 
     def test_replay_segments_start_at_their_time_scale(self, monkeypatch):
@@ -484,7 +511,7 @@ def reduction_misfit(preset: str, decades, lam: float, motion: str, ramp_frac: f
         pieces, beta0 = (constant_stretch(lam, (0.0, duration)),), lam**2
     else:
         pieces, beta0 = ramp_hold("uniaxial", lam, ramp_frac * duration, duration), 1.0
-        traj = drive(pieces, mp, SymTensor3.identity(), rtol=1e-10)
+        traj = drive(pieces, mp, np.eye(3), rtol=1e-10)
     t11 = reduced_t11(pieces, mp, beta0, traj.t)
     scale = max(float(np.max(np.abs(t11))), 1e-3 * mp.mu_p_bar)
     return float(np.max(np.abs(traj.t_axial - t11))) / scale
@@ -533,7 +560,7 @@ class TestRotationEquivariance:
         base = ramp_hold("uniaxial", 1.01, 0.1 * tau, span[1])
         rotated = tuple(dataclasses.replace(piece, rotation=q) for piece in base)
 
-        x0 = SymTensor3.identity()
+        x0 = np.eye(3)
         # near-roundoff tolerances: the comparison is between two separate
         # integrations, so their global errors must sit below the 1e-10 bar
         kw = dict(rtol=3e-14, atol=1e-16)
@@ -573,7 +600,7 @@ class TestTrajectoryType:
             Trajectory(
                 t=np.array([0.0, 0.0]),
                 F=np.array([np.eye(3)] * 2),
-                b_p=[SymTensor3.identity()] * 2,
+                b_p=[SymTensor3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)] * 2,
                 stress=np.zeros((2, 3, 3)),
                 eps_axial=np.zeros(2),
                 t_axial=np.zeros(2),
@@ -587,7 +614,7 @@ class TestTrajectoryType:
             Trajectory(
                 t=np.array([0.0, 1.0]),
                 F=np.array([np.eye(3)] * 2),
-                b_p=[SymTensor3.identity()] * 2,
+                b_p=[SymTensor3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)] * 2,
                 stress=np.zeros((2, 3, 3)),
                 eps_axial=np.zeros(2),
                 t_axial=np.zeros(2),

@@ -146,6 +146,47 @@ class TestDissipation:
         assert res > 1e-3
 
 
+class TestStackAxis:
+    """Each function on an (n, 3, 3) stack gives the n single-state results."""
+
+    @staticmethod
+    def states(seed, n=50):
+        rng = np.random.default_rng(seed)
+        b_p = np.array([random_spd(rng, cond_max=1e3) for _ in range(n)])
+        d_g = np.array([random_sym(rng) for _ in range(n)])
+        d_g -= np.multiply.outer(np.trace(d_g, axis1=1, axis2=2) / 3.0, np.eye(3))
+        normal = rng.standard_normal(3)
+        return b_p, d_g, normal / np.linalg.norm(normal)
+
+    def test_stress_and_pressure_are_exact(self):
+        b_p, _, normal = self.states(103)
+        for n in (None, normal):
+            p = pressure(b_p, PMR15, n)
+            assert p.shape == (len(b_p),)
+            assert np.array_equal(p, [pressure(b, PMR15, n) for b in b_p])
+            t = stress(b_p, p, PMR15)
+            assert np.array_equal(t, [stress(b, q, PMR15) for b, q in zip(b_p, p)])
+
+    def test_dissipation_and_identity_residual(self):
+        b_p, d_g, normal = self.states(107)
+        rng = np.random.default_rng(109)
+        b_g = np.array([random_spd(rng, cond_max=10.0) for _ in b_p])
+        t = stress(b_p, pressure(b_p, PMR15, normal), PMR15)
+        xi = dissipation_rate(b_p, d_g, PMR15)
+        xi_one = np.array([dissipation_rate(b, d, PMR15) for b, d in zip(b_p, d_g)])
+        assert np.all(np.abs(xi - xi_one) <= 1e-15 * xi_one)
+        res = check_dissipation_identity(t, b_g, d_g, xi, PMR15)
+        res_one = np.array([check_dissipation_identity(*state, PMR15)
+                            for state in zip(t, b_g, d_g, xi_one)])
+        assert np.all(np.abs(res - res_one) <= 1e-15 * res_one)
+
+    def test_non_spd_state_is_named(self):
+        b_p, d_g, _ = self.states(113, n=5)
+        b_p[3] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(DomainError, match=r"state 3\b"):
+            dissipation_rate(b_p, d_g, PMR15)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ConfigError):
