@@ -17,9 +17,10 @@ The right-hand side runs once per state. The trajectory is built in one
 pass over the stacked accepted states: per state only F, B_G and D_G come
 from the kernel (``_sample``); stress, dissipation, the identity residual
 and det(B_p) are array expressions over the stack. Stress and dissipation
-come from ``material``; this module only fixes the pressure, by lateral
-traction-freeness for uniaxial motions and by tr(T) = 0 for shear, and
-records the convention used.
+come from ``material``; this module only fixes the pressure, by
+traction-freeness of the lateral face e_y for uniaxial motions and by
+tr(T) = 0 for shear, and records the convention used. Motions are posed in
+the lab frame (``kinematics``), so the axial stress is T_11.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import uniaxial as _uniaxial
-from .kinematics import MotionProtocol, constant_stretch, uniaxial_protocol
+from .kinematics import MotionProtocol
 from .material import (
     MaterialParams,
     check_dissipation_identity,
@@ -42,7 +43,6 @@ from .material import (
 )
 from .odesolve import (
     _MIN_STEP_FRACTION,
-    DEFAULT_ATOL,
     DEFAULT_RTOL,
     IntegrationError,
     OdeProblem,
@@ -149,23 +149,17 @@ def _sample(piece: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
     return f, b_g, q @ _flow(b_p, b_g, lam, q, mp) @ q.T
 
 
-def _frame(piece: MotionProtocol) -> np.ndarray:
-    """The piece's rotation; its columns are the axial and the lateral directions."""
-    return _I3 if piece.rotation is None else piece.rotation
-
-
 def drive(
     protocol: Union[MotionProtocol, Sequence[MotionProtocol]],
     mp: MaterialParams,
     b_p0: np.ndarray,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     first_step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate B_p from the 3x3 array ``b_p0`` under the protocol and record the trajectory.
 
     ``protocol`` is one protocol or a sequence of smooth pieces with
-    abutting spans and one kind and rotation (``kinematics.ramp_hold``).
+    abutting spans and one kind (``kinematics.ramp_hold``).
     Each piece is one integration, so no step straddles a jump in the rate:
     it starts from the previous piece's end state, with the previous piece's
     last accepted step as its first step, and the breakpoint is recorded
@@ -180,9 +174,9 @@ def drive(
     for prev, piece in zip(pieces, pieces[1:]):
         if piece.span[0] != prev.span[1]:
             raise ValueError(f"protocol pieces must abut, got spans {prev.span} and {piece.span}")
-        # the trajectory records one pressure convention and one axial direction
-        if piece.kind != prev.kind or not np.array_equal(_frame(piece), _frame(prev)):
-            raise ValueError("protocol pieces must share their kind and rotation")
+        # the trajectory records one pressure convention
+        if piece.kind != prev.kind:
+            raise ValueError("protocol pieces must share their kind")
     b_p0 = np.asarray(b_p0, dtype=float)
     if b_p0.shape != (3, 3) or not np.isfinite(b_p0).all():
         raise DomainError(f"b_p0 must be a finite 3x3 matrix, got {b_p0.tolist()}")
@@ -211,7 +205,7 @@ def drive(
     sols = []
     for piece in pieces:
         problem = OdeProblem(
-            rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol, atol=atol,
+            rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
             first_step=first_step, min_step=min_step,
         )
         sol = integrate(problem, step_hook=step_hook)
@@ -232,13 +226,11 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
     fs, b_g, d_g = (np.array(part) for part in zip(*samples))
 
     if pieces[0].kind == "shear":
-        axial = _I3[0]  # a shear's T11 is the lab frame's, rotated or not
         p = pressure(b_p, mp)
         convention = "tr T = 0"
         eps_ax = np.zeros(len(rows))
     else:
-        axial, lateral = _frame(pieces[0])[:, :2].T
-        p = pressure(b_p, mp, lateral)
+        p = pressure(b_p, mp, _I3[1])  # the lateral face e_y is traction-free
         convention = "lateral traction-free"
         eps_ax = np.array([math.log(piece.drive(t)) for piece, t, _ in rows])
     t_sym = stress(b_p, p, mp)
@@ -249,7 +241,7 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
         b_p=[SymTensor3(*row) for row in ys.tolist()],
         stress=t_sym,
         eps_axial=eps_ax,
-        t_axial=np.einsum("nij,i,j->n", t_sym, axial, axial),
+        t_axial=t_sym[:, 0, 0],
         det_bp=np.linalg.det(b_p),
         xi_m=xi,
         identity_residual=check_dissipation_identity(t_sym, b_g, d_g, xi, mp),
@@ -262,7 +254,6 @@ def relax(
     mp: MaterialParams,
     hold_time: float,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
     """Stress relaxation: instantaneous stretch to lambda_hold, then hold.
 
@@ -271,16 +262,16 @@ def relax(
     """
     if not (lambda_hold > 0.0):
         raise DomainError(f"hold stretch must be positive, got {lambda_hold}")
-    protocol = constant_stretch(lambda_hold, (0.0, hold_time))
+    protocol = MotionProtocol("uniaxial", (0.0, float(hold_time)),
+                              lambda t: lambda_hold, lambda t: 0.0)
     b_p0 = np.diag([lambda_hold**2, 1.0 / lambda_hold, 1.0 / lambda_hold])
-    return drive(protocol, mp, b_p0, rtol=rtol, atol=atol)
+    return drive(protocol, mp, b_p0, rtol=rtol)
 
 
 def replay_uniaxial(
     curve: CreepCurve,
     mp: MaterialParams,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> List[Trajectory]:
     """Re-drive a solved scalar creep history through the tensor integrator.
 
@@ -304,14 +295,12 @@ def replay_uniaxial(
 
         # F, L and the samples all ask for the stretch: solve it once per time
         lam = functools.lru_cache(maxsize=None)(seg.lam_at)
-        protocol = uniaxial_protocol(
-            lam=lam,
-            lam_dot=lambda t, _lam=lam, _b=seg.b: _uniaxial.lambda_rate(_lam(t), _b, mp),
-            span=(seg.t_start, seg.t_end),
+        protocol = MotionProtocol(
+            "uniaxial", (float(seg.t_start), float(seg.t_end)), lam,
+            lambda t, _lam=lam, _b=seg.b: _uniaxial.lambda_rate(_lam(t), _b, mp),
         )
         span = seg.t_end - seg.t_start
-        traj = drive(protocol, mp, b_p, rtol=rtol, atol=atol,
-                     first_step=_REPLAY_FIRST_STEP * span)
+        traj = drive(protocol, mp, b_p, rtol=rtol, first_step=_REPLAY_FIRST_STEP * span)
         trajectories.append(traj)
         b_p = traj.b_p[-1].as_matrix()
     return trajectories

@@ -81,6 +81,8 @@ class ExperimentalDataset:
                 raise ValueError("unload start must not precede the last load stamp")
             if self.t_unload.size and self.t_unload[0] < self.unload_start:
                 raise ValueError("unload times must not precede the unload start")
+        if self.t_unload.size and not (self.t_unload[-1] > self.t_unload_start()):
+            raise ValueError("unload phase must extend past the unload start")
 
     @property
     def has_unload(self) -> bool:
@@ -163,10 +165,7 @@ def creep_error(
     t_u = ds.t_unload_start()
     segments = [CreepSegment(ds.stress, t_u)]
     if ds.has_unload:
-        t_end = float(ds.t_unload[-1])
-        if not (t_end > t_u):
-            raise ValueError("unload phase must extend past the unload start")
-        segments.append(CreepSegment(0.0, t_end - t_u))
+        segments.append(CreepSegment(0.0, float(ds.t_unload[-1]) - t_u))
 
     with_unload = ds.has_unload and w < 1.0
     try:

@@ -1,17 +1,19 @@
 """Deformation protocols and configuration maps.
 
 A motion protocol prescribes the deformation gradient F(t) and velocity
-gradient L(t) of a strain-controlled experiment, each a plain 3x3 array:
-isochoric uniaxial extension or simple shear, each driven by a scalar
-history and its rate. A history whose rate jumps, such as ramp-and-hold,
-is a tuple of protocols, one per smooth piece.
+gradient L(t) of a strain-controlled experiment, each a plain 3x3 array in
+the lab frame: isochoric uniaxial extension along e_x or simple shear in
+the x-y plane, each driven by a scalar history and its rate.
+``MotionProtocol(kind, span, drive, drive_rate)`` is the one way to build
+a motion. A history whose rate jumps, such as ramp-and-hold, is a tuple of
+protocols, one per smooth piece; ``ramp_hold`` builds that one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,50 +57,16 @@ class MotionProtocol:
     span: tuple
     drive: Callable[[float], float]
     drive_rate: Callable[[float], float]
-    # optional constant rotation applied to the motion (F -> Q F)
-    rotation: Optional[np.ndarray] = field(default=None, repr=False)
 
     def F(self, t: float) -> np.ndarray:
         if self.kind == "shear":
-            f = shear_F(self.drive(t))
-        else:
-            f = uniaxial_F(self.drive(t))
-        if self.rotation is not None:
-            f = self.rotation @ f
-        return f
+            return shear_F(self.drive(t))
+        return uniaxial_F(self.drive(t))
 
     def L(self, t: float) -> np.ndarray:
         if self.kind == "shear":
-            l = shear_L(self.drive_rate(t))
-        else:
-            l = uniaxial_L(self.drive(t), self.drive_rate(t))
-        if self.rotation is not None:
-            # constant Q contributes no spin: L -> Q L Q^T exactly
-            q = self.rotation
-            l = q @ l @ q.T
-        return l
-
-
-def uniaxial_protocol(
-    lam: Callable[[float], float],
-    lam_dot: Callable[[float], float],
-    span: tuple,
-) -> MotionProtocol:
-    return MotionProtocol("uniaxial", (float(span[0]), float(span[1])), lam, lam_dot)
-
-
-def constant_stretch(lam0: float, span: tuple) -> MotionProtocol:
-    if not (lam0 > 0.0):
-        raise DomainError(f"uniaxial stretch must be positive, got {lam0}")
-    return uniaxial_protocol(lambda t: lam0, lambda t: 0.0, span)
-
-
-def shear_protocol(
-    gamma: Callable[[float], float],
-    gamma_dot: Callable[[float], float],
-    span: tuple,
-) -> MotionProtocol:
-    return MotionProtocol("shear", (float(span[0]), float(span[1])), gamma, gamma_dot)
+            return shear_L(self.drive_rate(t))
+        return uniaxial_L(self.drive(t), self.drive_rate(t))
 
 
 def ramp_hold(kind: str, amplitude: float, ramp: float, duration: float) -> tuple:

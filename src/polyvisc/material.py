@@ -36,12 +36,12 @@ class MaterialParams:
     eta: float  # Pa*s
 
     def __post_init__(self):
-        if not (self.mu_p_bar > 0.0):
-            raise ConfigError(f"mu_p_bar must be positive, got {self.mu_p_bar}")
-        if self.mu_g_bar < 0.0:
-            raise ConfigError(f"mu_g_bar must be non-negative, got {self.mu_g_bar}")
-        if not (self.eta > 0.0):
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not (0.0 < self.mu_p_bar < math.inf):
+            raise ConfigError(f"mu_p_bar must be positive and finite, got {self.mu_p_bar}")
+        if not (0.0 <= self.mu_g_bar < math.inf):
+            raise ConfigError(f"mu_g_bar must be non-negative and finite, got {self.mu_g_bar}")
+        if not (0.0 < self.eta < math.inf):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
 
     def retardation_time(self) -> float:
         """Creep time constant eta/(2 mu_g_bar); inf in the Maxwell limit."""

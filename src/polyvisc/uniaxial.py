@@ -46,8 +46,8 @@ class CreepSegment:
     duration: float  # s
 
     def __post_init__(self):
-        if not (self.duration > 0.0):
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not (0.0 < self.duration < math.inf):
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
         if not math.isfinite(self.stress):
             raise ValueError("segment stress must be finite")
 

@@ -134,6 +134,7 @@ RELAX = ["relax", "--preset", "hfpe285", "--lambda-hold", "1.01"]
     SIM + ["--t-load", "nan"],
     SIM + ["--t-unload", "-5"],
     SIM + ["--load-fraction", "nan"],
+    SIM + ["--segment", "1e7:inf"],
     SIM + ["--export-dataset", "{tmp}/d.csv", "--n-load", "1"],
     SIM + ["--export-dataset", "{tmp}/d.csv", "--n-unload", "0"],
     SIM + ["--export-dataset", "{tmp}/d.csv", "--noise", "-1"],
@@ -156,6 +157,21 @@ def test_bad_numeric_option_is_usage_error(argv, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relax", "--mu-p", "3e8", "--mu-g", "1e8", "--eta", "inf", "--lambda-hold", "1.01",
+      "--hold-time", "100", "--out", "{tmp}/r.csv"], "eta must be positive and finite"),
+    (["simulate", "--mu-p", "3e8", "--mu-g", "inf", "--eta", "1e12", "--segment", "1e7:100",
+      "--out", "{tmp}/r.csv"], "mu_g_bar must be non-negative and finite"),
+], ids=["relax_eta", "simulate_mu_g"])
+def test_infinite_material_parameter_is_data_error(argv, message, tmp_path, capsys):
+    # relax with eta = inf wrote nan in every xi_m and identity_residual row and
+    # exited 0; simulate with mu_g = inf exited 3 with "rate inf"
+    code = run(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 HUGE_STRESS_DATASET = """# stress_pa=1e30
@@ -304,6 +320,21 @@ class TestFit:
         )
         assert run("fit", "--data", str(bad), "--init", "pmr15_288") == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["data", "holdout"])
+    def test_zero_length_unload_is_data_error(self, dataset_file, tmp_path, capsys, role):
+        # an unload phase whose only stamp is the unload start has no length:
+        # the fit and the holdout evaluation ended in a ValueError traceback
+        bad = tmp_path / "flat.csv"
+        bad.write_text("# stress_pa=1e7\nsegment,t_s,strain\n"
+                       "load,0,0.0088\nload,100,0.0100\nunload,100,0.004\n")
+        if role == "data":
+            argv = ("--data", str(bad), "--init", "pmr15_288")
+        else:
+            argv = ("--data", str(dataset_file), "--init", "hfpe285", "--max-iter", "5",
+                    "--holdout", str(bad))
+        assert run("fit", *argv) == 2
+        assert "unload phase must extend past the unload start" in capsys.readouterr().err
 
     def test_times_before_load_are_data_error(self, tmp_path, capsys):
         # the load starts at t = 0; an earlier stamp made every trial a

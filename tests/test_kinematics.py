@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from polyvisc.kinematics import (
-    constant_stretch,
+    MotionProtocol,
     ramp_hold,
-    shear_protocol,
     uniaxial_F,
     uniaxial_L,
 )
 from polyvisc.tensors import DomainError
 
-from test_tensors import kernel_b_g, random_rotation, random_spd
+from test_tensors import kernel_b_g, random_spd
 
 
 class TestUniaxialF:
@@ -110,29 +109,19 @@ class TestNaturalMaps:
 
 class TestProtocols:
     def test_constant_stretch(self):
-        p = constant_stretch(1.5, (0.0, 10.0))
+        p = MotionProtocol("uniaxial", (0.0, 10.0), lambda t: 1.5, lambda t: 0.0)
         assert p.kind == "uniaxial"
         assert np.allclose(p.F(3.0), np.diag([1.5, 1.5**-0.5, 1.5**-0.5]))
         assert np.allclose(p.L(3.0), np.zeros((3, 3)))
         assert p.drive(7.0) == 1.5
 
     def test_shear(self):
-        p = shear_protocol(lambda t: 0.1 * t, lambda t: 0.1, (0.0, 5.0))
+        p = MotionProtocol("shear", (0.0, 5.0), lambda t: 0.1 * t, lambda t: 0.1)
         f = p.F(2.0)
         assert f[0, 1] == pytest.approx(0.2)
         assert abs(f - np.eye(3)).sum() == pytest.approx(0.2)
         assert p.L(2.0)[0, 1] == pytest.approx(0.1)
         assert np.linalg.det(p.F(2.0)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rotated_protocol(self):
-        rng = np.random.default_rng(17)
-        q = random_rotation(rng)
-        from polyvisc.kinematics import MotionProtocol
-
-        base = constant_stretch(1.4, (0.0, 1.0))
-        rot = MotionProtocol(base.kind, base.span, base.drive, base.drive_rate, rotation=q)
-        f_rot = rot.F(0.5)
-        assert np.linalg.norm(f_rot - q @ base.F(0.5)) <= 1e-14
 
 
 class TestRampHold:

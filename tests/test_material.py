@@ -198,6 +198,16 @@ class TestParams:
         # the Maxwell limit is legal
         assert MaterialParams(mu_p_bar=1.0, mu_g_bar=0.0, eta=1.0).mu_g_bar == 0.0
 
+    @pytest.mark.parametrize("field", ["mu_p_bar", "mu_g_bar", "eta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        # an infinite eta let relax write nan dissipation and exit 0; a nan
+        # mu_g_bar passed the sign check
+        kw = dict(mu_p_bar=1.0, mu_g_bar=1.0, eta=1.0)
+        kw[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be .* finite"):
+            MaterialParams(**kw)
+
     def test_retardation_time(self):
         assert PMR15.retardation_time() == pytest.approx(6.22e12 / (2 * 4.42e8))
         assert math.isinf(MaterialParams(1.0, 0.0, 1.0).retardation_time())

@@ -49,8 +49,8 @@ def test_tensor_sites_are_bound_and_called():
     # drive under tr T = 0: both branches of the per-sample stress
     mp = get_preset("pmr15_288").params()
     tau = mp.retardation_time()
-    shear = kinematics.shear_protocol(lambda t: 0.05 * t / tau, lambda t: 0.05 / tau,
-                                      (0.0, 0.5 * tau))
+    shear = kinematics.MotionProtocol("shear", (0.0, 0.5 * tau), lambda t: 0.05 * t / tau,
+                                      lambda t: 0.05 / tau)
 
     def work():
         evolution.relax(1.01, mp, 0.5 * tau)
