@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, evolution, fitting, kinematics, uniaxial, validation
 from .dataio import DatasetError
 from .material import ConfigError, MaterialParams
-from .odesolve import IntegrationError
+from .odesolve import DEFAULT_RTOL, IntegrationError
 from .tensors import DomainError
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _build_parser() -> _Parser:
     rlx.add_argument("--out", help="write the trajectory CSV here")
 
     for p in (drv, rlx):  # creep is solved in closed form; only the 3-D drivers integrate
-        p.add_argument("--rtol", type=_positive, default=1e-8, help="ODE relative tolerance")
+        p.add_argument("--rtol", type=_positive, default=DEFAULT_RTOL,
+                       help="ODE relative tolerance")
 
     sub.add_parser("presets", help="list the built-in parameter sets")
 
@@ -269,8 +270,8 @@ def _cmd_fit(args) -> int:
         raise UsageError("--data is required")
     ds = dataio.load_dataset(args.data)
     cfg = fitting.FitConfig(
-        weight=args.weight,
         initial=_parse_init(args.init),
+        weight=args.weight,
         max_iter=args.max_iter,
     )
     result = fitting.fit_dataset(ds, cfg)
@@ -285,7 +286,10 @@ def _cmd_fit(args) -> int:
         payload["holdout"] = {}
         for path in args.holdout:
             held = dataio.load_dataset(path)
-            err = fitting.creep_error(result.params, held, args.weight)
+            try:
+                err = fitting.creep_error(result.params, held, args.weight)
+            except (ConfigError, DomainError) as exc:  # exit 2 or 3, naming the file
+                raise type(exc)(f"holdout {path}: {exc}") from None
             payload["holdout"][str(path)] = err
             print(f"holdout {path}: error = {err:.6e}")
     if args.out:

@@ -9,7 +9,8 @@ measured strains, split into loading and unloading phases:
 Simulated strains come from the closed-form creep solution at the
 experimental time stamps, so the objective is smooth in the parameters.
 Minimization runs over the logarithms of (mu_p_bar, mu_g_bar, eta), which
-keeps the parameters positive without constraint handling.
+keeps the parameters positive without constraint handling. The misfit is
+finite or raises; only the fit's objective scores a failed trial set.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .material import ConfigError, MaterialParams
 from .tensors import DomainError
 from .uniaxial import CreepSegment, simulate_creep
 
-# Objective value reported when the simulation fails for a parameter set;
-# large enough that the simplex always retreats from it.
+# Objective value of a trial parameter set that has no creep solution inside
+# fit_dataset; large enough that the simplex always retreats from it.
 PENALTY = 1e6
 
 # The simplex stops once its diameter is below _XTOL and its objective
@@ -97,16 +98,16 @@ class ExperimentalDataset:
 
 @dataclass
 class FitConfig:
-    """Weight, initial guess and iteration cap for a creep fit."""
+    """Initial guess, weight and iteration cap for a creep fit."""
 
+    initial: Sequence[float]  # (mu_p_bar, mu_g_bar, eta)
     weight: float = 0.5
-    initial: Optional[Sequence[float]] = None  # (mu_p_bar, mu_g_bar, eta)
     max_iter: int = 2000
 
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-        if self.initial is not None and any(v <= 0.0 for v in self.initial):
+        if any(v <= 0.0 for v in self.initial):
             raise ValueError("initial parameter guess must be strictly positive")
 
 
@@ -132,52 +133,51 @@ class FitResult:
         }
 
 
-# Above this magnitude a squared strain can overflow; such data are scaled by
-# their largest value first (ordinary data keep their exact sums).
+# A squared strain above this magnitude can overflow (such data are scaled by
+# their largest value first) and one below its inverse underflows.
 _SQUARE_SAFE = 1e150
 
 
-def _phase_term(eps_sim: np.ndarray, eps_exp: np.ndarray) -> float:
-    scale = float(np.max(np.abs(eps_exp)))
+def _phase_term(eps_sim: np.ndarray, eps_exp: np.ndarray, scale: float) -> float:
+    """Relative misfit of one phase; ``scale`` = max|eps_exp| >= 1 / _SQUARE_SAFE."""
     if scale > _SQUARE_SAFE:
         eps_sim, eps_exp = eps_sim / scale, eps_exp / scale
-    denom = float(np.sum(eps_exp * eps_exp))
-    num = float(np.sum((eps_sim - eps_exp) ** 2))
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else PENALTY
-    return math.sqrt(num / denom)
+    return math.sqrt(float(np.sum((eps_sim - eps_exp) ** 2)) / float(np.sum(eps_exp * eps_exp)))
 
 
-def creep_error(
-    mp: MaterialParams,
-    ds: ExperimentalDataset,
-    w: float,
-) -> float:
+def creep_error(mp: MaterialParams, ds: ExperimentalDataset, w: float) -> float:
     """Weighted relative misfit of the simulated creep curve to the dataset.
 
     With no unload samples the unload term is defined as zero and the
-    weight is forced to 1. A parameter set the simulation cannot solve
-    (DomainError) returns the PENALTY sentinel instead of raising, so
-    optimizers can retreat; any other error propagates.
+    weight is forced to 1; a phase of weight 0 is neither solved nor scored.
+    The data are checked first: a phase with positive weight whose measured
+    strains are all zero or below 1e-150 has no relative misfit and raises
+    ConfigError. A parameter set the model cannot solve raises DomainError.
+    Otherwise the misfit is finite.
     """
     if not ds.has_unload:
         w = 1.0
+    scored = []  # (weight, segment index, measured strains, largest |measured strain|)
+    for k, (phase, weight, eps) in enumerate((("load", w, ds.eps_load),
+                                              ("unload", 1.0 - w, ds.eps_unload))):
+        if weight > 0.0:
+            scale = float(np.max(np.abs(eps)))
+            if not scale >= 1.0 / _SQUARE_SAFE:
+                raise ConfigError(f"the {phase} phase has weight {weight:g} but its measured "
+                                  "strains are all zero or below 1e-150, so it has no relative "
+                                  "misfit; give it weight 0")
+            scored.append((weight, k, eps, scale))
+
     t_u = ds.t_unload_start()
     segments = [CreepSegment(ds.stress, t_u)]
     if ds.has_unload:
         segments.append(CreepSegment(0.0, float(ds.t_unload[-1]) - t_u))
-
-    with_unload = ds.has_unload and w < 1.0
-    try:
-        curve = simulate_creep(segments, mp)
-        eps_sim = curve.strains_in_segments((ds.t_load, ds.t_unload) if with_unload
-                                            else (ds.t_load,))
-    except DomainError:
-        return PENALTY
-    term = w * _phase_term(eps_sim[0], ds.eps_load)
-    if with_unload:
-        term += (1.0 - w) * _phase_term(eps_sim[1], ds.eps_unload)
-    return term
+    times = (ds.t_load if w > 0.0 else ds.t_load[:0],) + ((ds.t_unload,) if w < 1.0 else ())
+    eps_sim = simulate_creep(segments, mp).strains_in_segments(times)
+    misfit = 0.0
+    for weight, k, eps, scale in scored:
+        misfit += weight * _phase_term(eps_sim[k], eps, scale)
+    return misfit
 
 
 @dataclass
@@ -299,20 +299,14 @@ def nelder_mead(
 def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
     """Fit (mu_p_bar, mu_g_bar, eta) to one dataset by simplex search.
 
-    The search runs over log-parameters so every trial set is positive;
-    non-convergence is reported on the result, not raised. A search whose
-    every trial set was penalised has no result and raises DomainError. A
-    phase with positive weight whose measured strains are all zero has no
-    relative misfit and raises ConfigError.
+    The search runs over log-parameters so every trial set is positive. A
+    trial set that ``MaterialParams`` rejects (exp over- or underflowed) or
+    that has no creep solution (DomainError) scores PENALTY, here only. A
+    ConfigError about the data leaves the first evaluation, before any
+    search. Non-convergence is reported on the result, not raised. A search
+    whose every trial set was penalised has no result and raises DomainError.
     """
-    if cfg.initial is None:
-        raise ValueError("FitConfig.initial is required for fitting")
     w = cfg.weight if ds.has_unload else 1.0
-    for phase, weight, eps in (("load", w, ds.eps_load), ("unload", 1.0 - w, ds.eps_unload)):
-        if weight > 0.0 and not np.any(eps):
-            raise ConfigError(f"the {phase} phase has weight {weight:g} but its measured "
-                              "strains are all zero, so it has no relative misfit; "
-                              "give it weight 0")
     x0 = np.log(np.asarray(cfg.initial, dtype=float))
 
     def objective(logp: np.ndarray) -> float:
@@ -321,7 +315,10 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
             mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
         except ConfigError:
             return PENALTY
-        return creep_error(mp, ds, cfg.weight)
+        try:
+            return creep_error(mp, ds, cfg.weight)
+        except DomainError:
+            return PENALTY
 
     res = nelder_mead(objective, x0, step=_FIT_STEP, max_iter=cfg.max_iter)
     if not res.fun < PENALTY:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polyvisc
@@ -389,6 +391,40 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: every trial parameter set was penalised")
 
+    @pytest.mark.parametrize("name, text, code, message", [
+        # no creep asymptote at -1e130 Pa for the fitted parameters
+        ("k.csv", "# stress_pa=-1e130\nsegment,t_s,strain\nload,0,-0.0088\n"
+                  "load,100,-0.0100\nunload,100,-0.004\nunload,200,-0.003\n",
+         3, "numerical failure: holdout {path}: no positive creep asymptote"),
+        ("l.csv", "# stress_pa=1e7\nsegment,t_s,strain\nload,0,0.0088\nload,100,0.0100\n"
+                  "unload,100,0\nunload,200,0\n",
+         2, "data error: holdout {path}: the unload phase has weight 0.5"),
+        ("j.csv", "# stress_pa=1e7\nsegment,t_s,strain\nload,0,1e-320\nload,100,1e-320\n",
+         2, "data error: holdout {path}: the load phase has weight 1"),
+    ], ids=["no_solution", "zero_unload", "tiny_strains"])
+    def test_failed_holdout_names_the_file_and_writes_nothing(self, tmp_path, capsys, name,
+                                                              text, code, message):
+        # each holdout printed "error = 1.000000e+06" or "5.000000e+05", wrote it
+        # into the JSON and exited 0
+        data, held, out = tmp_path / "a.csv", tmp_path / name, tmp_path / "o.json"
+        data.write_text("# stress_pa=1e7\nsegment,t_s,strain\nload,0,0.0088\n"
+                        "load,100,0.0100\n")
+        held.write_text(text)
+        assert run("fit", "--data", str(data), "--init", "pmr15_288", "--max-iter", "50",
+                   "--holdout", str(held), "--out", str(out)) == code
+        assert capsys.readouterr().err.startswith(message.format(path=held))
+        assert not out.exists()
+
+    def test_tiny_strains_are_a_data_error(self, tmp_path, capsys):
+        # their squares underflow to 0: every trial was penalised (exit 3)
+        data = tmp_path / "j.csv"
+        data.write_text("# stress_pa=1e7\nsegment,t_s,strain\nload,0,1e-320\n"
+                        "load,100,1e-320\n")
+        assert run("fit", "--data", str(data), "--init", "pmr15_288") == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: the load phase has weight 1 but its measured strains are all zero "
+            "or below 1e-150")
+
     def test_out_records_the_objective_evaluations(self, dataset_file, tmp_path):
         out = tmp_path / "fit.json"
         assert run("fit", "--data", str(dataset_file), "--init", "hfpe285",
@@ -463,6 +499,31 @@ class TestDriveRelax:
 
     def test_relax_requires_lambda(self):
         assert run("relax", "--preset", "pmr15_288") == 1
+
+    def test_relax_stretch_with_no_finite_square(self, capsys):
+        # lambda_hold**2 raised OverflowError: a traceback and exit 1
+        code = run("relax", "--preset", "pmr15_288", "--lambda-hold", "1e200",
+                   "--hold-time", "100")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("numerical failure: hold stretch 1e+200 has no finite square")
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(lam=st.floats(-300.0, 300.0).map(lambda u: 10.0**u),
+           hold=st.sampled_from((1e-300, 100.0, 1e300)))
+    @example(lam=1e200, hold=100.0)
+    @example(lam=1e100, hold=100.0)
+    @example(lam=1e-200, hold=100.0)
+    @example(lam=1.7e308, hold=100.0)
+    def test_fuzzed_relax_ends_with_an_exit_code(self, lam, hold):
+        # any numpy warning fails the test (error::RuntimeWarning)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("relax", "--preset", "hfpe285", "--lambda-hold", repr(lam),
+                       "--hold-time", repr(hold))
+        assert code in (0, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPresetsAndValidate:

@@ -5,16 +5,15 @@ import pytest
 
 from polyvisc.dataio import make_synthetic_dataset
 from polyvisc.fitting import (
-    PENALTY,
     ExperimentalDataset,
     FitConfig,
     creep_error,
     fit_dataset,
     nelder_mead,
 )
-from polyvisc.material import MaterialParams
+from polyvisc.material import ConfigError, MaterialParams
 from polyvisc.tensors import DomainError
-from polyvisc.uniaxial import CreepSegment, simulate_creep
+from polyvisc.uniaxial import CreepCurve, CreepSegment, simulate_creep
 
 HFPE285 = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=3.95e13)
 PMR15 = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=4.42e8, eta=6.22e12)
@@ -108,15 +107,70 @@ class TestCreepError:
         assert not ds.has_unload
         assert creep_error(HFPE285, ds, w=0.25) == creep_error(HFPE285, ds, w=1.0)
 
-    def test_simulation_failure_returns_penalty(self):
+    def test_simulation_failure_raises_domain_error(self):
         ds = synthetic(HFPE285, n_load=5, n_unload=3)
         # eta this small overflows the creep rate: no finite solution exists
         bad = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=1e-320)
-        assert creep_error(bad, ds, w=0.5) == PENALTY
+        with pytest.raises(DomainError):
+            creep_error(bad, ds, w=0.5)
+
+    @pytest.mark.parametrize("eps_load, w, phase", [
+        ([0.0, 0.0], 0.5, "load"),
+        ([1e-320, 1e-320], 0.5, "load"),  # the squares underflow to 0
+        ([-2e-151, 1e-200], 1.0, "load"),
+    ])
+    def test_phase_without_relative_misfit_is_a_config_error(self, monkeypatch, eps_load, w,
+                                                             phase):
+        # the data are checked before anything is simulated
+        import polyvisc.fitting as fitting
+
+        monkeypatch.setattr(fitting, "simulate_creep", None)
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array(eps_load),
+            t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1.0e7,
+        )
+        with pytest.raises(ConfigError, match=f"the {phase} phase has weight {w:g} but its "
+                                              "measured strains are all zero or below 1e-150"):
+            creep_error(PMR15, ds, w=w)
+
+    def test_zero_unload_phase_is_a_config_error_unless_unweighted(self):
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array([0.0088, 0.0100]),
+            t_unload=np.array([100.0, 200.0]), eps_unload=np.zeros(2), stress=1.0e7,
+        )
+        with pytest.raises(ConfigError, match="the unload phase has weight 0.5"):
+            creep_error(PMR15, ds, w=0.5)
+        assert math.isfinite(creep_error(PMR15, ds, w=1.0))
+
+    def test_smallest_scored_strain_is_scored(self):
+        # 1e-150 squares to 1e-300, a normal double: the misfit is finite
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array([1e-150, 0.0]),
+            t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1.0e7,
+        )
+        assert math.isfinite(creep_error(PMR15, ds, w=0.5))
+
+    def test_zero_weight_phase_is_not_solved(self, monkeypatch):
+        # with w = 0 only the unload stamps are solved, and the misfit is the
+        # unload term alone
+        ds = synthetic(HFPE285, noise=0.01, seed=2, n_load=6, n_unload=4)
+        asked = []
+        real = CreepCurve.strains_in_segments
+        monkeypatch.setattr(CreepCurve, "strains_in_segments",
+                            lambda self, times: asked.append(times) or real(self, times))
+        err = creep_error(HFPE285, ds, w=0.0)
+        assert [t.size for t in asked[0]] == [0, ds.t_unload.size]
+        curve = simulate_creep([CreepSegment(ds.stress, ds.t_unload_start()),
+                                CreepSegment(0.0, ds.t_unload[-1] - ds.t_unload_start())],
+                               HFPE285)
+        sim = curve.strain_in_segment(1, ds.t_unload)
+        expected = math.sqrt(np.sum((sim - ds.eps_unload) ** 2) / np.sum(ds.eps_unload**2))
+        assert err == pytest.approx(expected, rel=1e-12)
 
     def test_other_errors_are_not_penalised(self, monkeypatch):
-        # only a parameter set the model cannot solve is a PENALTY; any other
-        # error is a bug and must not steer the simplex silently
+        # only a parameter set the model cannot solve is penalised, and only
+        # inside the fit; any other error is a bug and must not steer the
+        # simplex silently
         import polyvisc.fitting as fitting
 
         def broken(segments, mp):
@@ -304,9 +358,8 @@ class TestFitDataset:
             assert np.max(d) <= 1e-4
 
     def test_requires_initial_guess(self):
-        ds = synthetic(HFPE285)
-        with pytest.raises(ValueError):
-            fit_dataset(ds, FitConfig(weight=0.5))
+        with pytest.raises(TypeError):
+            FitConfig(weight=0.5)
 
     def test_result_dict_shape(self):
         ds = synthetic(HFPE285, n_load=10, n_unload=5)
@@ -327,6 +380,22 @@ class TestFitDataset:
         res = fit_dataset(ds, FitConfig(initial=(4e8, 1.2e9, 3e13), max_iter=30))
         assert res.n_fev == len(calls) > res.iterations
 
+    def test_data_error_leaves_the_first_evaluation(self, monkeypatch):
+        # a phase with no relative misfit is a property of the data, not of a
+        # trial parameter set: the fit stops at f(x0), before any search
+        import polyvisc.fitting as fitting
+
+        calls = []
+        monkeypatch.setattr(fitting, "creep_error",
+                            lambda *args: calls.append(args) or creep_error(*args))
+        ds = ExperimentalDataset(
+            t_load=np.array([0.0, 100.0]), eps_load=np.array([1e-320, 1e-320]),
+            t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1.0e7,
+        )
+        with pytest.raises(ConfigError, match="the load phase has weight 0.5"):
+            fit_dataset(ds, FitConfig(initial=(3.76e8, 4.42e8, 6.22e12)))
+        assert len(calls) == 1
+
     def test_every_trial_penalised_is_a_domain_error(self):
         # at -1e308 Pa the stretch B underflows for every parameter set, so
         # every trial is a penalty and the simplex has nothing to report
@@ -341,9 +410,9 @@ class TestFitDataset:
 class TestFitConfig:
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
-            FitConfig(weight=1.5)
+            FitConfig(initial=(4.79e8, 1.43e9, 3.95e13), weight=1.5)
         with pytest.raises(ValueError):
-            FitConfig(weight=-0.1)
+            FitConfig(initial=(4.79e8, 1.43e9, 3.95e13), weight=-0.1)
 
     def test_positive_guess(self):
         with pytest.raises(ValueError):
