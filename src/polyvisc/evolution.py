@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -62,9 +62,6 @@ from .uniaxial import CreepCurve
 
 # Abort threshold for unimodularity drift of B_p along a trajectory.
 DET_DRIFT_LIMIT = 1e-6
-# First step of a replay segment, as a fraction of its span: the exact solution
-# is constant, so the automatic start's tiny step would only be grown back.
-_REPLAY_FIRST_STEP = 0.05
 
 _I3 = np.eye(3)
 
@@ -154,7 +151,6 @@ def drive(
     mp: MaterialParams,
     b_p0: np.ndarray,
     rtol: float = DEFAULT_RTOL,
-    first_step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate B_p from the 3x3 array ``b_p0`` under the protocol and record the trajectory.
 
@@ -163,12 +159,13 @@ def drive(
     Each piece is one integration, so no step straddles a jump in the rate:
     it starts from the previous piece's end state, with the previous piece's
     last accepted step as its first step, and the breakpoint is recorded
-    once. ``first_step`` starts the first piece (None: the automatic
-    start). The step-size floor is taken from the whole drive's span.
+    once. The first piece takes ``odesolve``'s automatic start. The
+    step-size floor is taken from the whole drive's span.
 
     Raises DomainError unless ``b_p0`` is a finite 3x3 matrix, symmetric
-    within 1e-8 of its largest entry, and IntegrationError if det(B_p)
-    drifts beyond DET_DRIFT_LIMIT.
+    within 1e-8 of its largest entry, and unless the viscous rates
+    2*mu_p_bar/eta and 2*mu_g_bar/eta are finite; IntegrationError if
+    det(B_p) drifts beyond DET_DRIFT_LIMIT.
     """
     pieces = (protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)
     for prev, piece in zip(pieces, pieces[1:]):
@@ -182,6 +179,9 @@ def drive(
         raise DomainError(f"b_p0 must be a finite 3x3 matrix, got {b_p0.tolist()}")
     if np.max(np.abs(b_p0 - b_p0.T)) > 1e-8 * np.max(np.abs(b_p0)):  # no norm: squares overflow
         raise DomainError(f"b_p0 is not symmetric within tolerance, got {b_p0.tolist()}")
+    for name, mu in (("mu_p_bar", mp.mu_p_bar), ("mu_g_bar", mp.mu_g_bar)):
+        if not math.isfinite(2.0 * mu / mp.eta):  # the flow rule's (2/eta)*mu terms
+            raise DomainError(f"viscous rate 2*{name}/eta = {2.0 * mu / mp.eta} is not finite")
     min_step = _MIN_STEP_FRACTION * (pieces[-1].span[1] - pieces[0].span[0])
 
     def rhs_of(piece):
@@ -195,14 +195,12 @@ def drive(
         det = np.linalg.det(y[_SYM_INDEX])
         if abs(det - 1.0) > DET_DRIFT_LIMIT:
             raise IntegrationError(
-                f"det(B_p) drifted to {det} at t = {t}; aborting instead of renormalizing",
-                t,
-                y,
-            )
+                f"det(B_p) drifted to {det} at t = {t}; aborting instead of renormalizing")
 
     # averaging removes the rounding asymmetry of a product such as J B_p J
     y = (0.5 * (b_p0 + b_p0.T))[_ROWS, _COLS]
     sols = []
+    first_step = None
     for piece in pieces:
         problem = OdeProblem(
             rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
@@ -285,7 +283,8 @@ def replay_uniaxial(curve: CreepCurve, mp: MaterialParams) -> List[Trajectory]:
     segment boundaries. The tensor side derives its own flow direction from
     the full 3-D rule, so staying on the scalar manifold (and carrying the
     applied stress) is a genuine cross-check of the two reductions. Each
-    segment is integrated at ``DEFAULT_RTOL``.
+    segment is integrated at ``DEFAULT_RTOL``; its exact solution is
+    constant, so it starts stationary (``odesolve._initial_step``).
     """
     trajectories: List[Trajectory] = []
     b = curve.segments[0].b
@@ -302,8 +301,7 @@ def replay_uniaxial(curve: CreepCurve, mp: MaterialParams) -> List[Trajectory]:
             "uniaxial", (float(seg.t_start), float(seg.t_end)), lam,
             lambda t, _lam=lam, _b=seg.b: _uniaxial.lambda_rate(_lam(t), _b, mp),
         )
-        span = seg.t_end - seg.t_start
-        traj = drive(protocol, mp, b_p, first_step=_REPLAY_FIRST_STEP * span)
+        traj = drive(protocol, mp, b_p)
         trajectories.append(traj)
         b_p = traj.b_p[-1].as_matrix()
     return trajectories

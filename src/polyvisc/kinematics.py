@@ -76,13 +76,15 @@ def ramp_hold(kind: str, amplitude: float, ramp: float, duration: float) -> tupl
     a "shear" ramp. The rate jumps to 0 at t = ramp, so the motion is
     returned as its smooth pieces: the ramp, then the hold (omitted when
     ramp == duration), with abutting spans. Both pieces give the same
-    stretch at t = ramp.
+    stretch at t = ramp. A rate that is not finite raises DomainError.
     """
     if kind not in ("uniaxial", "shear"):
         raise ValueError(f"unknown protocol kind {kind!r}")
     start = 0.0 if kind == "shear" else 1.0
     delta = amplitude - start
     rate = delta / ramp
+    if not math.isfinite(rate):
+        raise DomainError(f"ramp rate {delta}/{ramp} = {rate} is not finite")
     pieces = [MotionProtocol(kind, (0.0, float(ramp)),
                              lambda t: start + delta * min(t / ramp, 1.0), lambda t: rate)]
     if ramp < duration:

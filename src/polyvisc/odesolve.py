@@ -4,7 +4,8 @@ Implements the Dormand-Prince 5(4) pair with PI step-size control and
 returns the states on the accepted mesh. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
 ``uniaxial``); an optional ``step_hook`` monitors every accepted step (used
-to police determinant drift during natural-configuration evolution).
+to police determinant drift during natural-configuration evolution). It
+owns how a run starts, by one unit-free rule (``_initial_step``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _MAX_FACTOR = 5.0
 _PI_BETA = 0.04  # PI controller damping exponent
 _EXPO = 0.2 - 0.75 * _PI_BETA
 _MIN_STEP_FRACTION = 1e-12  # of the span; below this the problem is stiff/singular
-_STATIONARY_STEP_FRACTION = 10 * _MIN_STEP_FRACTION  # least initial step of a stationary start
+_STATIONARY_FIRST_STEP = 0.05  # of the span: the first step of a stationary start
 _MAX_STEPS = 1_000_000
 
 DEFAULT_RTOL = 1e-8
@@ -46,23 +47,21 @@ DEFAULT_ATOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed; carries the last valid state and partial solution."""
+    """Integration failed; ``partial`` is the solution up to the failure, if available."""
 
-    def __init__(self, message: str, t: float, y: np.ndarray, partial=None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.t = t
-        self.y = y
-        self.partial = partial  # OdeSolution up to the failure, if available
+        self.partial = partial
 
 
 @dataclass(frozen=True)
 class OdeProblem:
     """An initial-value problem dy/dt = f(t, y) over a time span.
 
-    ``first_step`` replaces the automatic start (``_initial_step``) when the
-    caller knows the problem's time scale, e.g. from the piece before a
-    breakpoint. ``min_step`` is the step size below which integration fails
-    as stiff or singular; it defaults to ``_MIN_STEP_FRACTION`` of the span.
+    ``first_step`` replaces the automatic start (``_initial_step``); ``drive``
+    continues each piece with the previous piece's last step. ``min_step`` is
+    the step size below which integration fails as stiff or singular; it
+    defaults to ``_MIN_STEP_FRACTION`` of the span.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -101,35 +100,32 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
-    """Automatic initial step selection (Hairer-Norsett-Wanner heuristic).
+def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
+    """The first step, and the number of RHS evaluations spent on it.
 
-    A (near-)stationary start gives the heuristic no time scale. Its
-    fallback step, 1e-6, is raised to ``_STATIONARY_STEP_FRACTION`` of the
-    span on spans over 1e5, so it stays above the ``_MIN_STEP_FRACTION``
-    floor however long the span is.
+    A start is stationary when its rate would move y by at most one tolerance
+    unit over the span (d1*span <= 1; never for a nan or inf rate): it takes
+    ``_STATIONARY_FIRST_STEP`` of the span, unprobed. Any other start takes
+    the probed Hairer-Norsett-Wanner step (Solving ODEs I, sec. II.4); its
+    fallback for a state below 1e-5 tolerance units stays above the floor.
     """
+    span = t1 - t0
     scale = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore"):  # an overflowing norm is inf: h0 = 0 below
         d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    stationary_step = max(1e-6, _STATIONARY_STEP_FRACTION * (t1 - t0))
-    h0 = stationary_step if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t1 - t0)
+    if d1 * span <= 1.0:
+        return _STATIONARY_FIRST_STEP * span, 0
+    h0 = max(1e-6, 10 * _MIN_STEP_FRACTION * span) if d0 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
     if not (h0 > 0.0):
         raise IntegrationError(
-            f"step size underflow at t = {t0} (initial h = {h0}); problem too stiff or singular",
-            t0,
-            y0,
-        )
+            f"step size underflow at t = {t0} (initial h = {h0}); problem too stiff or singular")
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     with np.errstate(over="ignore"):
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(stationary_step, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t1 - t0)
+    h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, span), 1
 
 
 def integrate(
@@ -151,8 +147,8 @@ def integrate(
     f = np.asarray(rhs(t, y), dtype=float)
     n_rhs = 1
     if problem.first_step is None:
-        h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
-        n_rhs += 1
+        h, n_probe = _initial_step(rhs, t0, y, f, t1, rtol, atol)
+        n_rhs += n_probe
     else:
         h = problem.first_step
 
@@ -175,14 +171,10 @@ def integrate(
 
     while t < t1:
         if n_accepted + n_rejected > _MAX_STEPS:
-            raise IntegrationError("step budget exhausted", t, y, _partial())
+            raise IntegrationError(f"step budget exhausted at t = {t}", _partial())
         if h < min_step:
-            raise IntegrationError(
-                f"step size underflow at t = {t} (h = {h}); problem too stiff or singular",
-                t,
-                y,
-                _partial(),
-            )
+            raise IntegrationError(f"step size underflow at t = {t} (h = {h}); problem too "
+                                   "stiff or singular", _partial())
         last = h >= t1 - t
         if last:  # land on t1 exactly, so a following span starts where this one ends
             h = t1 - t

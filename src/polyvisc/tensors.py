@@ -69,7 +69,9 @@ def eig_sym(a):
 def _require_spd(eigenvalues, what: str) -> None:
     """The SPD test on ascending eigenvalues: the smallest clears the floor."""
     if not eigenvalues[0] > SPD_EIG_FLOOR * max(eigenvalues[-1], 0.0):
-        raise DomainError(f"{what} requires an SPD tensor (eigenvalues {eigenvalues.tolist()})")
+        raise DomainError(
+            f"{what} requires an SPD tensor whose smallest-to-largest eigenvalue ratio "
+            f"exceeds SPD_EIG_FLOOR = {SPD_EIG_FLOOR:g} (eigenvalues {eigenvalues.tolist()})")
 
 
 def _sylvester_from_decomp(eigenvalues: np.ndarray, mt: np.ndarray) -> np.ndarray:

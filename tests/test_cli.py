@@ -484,6 +484,29 @@ class TestDriveRelax:
         assert code == 3
         assert "step size underflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, quantity", [
+        (["drive", "--preset", "pmr15_288", "--protocol", "shear", "--amplitude", "1e20",
+          "--duration", "1e-300"], "ramp rate"),
+        (["relax", "--mu-p", "1e300", "--mu-g", "1e300", "--eta", "1e-300",
+          "--lambda-hold", "1.01", "--hold-time", "10"], "viscous rate 2*mu_p_bar/eta"),
+    ], ids=["ramp-rate", "viscous-rate"])
+    def test_overflowing_rate_is_named_before_integration(self, capsys, argv, quantity):
+        # both overflowed inside the rate kernel (a numpy warning), then exited 3
+        # with "initial h = nan"; any warning left fails here (error::RuntimeWarning)
+        code = run(*argv)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {quantity}")
+        assert "is not finite" in err
+
+    def test_ill_conditioned_state_names_the_ratio_floor(self, capsys):
+        # every eigenvalue of B_p is positive: the test that fails is the conditioning floor
+        code = run("relax", "--preset", "pmr15_288", "--lambda-hold", "1e100",
+                   "--hold-time", "100")
+        assert code == 3
+        assert ("smallest-to-largest eigenvalue ratio exceeds SPD_EIG_FLOOR = 1e-12"
+                in capsys.readouterr().err)
+
     def test_drive_requires_amplitude(self):
         assert run("drive", "--preset", "pmr15_288") == 1
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import sqrtm
+from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
 from polyvisc import evolution, uniaxial
@@ -20,7 +21,7 @@ from polyvisc.evolution import (
     replay_uniaxial,
 )
 from polyvisc.kinematics import MotionProtocol, ramp_hold, uniaxial_L
-from polyvisc.material import MaterialParams
+from polyvisc.material import MaterialParams, pressure, stress
 from polyvisc.odesolve import IntegrationError
 from polyvisc.tensors import _COLS, _ROWS, _SYM_INDEX, DomainError, SymTensor3
 from polyvisc.uniaxial import CreepSegment, lambda_rate, simulate_creep, solve_B
@@ -87,6 +88,64 @@ class TestDGRate:
     def test_rejects_non_spd(self):
         with pytest.raises(DomainError):
             dG_rate(np.diag([1.0, -1.0, 1.0]), np.eye(3), PMR15)
+
+    def test_flow_rule_maximises_dissipation(self):
+        # the paper's principle, solved as an optimisation that shares no code with the
+        # flow rule: the maximiser is D_G to SLSQP's accuracy (about 1.5e-7 here), while
+        # a flow rule with mu_g_bar off by 0.1 % misses it by 4e-5 or more
+        rng = np.random.default_rng(2024)
+        rows = list(presets().values())
+        errors, control = [], []
+        for k in range(30):
+            row = rows[k % len(rows)]
+            f = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+            mp = MaterialParams(row.mu_p_bar * f[0], row.mu_g_bar * f[1], row.eta * f[2])
+            b_p, b_g = random_unimodular_spd(rng), random_unimodular_spd(rng)
+            d_max = max_dissipation_rate(b_p, b_g, mp)
+            d_g = dG_rate(b_p, b_g, mp)
+            off = dG_rate(b_p, b_g, MaterialParams(mp.mu_p_bar, 1.001 * mp.mu_g_bar, mp.eta))
+            errors.append(np.linalg.norm(d_max - d_g) / np.linalg.norm(d_g))
+            control.append(np.linalg.norm(d_max - off) / np.linalg.norm(d_g))
+        assert max(errors) <= 1e-6
+        assert min(control) > 1e-6
+
+
+_S2, _S6 = math.sqrt(2.0), math.sqrt(6.0)
+# orthonormal basis of the traceless symmetric tensors
+TRACELESS_BASIS = np.array([
+    np.diag([1.0, -1.0, 0.0]) / _S2,
+    np.diag([1.0, 1.0, -2.0]) / _S6,
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / _S2,
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / _S2,
+    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) / _S2,
+])
+
+
+def max_dissipation_rate(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
+    """The traceless D that maximises xi(D) = eta D : B_p D subject to xi(D) = (T - mu_g B_G) : D.
+
+    Solved by scipy's SLSQP in the five coordinates of TRACELESS_BASIS, scaled
+    by a feasible start along dev(T - mu_g B_G); the pressure of T drops out.
+    """
+    a = stress(b_p, pressure(b_p, mp), mp) - mp.mu_g_bar * b_g
+    dev_a = a - np.trace(a) / 3.0 * np.eye(3)
+
+    def xi(d):
+        return mp.eta * np.vdot(d, b_p @ d)
+
+    d0 = np.vdot(a, dev_a) / xi(dev_a) * dev_a
+    scale, xi0 = np.linalg.norm(d0), xi(d0)
+
+    def tensor(x):
+        return scale * np.tensordot(x, TRACELESS_BASIS, 1)
+
+    res = minimize(lambda x: -xi(tensor(x)) / xi0, np.tensordot(TRACELESS_BASIS, d0, 2) / scale,
+                   method="SLSQP",
+                   constraints=[{"type": "eq",
+                                 "fun": lambda x: (xi(tensor(x)) - np.vdot(a, tensor(x))) / xi0}],
+                   options={"ftol": 1e-12, "maxiter": 500})
+    assert res.success, res.message
+    return tensor(res.x)
 
 
 def spd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -218,11 +277,16 @@ class TestDrive:
 
     def test_relax_unit_stretch_is_stress_free(self):
         # 2e6 s: a stationary start on a span over 1e6 s once failed at t = 0
-        # with "step size underflow"
-        for hold_time in (1.0e3, 2.0e6):
-            traj = relax(1.0, PMR15, hold_time=hold_time)
-            assert traj.t[-1] == hold_time
-            assert np.max(np.abs(traj.t_axial)) == 0.0
+        # with "step size underflow". It takes 0.05 of the span first, so its
+        # 3 steps depend on neither the hold length nor the unit of time
+        # (15 to 18 steps when it took 1e-6 s or 1e-11 of the span)
+        slow = MaterialParams(PMR15.mu_p_bar, PMR15.mu_g_bar, PMR15.eta * 2.0**40)
+        for hold_time in (1.0e3, 2.0e6, 1.0e12):
+            for mp, scale in ((PMR15, 1.0), (slow, 2.0**40)):
+                traj = relax(1.0, mp, hold_time=hold_time * scale)
+                assert traj.t[-1] == hold_time * scale
+                assert np.max(np.abs(traj.t_axial)) == 0.0
+                assert len(traj) == 4
 
     def test_relax_maxwell_limit_decays_to_zero(self):
         mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=0.0, eta=6.22e12)
@@ -426,16 +490,28 @@ class TestScalarEquivalence:
         assert np.max(np.abs(traj.t_axial - 1.0e7)) <= 1e-6 * 1.0e7
 
     def test_replay_segments_start_at_their_time_scale(self, monkeypatch):
-        # each segment's exact solution is constant: a first step on the
-        # segment's own scale reaches the end in a few steps
+        # each segment's exact solution is constant, so it starts stationary: the
+        # integrator takes 0.05 of its span first, with no probe evaluation, for a
+        # replay segment and for drive on one, and reaches the end in a few steps
         tau = PMR15.retardation_time()
         curve = simulate_creep(
-            [CreepSegment(1.0e7, 2 * tau), CreepSegment(0.0, 2 * tau)], PMR15
+            [CreepSegment(1.0e7, 2 * tau), CreepSegment(-5.0e6, 3 * tau),
+             CreepSegment(0.0, 2 * tau)], PMR15
         )
         sols = traced_solutions(monkeypatch)
         replay_uniaxial(curve, PMR15)
-        assert len(sols) == 2
-        assert all(sol.n_accepted <= 4 for sol in sols)
+        seg = curve.segments[0]
+        protocol = MotionProtocol(
+            "uniaxial", (seg.t_start, seg.t_end), seg.lam_at,
+            lambda t: lambda_rate(seg.lam_at(t), seg.b, PMR15),
+        )
+        drive(protocol, PMR15, np.diag([seg.b, seg.b**-0.5, seg.b**-0.5]))
+        assert len(sols) == 4
+        for sol, seg in zip(sols, list(curve.segments) + [seg]):
+            assert sol.ts[1] - sol.ts[0] == pytest.approx(0.05 * (seg.t_end - seg.t_start),
+                                                          rel=1e-12)
+            assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+            assert sol.n_accepted <= 4
 
     def test_replay_solves_the_stretch_once_per_time(self, monkeypatch):
         tau = PMR15.retardation_time()
