@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,11 +44,18 @@ _FTOL_FLOOR = 1e-14
 _POLL_STEP = 1e-3
 # Initial simplex spread of the creep fit (log-parameter units).
 _FIT_STEP = 0.25
+# A squared strain above this magnitude can overflow (such data are scaled by
+# their largest value first) and one below its inverse underflows.
+_SQUARE_SAFE = 1e150
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentalDataset:
-    """Measured creep/recovery strains under one constant load."""
+    """Measured creep/recovery strains under one constant load.
+
+    Immutable: the arrays are stored as read-only float copies, so the
+    misfit's fixed parts (``_misfit_terms``) are formed once and never stale.
+    """
 
     t_load: np.ndarray
     eps_load: np.ndarray
@@ -58,10 +67,10 @@ class ExperimentalDataset:
     unload_start: Optional[float] = None  # defaults to the last load stamp
 
     def __post_init__(self):
-        self.t_load = np.asarray(self.t_load, dtype=float)
-        self.eps_load = np.asarray(self.eps_load, dtype=float)
-        self.t_unload = np.asarray(self.t_unload, dtype=float)
-        self.eps_unload = np.asarray(self.eps_unload, dtype=float)
+        for name in ("t_load", "eps_load", "t_unload", "eps_unload"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.t_load.size < 2:
             raise ValueError("load phase needs at least 2 samples")
         for name in ("t_load", "eps_load", "t_unload", "eps_unload"):
@@ -95,10 +104,33 @@ class ExperimentalDataset:
             return float(self.unload_start)
         return float(self.t_load[-1])
 
+    @cached_property
+    def _misfit_terms(self) -> SimpleNamespace:
+        """The parts of ``creep_error`` that depend on the data alone: the
+        stress program, and per phase (load, unload) its largest |measured
+        strain| ``scale``, the measured strains ``eps`` (divided by scale
+        above _SQUARE_SAFE) and their sum of squares ``norm_sq``."""
+        t_u = self.t_unload_start()
+        segments = [CreepSegment(self.stress, t_u)]
+        if self.has_unload:
+            segments.append(CreepSegment(0.0, float(self.t_unload[-1]) - t_u))
+        phases = []
+        for eps in (self.eps_load, self.eps_unload):
+            scale = float(np.max(np.abs(eps), initial=0.0))
+            if scale > _SQUARE_SAFE:
+                eps = eps / scale
+            phases.append(SimpleNamespace(scale=scale, eps=eps,
+                                          norm_sq=float(np.sum(eps * eps))))
+        return SimpleNamespace(segments=tuple(segments), phases=phases)
+
 
 @dataclass
 class FitConfig:
-    """Initial guess, weight and iteration cap for a creep fit."""
+    """Initial guess, weight and iteration cap for a creep fit.
+
+    The initial guess is exactly three positive finite values and the weight
+    lies in [0, 1]; anything else raises ValueError here, before a search.
+    """
 
     initial: Sequence[float]  # (mu_p_bar, mu_g_bar, eta)
     weight: float = 0.5
@@ -107,8 +139,11 @@ class FitConfig:
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-        if any(v <= 0.0 for v in self.initial):
-            raise ValueError("initial parameter guess must be strictly positive")
+        if len(self.initial) != 3:
+            raise ValueError("initial guess must be 3 values (mu_p_bar, mu_g_bar, eta), got "
+                             f"{len(self.initial)}")
+        if not all(0.0 < v < math.inf for v in self.initial):
+            raise ValueError(f"initial guess must be positive and finite, got {self.initial!r}")
 
 
 @dataclass
@@ -133,50 +168,37 @@ class FitResult:
         }
 
 
-# A squared strain above this magnitude can overflow (such data are scaled by
-# their largest value first) and one below its inverse underflows.
-_SQUARE_SAFE = 1e150
-
-
-def _phase_term(eps_sim: np.ndarray, eps_exp: np.ndarray, scale: float) -> float:
-    """Relative misfit of one phase; ``scale`` = max|eps_exp| >= 1 / _SQUARE_SAFE."""
-    if scale > _SQUARE_SAFE:
-        eps_sim, eps_exp = eps_sim / scale, eps_exp / scale
-    return math.sqrt(float(np.sum((eps_sim - eps_exp) ** 2)) / float(np.sum(eps_exp * eps_exp)))
-
-
 def creep_error(mp: MaterialParams, ds: ExperimentalDataset, w: float) -> float:
     """Weighted relative misfit of the simulated creep curve to the dataset.
 
-    With no unload samples the unload term is defined as zero and the
-    weight is forced to 1; a phase of weight 0 is neither solved nor scored.
-    The data are checked first: a phase with positive weight whose measured
-    strains are all zero or below 1e-150 has no relative misfit and raises
-    ConfigError. A parameter set the model cannot solve raises DomainError.
-    Otherwise the misfit is finite.
+    ``w`` must lie in [0, 1] (ValueError otherwise). With no unload samples
+    the unload term is defined as zero and the weight is forced to 1; a
+    phase of weight 0 is neither solved nor scored. The data are checked
+    first: a phase with positive weight whose measured strains are all zero
+    or below 1e-150 has no relative misfit and raises ConfigError. A
+    parameter set the model cannot solve raises DomainError. Otherwise the
+    misfit is finite.
     """
+    if not (0.0 <= w <= 1.0):
+        raise ValueError(f"weight w must lie in [0, 1], got {w}")
     if not ds.has_unload:
         w = 1.0
-    scored = []  # (weight, segment index, measured strains, largest |measured strain|)
-    for k, (phase, weight, eps) in enumerate((("load", w, ds.eps_load),
-                                              ("unload", 1.0 - w, ds.eps_unload))):
+    fixed = ds._misfit_terms
+    scored = []  # (weight, segment index, the phase's fixed terms)
+    for k, (phase, weight) in enumerate((("load", w), ("unload", 1.0 - w))):
         if weight > 0.0:
-            scale = float(np.max(np.abs(eps)))
-            if not scale >= 1.0 / _SQUARE_SAFE:
+            if not fixed.phases[k].scale >= 1.0 / _SQUARE_SAFE:
                 raise ConfigError(f"the {phase} phase has weight {weight:g} but its measured "
                                   "strains are all zero or below 1e-150, so it has no relative "
                                   "misfit; give it weight 0")
-            scored.append((weight, k, eps, scale))
+            scored.append((weight, k, fixed.phases[k]))
 
-    t_u = ds.t_unload_start()
-    segments = [CreepSegment(ds.stress, t_u)]
-    if ds.has_unload:
-        segments.append(CreepSegment(0.0, float(ds.t_unload[-1]) - t_u))
     times = (ds.t_load if w > 0.0 else ds.t_load[:0],) + ((ds.t_unload,) if w < 1.0 else ())
-    eps_sim = simulate_creep(segments, mp).strains_in_segments(times)
+    eps_sim = simulate_creep(fixed.segments, mp).strains_in_segments(times)
     misfit = 0.0
-    for weight, k, eps, scale in scored:
-        misfit += weight * _phase_term(eps_sim[k], eps, scale)
+    for weight, k, data in scored:
+        sim = eps_sim[k] / data.scale if data.scale > _SQUARE_SAFE else eps_sim[k]
+        misfit += weight * math.sqrt(float(np.sum((sim - data.eps) ** 2)) / data.norm_sq)
     return misfit
 
 

@@ -18,6 +18,7 @@ use the three-dimensional value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -129,13 +130,15 @@ def _flow_constants(b: float, mp: MaterialParams):
 
 
 # int_{lam_start}^{lam} dlam/Q(lam) = g(dl, a) with dl = lam - lam_start and
-# a = 2 lam + r, by the sign of the discriminant r^2 - 4q of Q.
+# a = 2 lam + r, by the sign of the discriminant r^2 - 4q of Q. The products
+# of constants (w2 = 2w, w_sq = w^2, w2_inv = 2/w, w4 = 4w) are formed once
+# per segment (``SegmentTrace``).
 def _atan_term(dl, a, c, ops):
-    return 2.0 / c.w * ops.atan(2.0 * c.w * dl / (c.w * c.w + a * c.a0))
+    return c.w2_inv * ops.atan(c.w2 * dl / (c.w_sq + a * c.a0))
 
 
 def _log_term(dl, a, c, ops):
-    return ops.log1p(4.0 * c.w * dl / ((a + c.w) * c.a0_w)) / c.w
+    return ops.log1p(c.w4 * dl / ((a + c.w) * c.a0_w)) / c.w
 
 
 def _rational_term(dl, a, c, ops):
@@ -172,26 +175,28 @@ def _newton(c, dt, ops):
     if c.maxwell:
         return c.lam_start * ops.exp(-c.rate * dt)
     lam0, r, d0, rho, q0, qr = c.lam_start, c.lam_inf, c.d0, c.rho, c.q0, c.qr
+    r15, term = c.r15, c.term
     k = c.rate * dt
     lo, hi = -k * ops.maximum(1.0, rho), -k * ops.minimum(1.0, rho)
     tol = 1e-12 * (1.0 + k)
     v = -k * rho
-    dv = 2.0 * (hi - lo)
+    abs_dv = abs(2.0 * (hi - lo))
     done = False
     for _ in range(_NEWTON_MAX_ITER):
         dl = d0 * ops.expm1(v)
         lam = lam0 + dl
         dq = dl * (lam + lam0 + r)  # Q(lam) - Q(lam_start)
-        f = v + k - (0.5 * ops.log1p(dq / q0) + 1.5 * r * c.term(dl, 2.0 * lam + r, c, ops))
+        f = v + k - (0.5 * ops.log1p(dq / q0) + r15 * term(dl, 2.0 * lam + r, c, ops))
         lo, hi = ops.where(f < 0.0, v, lo), ops.where(f > 0.0, v, hi)
         newton = f * (q0 + dq) / qr
         step, v_newton = abs(newton), v - newton
         # bisect where an unconverged Newton step would leave the bracket
         # or does not halve the last step
-        bisect = (step > tol) & ((step > 0.5 * abs(dv)) | (v_newton < lo) | (v_newton > hi))
+        bisect = (step > tol) & ((step > 0.5 * abs_dv) | (v_newton < lo) | (v_newton > hi))
         dv = ops.where(done, 0.0, ops.where(bisect, v - 0.5 * (lo + hi), newton))
         v = v - dv
-        done = abs(dv) <= tol
+        abs_dv = abs(dv)
+        done = abs_dv <= tol
         if ops.all(done):
             break
     else:
@@ -205,7 +210,7 @@ _SCALAR = SimpleNamespace(
 )
 _NUMPY = SimpleNamespace(
     exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
-    maximum=np.maximum, minimum=np.minimum, where=np.where, all=np.all,
+    maximum=np.maximum, minimum=np.minimum, where=np.where, all=np.ndarray.all,
 )
 
 
@@ -231,9 +236,12 @@ class SegmentTrace:
     In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
 
     The constants ``_newton`` reads are set here: d0 = lam_start - r,
-    q0 = Q(lam_start), qr = Q(r), rho, a0 = 2 lam_start + r,
-    w = sqrt(|disc|) and a0_w = a0 - w = 2 lam_start + 4q/(r + w), the log
-    term's factor formed without cancellation.
+    q0 = Q(lam_start), qr = Q(r), rho, r15 = 1.5 r, a0 = 2 lam_start + r,
+    w = sqrt(|disc|), a0_w = a0 - w = 2 lam_start + 4q/(r + w) (the log
+    term's factor formed without cancellation), and the products of w the
+    H term reads: w2 = 2w, w_sq = w^2 and w2_inv = 2/w (atan), w4 = 4w (log).
+    Each is rounded as the loop would round it, so hoisting them changes no
+    bit of the solution.
     """
 
     index: int
@@ -256,9 +264,12 @@ class SegmentTrace:
         self.q0 = lam0 * (lam0 + r) + q
         self.qr = 2.0 * r * r + q
         self.rho = self.q0 / self.qr
+        self.r15 = 1.5 * r
         self.a0 = 2.0 * lam0 + r
-        self.w = math.sqrt(abs(self.disc))
-        self.a0_w = 2.0 * lam0 + 4.0 * q / (r + self.w)
+        w = self.w = math.sqrt(abs(self.disc))
+        self.a0_w = 2.0 * lam0 + 4.0 * q / (r + w)
+        self.w2, self.w_sq, self.w4 = 2.0 * w, w * w, 4.0 * w
+        self.w2_inv = 2.0 / w if w else math.inf  # read by the atan term only, where w > 0
         self.term = _h_term(self.disc)
         if not all(map(math.isfinite, (self.q0, self.qr, self.rho, self.w, self.a0_w))):
             raise DomainError(f"no finite creep solution in segment {self.index}")
@@ -293,9 +304,11 @@ class SegmentTrace:
         return lam
 
 
-# What a batch gathers per element from its segment: the span, then the constants.
+# What a batch gathers per element from its segment: the span, then the
+# constants, the last of them those the H term reads.
+_H_FIELDS = ("a0", "w", "a0_w", "w2", "w_sq", "w2_inv", "w4")
 _BATCH_FIELDS = ("t_start", "t_end", "lam_start", "lam_inf", "rate",
-                 "d0", "q0", "qr", "rho", "a0", "w", "a0_w")
+                 "d0", "q0", "qr", "rho", "r15") + _H_FIELDS
 _MAXWELL_FIELDS = _BATCH_FIELDS[:5]
 
 
@@ -328,36 +341,38 @@ class CreepCurve:
     @cached_property
     def _fields(self) -> SimpleNamespace:
         """Each segment's ``_BATCH_FIELDS`` as a column of ``table`` (the
-        Maxwell limit has no Newton constants), and its discriminant's sign."""
+        Maxwell limit has no Newton constants), its discriminant's sign, and
+        the H term of every segment when they all share one (else None)."""
         segs = self.segments
         maxwell = segs[0].maxwell
         names = _MAXWELL_FIELDS if maxwell else _BATCH_FIELDS
+        branch = None if maxwell else np.sign([s.disc for s in segs])
+        shared = not maxwell and len(set(branch.tolist())) == 1
         return SimpleNamespace(
             maxwell=maxwell, names=names,
             table=np.array([[getattr(s, name) for s in segs] for name in names]),
-            branch=None if maxwell else np.sign([s.disc for s in segs]),
+            branch=branch, term=_h_term(branch[0]) if shared else None,
         )
 
     def _lam(self, counts, times: np.ndarray) -> np.ndarray:
         """Stretch at ``times``, the first counts[0] in segment 0, the next
         counts[1] in segment 1 and so on: one Newton call."""
         fields = self._fields
-        seg = np.repeat(np.arange(len(counts)), counts)
-        c = SimpleNamespace(maxwell=fields.maxwell, **dict(zip(fields.names, fields.table[:, seg])))
-        if not fields.maxwell:
-            kinds = {fields.branch[k] for k, n in enumerate(counts) if n}
-            if len(kinds) == 1:
-                c.term = _h_term(kinds.pop())
-            else:  # rare: a log-branch load next to an atan-branch unload, say
-                branch = fields.branch[seg]
-                c.term, c.cases = _mixed_term, []
-                for kind in kinds:
-                    mask = branch == kind
-                    sub = SimpleNamespace(w=c.w[mask], a0=c.a0[mask], a0_w=c.a0_w[mask])
-                    c.cases.append((_h_term(kind), mask, sub))
+        n = len(counts)
+        columns = np.repeat(fields.table[:, :n], counts, axis=1)
+        c = SimpleNamespace(maxwell=fields.maxwell, term=fields.term,
+                            **dict(zip(fields.names, columns)))
+        if not fields.maxwell and c.term is None:  # rare: a log-branch load, an atan-branch unload
+            branch = np.repeat(fields.branch[:n], counts)
+            c.term, c.cases = _mixed_term, []
+            for kind in set(branch.tolist()):
+                mask = branch == kind
+                sub = SimpleNamespace(**{name: getattr(c, name)[mask] for name in _H_FIELDS})
+                c.cases.append((_h_term(kind), mask, sub))
         with np.errstate(all="ignore"):
             lam = _newton(c, np.maximum(times - c.t_start, 0.0), _NUMPY)
         if not (0.0 < lam.min() and lam.max() < math.inf):
+            seg = np.repeat(np.arange(n), counts)
             bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
             raise DomainError(f"creep solution left lambda > 0 in segment {bad}")
         return lam
@@ -375,7 +390,7 @@ class CreepCurve:
         if not any(counts):
             return [t.copy() for t in times]
         eps = self._to_strain(self._lam(counts, np.concatenate(times)))
-        return np.split(eps, np.cumsum(counts[:-1]))
+        return [eps[end - m:end] for m, end in zip(counts, itertools.accumulate(counts))]
 
     @cached_property
     def samples(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,16 @@ class TestCreepError:
         err = creep_error(PMR15, ds, w=0.5)
         assert math.isfinite(err) and err >= 0.5  # the load term is 1 to rounding
 
+    @pytest.mark.parametrize("w", [math.nan, 2.0, -1.0, math.inf])
+    def test_weight_outside_the_unit_interval_is_rejected(self, monkeypatch, w):
+        # nan scored 0.0, 2.0 twice the load term and -1.0 twice the unload term
+        import polyvisc.fitting as fitting
+
+        ds = synthetic(HFPE285, noise=0.01, seed=4, n_load=10, n_unload=5)
+        monkeypatch.setattr(fitting, "simulate_creep", None)
+        with pytest.raises(ValueError, match=r"weight w must lie in \[0, 1\], got"):
+            creep_error(HFPE285, ds, w=w)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         ds = synthetic(HFPE285, noise=0.02, seed=11)
@@ -250,6 +261,44 @@ class TestDatasetValidation:
             stress=1e7, unload_start=11.0,
         )
         assert ds2.t_unload_start() == 11.0
+
+
+class TestDatasetIsImmutable:
+    def arrays(self):
+        return dict(t_load=np.array([0.0, 10.0]), eps_load=np.array([0.01, 0.02]),
+                    t_unload=np.array([12.0, 20.0]), eps_unload=np.array([0.005, 0.001]))
+
+    def test_fields_cannot_be_reassigned(self):
+        ds = ExperimentalDataset(**self.arrays(), stress=1e7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.eps_load = np.array([0.02, 0.03])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.stress = 2e7
+
+    def test_arrays_are_read_only_float_copies(self):
+        given = self.arrays()
+        given["t_load"] = [0, 10]  # a list of ints is stored as floats too
+        ds = ExperimentalDataset(**given, stress=1e7)
+        for name, values in given.items():
+            stored = getattr(ds, name)
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 1.0
+            if isinstance(values, np.ndarray):
+                # the caller's array stays writeable and is not aliased
+                assert values.flags.writeable
+                assert not np.shares_memory(values, stored)
+                values[0] = 99.0
+                assert stored[0] != 99.0
+
+    def test_misfit_terms_are_formed_once(self):
+        ds = synthetic(HFPE285, noise=0.01, seed=6, n_load=10, n_unload=5)
+        first = creep_error(HFPE285, ds, w=0.5)
+        terms = ds._misfit_terms
+        assert creep_error(HFPE285, ds, w=0.5) == first
+        assert ds._misfit_terms is terms
+        assert [s.duration for s in terms.segments] == [
+            ds.t_unload_start(), ds.t_unload[-1] - ds.t_unload_start()]
 
 
 class TestNelderMead:
@@ -417,3 +466,18 @@ class TestFitConfig:
     def test_positive_guess(self):
         with pytest.raises(ValueError):
             FitConfig(initial=(1.0, -1.0, 1.0))
+
+    @pytest.mark.parametrize("initial", [
+        (math.nan, 1e9, 1e13),  # ran 154 evaluations, then "every trial ... penalised"
+        (math.inf, 1e9, 1e13),  # a numpy RuntimeWarning escaped from the search
+        (4.79e8, 1.43e9, -math.inf),
+    ])
+    def test_non_finite_guess(self, initial):
+        with pytest.raises(ValueError, match="initial guess must be positive and finite"):
+            FitConfig(initial=initial)
+
+    @pytest.mark.parametrize("initial", [(4.79e8, 1.43e9), (4.79e8, 1.43e9, 3.95e13, 1.0)])
+    def test_guess_is_a_triple(self, initial):
+        # a bare unpacking ValueError left the objective instead
+        with pytest.raises(ValueError, match=f"must be 3 values .* got {len(initial)}"):
+            FitConfig(initial=initial)

@@ -3,7 +3,8 @@
 ``perfbench/workloads.py`` builds each op's inputs from a seed and checks
 its output (``check(result)`` returns None when the output is right). Those
 checks otherwise run only inside ``perfbench/run.py``. This runs the first
-ops of every workload for seed 7, covering each kind of op, through them.
+ops of every workload for seed 7, covering each kind of op, through them,
+and the first fit ops of seed 31, whose noise and initial guesses differ.
 It reads ``perfbench/`` and changes nothing there.
 """
 
@@ -40,15 +41,26 @@ PV = SimpleNamespace(cli=cli, dataio=dataio, evolution=evolution, fitting=fittin
                      uniaxial=uniaxial, MaterialParams=MaterialParams)
 
 
-# fit: a clean and a noisy dataset; creep: programs of 2 to 8 segments;
-# tensor: uniaxial, shear, relax and replay on two presets
-@pytest.mark.parametrize("name, n_ops", [("fit", 2), ("creep", 7), ("tensor", 8)])
-def test_first_ops_pass_their_checks(workloads, tmp_path, name, n_ops):
-    wl = workloads.WORKLOADS[name](PV, SEED, str(tmp_path))
+def failed_checks(workloads, tmp_path, name, seed, n_ops):
+    wl = workloads.WORKLOADS[name](PV, seed, str(tmp_path))
     failures = []
     for i in range(n_ops):
         run, check = wl.prepare(i)
         failure = check(run())
         if failure is not None:
             failures.append(f"op {i}: {failure}")
-    assert failures == []
+    return failures
+
+
+# fit: a clean and a noisy dataset; creep: programs of 2 to 8 segments;
+# tensor: uniaxial, shear, relax and replay on two presets
+@pytest.mark.parametrize("name, n_ops", [("fit", 2), ("creep", 7), ("tensor", 8)])
+def test_first_ops_pass_their_checks(workloads, tmp_path, name, n_ops):
+    assert failed_checks(workloads, tmp_path, name, SEED, n_ops) == []
+
+
+def test_first_fit_ops_of_seed_31_pass_their_checks(workloads, tmp_path):
+    # the fit check on a clean dataset is tight (the fitted objective must not
+    # exceed its value at the truth, about 5e-11), and a change that moves
+    # the simplex path can fail it from one start and pass from another
+    assert failed_checks(workloads, tmp_path, "fit", 31, 2) == []

@@ -405,6 +405,24 @@ class TestBatch:
         assert array_solves() == 1
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
 
+    @pytest.mark.parametrize("mu_g_bar", [PMR15.mu_g_bar, 0.0])
+    def test_times_for_a_prefix_of_the_segments(self, mu_g_bar):
+        # times for the first k < n segments, the middle one empty, as the
+        # objective asks at w = 1 for its load segment alone: each piece is
+        # the segment's own solve, bit for bit
+        mp = MaterialParams(mu_p_bar=PMR15.mu_p_bar, mu_g_bar=mu_g_bar, eta=PMR15.eta)
+        tau = PMR15.retardation_time()
+        curve = simulate_creep([(1.0e7, tau), (0.0, tau), (-5.0e6, 2 * tau), (0.0, tau)], mp)
+        segs = curve.segments
+        times = [np.linspace(segs[0].t_start, segs[0].t_end, 7), [],
+                 np.linspace(segs[2].t_start, segs[2].t_end, 5)]
+        eps = curve.strains_in_segments(times)
+        assert [e.size for e in eps] == [7, 0, 5]
+        for k in (0, 2):
+            assert np.array_equal(eps[k], curve.strain_in_segment(k, times[k]))
+        (load,) = curve.strains_in_segments(times[:1])
+        assert np.array_equal(load, eps[0])
+
     def test_one_array_solve_per_curve_and_per_objective(self, array_solves, tmp_path):
         tau = PMR15.retardation_time()
         curve = simulate_creep([(1.0e7, tau), (-5.0e6, tau), (0.0, 2 * tau)], PMR15)
