@@ -8,10 +8,11 @@ of B_p then follows from the frame-indifferent kinematic identity
 L*B_p + B_p*L^T - 2*V*D_G*V, V = B_p^1/2. One ``eigh`` of B_p carries all
 of it (``_elastic_split``): in B_p's eigenbasis V is diagonal and the solve
 is a componentwise divide (``_flow``). Unimodularity of B_p is a
-consequence, not an input: the integrator monitors det(B_p) and aborts on
-drift rather than renormalizing. Every tensor here is a plain 3x3 matrix:
-F and L come from the protocol as arrays, and ``drive`` starts from a 3x3
-B_p. ``SymTensor3`` appears only as the element type of ``Trajectory.b_p``.
+consequence, not an input: once a drive is integrated, det(B_p) of its
+accepted states is checked, and drift raises rather than renormalizing.
+Every tensor here is a plain 3x3 matrix: F and L come from the protocol as
+arrays, and ``drive`` starts from a 3x3 B_p. ``SymTensor3`` appears only as
+the element type of ``Trajectory.b_p``.
 
 The right-hand side runs once per state. The trajectory is built in one
 pass over the stacked accepted states: per state only F, B_G and D_G come
@@ -164,8 +165,9 @@ def drive(
 
     Raises DomainError unless ``b_p0`` is a finite 3x3 matrix, symmetric
     within 1e-8 of its largest entry, and unless the viscous rates
-    2*mu_p_bar/eta and 2*mu_g_bar/eta are finite; IntegrationError if
-    det(B_p) drifts beyond DET_DRIFT_LIMIT.
+    2*mu_p_bar/eta and 2*mu_g_bar/eta are finite; IntegrationError, after
+    integrating, if det(B_p) of an accepted state is more than
+    DET_DRIFT_LIMIT from 1, naming the first such state.
     """
     pieces = (protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)
     for prev, piece in zip(pieces, pieces[1:]):
@@ -191,12 +193,6 @@ def drive(
 
         return rhs
 
-    def step_hook(t, y):
-        det = np.linalg.det(y[_SYM_INDEX])
-        if abs(det - 1.0) > DET_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"det(B_p) drifted to {det} at t = {t}; aborting instead of renormalizing")
-
     # averaging removes the rounding asymmetry of a product such as J B_p J
     y = (0.5 * (b_p0 + b_p0.T))[_ROWS, _COLS]
     sols = []
@@ -206,7 +202,7 @@ def drive(
             rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
             first_step=first_step, min_step=min_step,
         )
-        sol = integrate(problem, step_hook=step_hook)
+        sol = integrate(problem)
         sols.append(sol)
         y = sol.ys[-1]
         first_step = sol.ts[-1] - sol.ts[-2]
@@ -220,6 +216,12 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
             for t, y in zip(sol.ts[k > 0:], sol.ys[k > 0:])]
     ys = np.array([y for _, _, y in rows])
     b_p = ys[:, _SYM_INDEX]
+    det_bp = np.linalg.det(b_p)
+    drifted = np.flatnonzero(np.abs(det_bp - 1.0) > DET_DRIFT_LIMIT)
+    if drifted.size:
+        i = drifted[0]
+        raise IntegrationError(f"det(B_p) drifted to {det_bp[i]} at t = {rows[i][1]}; "
+                               "aborting instead of renormalizing")
     samples = [_sample(piece, mp, t, y) for piece, t, y in rows]
     fs, b_g, d_g = (np.array(part) for part in zip(*samples))
 
@@ -240,7 +242,7 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
         stress=t_sym,
         eps_axial=eps_ax,
         t_axial=t_sym[:, 0, 0],
-        det_bp=np.linalg.det(b_p),
+        det_bp=det_bp,
         xi_m=xi,
         identity_residual=check_dissipation_identity(t_sym, b_g, d_g, xi, mp),
         pressure_convention=convention,

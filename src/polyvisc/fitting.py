@@ -71,6 +71,11 @@ class ExperimentalDataset:
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        for t_name, eps_name in (("t_load", "eps_load"), ("t_unload", "eps_unload")):
+            t, eps = getattr(self, t_name), getattr(self, eps_name)
+            if t.ndim != 1 or eps.shape != t.shape:
+                raise ValueError(f"{t_name} and {eps_name} must be 1-D arrays of one length, "
+                                 f"got shapes {t.shape} and {eps.shape}")
         if self.t_load.size < 2:
             raise ValueError("load phase needs at least 2 samples")
         for name in ("t_load", "eps_load", "t_unload", "eps_unload"):
@@ -87,6 +92,8 @@ class ExperimentalDataset:
         if self.t_unload.size and self.t_unload[0] < self.t_load[-1]:
             raise ValueError("unload times must not precede the load phase")
         if self.unload_start is not None:
+            if not math.isfinite(self.unload_start):
+                raise ValueError(f"unload start must be finite, got {self.unload_start}")
             if not (self.t_load[-1] <= self.unload_start):
                 raise ValueError("unload start must not precede the last load stamp")
             if self.t_unload.size and self.t_unload[0] < self.unload_start:

@@ -49,14 +49,19 @@ def shear_L(gamma_dot: float) -> np.ndarray:
 class MotionProtocol:
     """Strain-controlled motion over a time span.
 
-    ``kind`` is "uniaxial" or "shear"; the driving callables return the
-    scalar stretch/shear and its rate at a time inside ``span``.
+    ``kind`` is "uniaxial" or "shear" (any other raises ValueError); the
+    driving callables return the scalar stretch/shear and its rate at a time
+    inside ``span``.
     """
 
     kind: str
     span: tuple
     drive: Callable[[float], float]
     drive_rate: Callable[[float], float]
+
+    def __post_init__(self):
+        if self.kind not in ("uniaxial", "shear"):
+            raise ValueError(f"unknown protocol kind {self.kind!r}")
 
     def F(self, t: float) -> np.ndarray:
         if self.kind == "shear":
@@ -76,10 +81,12 @@ def ramp_hold(kind: str, amplitude: float, ramp: float, duration: float) -> tupl
     a "shear" ramp. The rate jumps to 0 at t = ramp, so the motion is
     returned as its smooth pieces: the ramp, then the hold (omitted when
     ramp == duration), with abutting spans. Both pieces give the same
-    stretch at t = ramp. A rate that is not finite raises DomainError.
+    stretch at t = ramp. Unless 0 < ramp <= duration < inf it raises
+    ValueError; a rate that is not finite raises DomainError.
     """
-    if kind not in ("uniaxial", "shear"):
-        raise ValueError(f"unknown protocol kind {kind!r}")
+    if not (0.0 < ramp <= duration < math.inf):
+        raise ValueError(f"ramp_hold needs 0 < ramp <= duration < inf, got ramp = {ramp}, "
+                         f"duration = {duration}")
     start = 0.0 if kind == "shear" else 1.0
     delta = amplitude - start
     rate = delta / ramp

@@ -3,9 +3,9 @@
 Implements the Dormand-Prince 5(4) pair with PI step-size control and
 returns the states on the accepted mesh. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
-``uniaxial``); an optional ``step_hook`` monitors every accepted step (used
-to police determinant drift during natural-configuration evolution). It
-owns how a run starts, by one unit-free rule (``_initial_step``).
+``uniaxial``); an optional ``step_hook`` sees every accepted step and may
+abort the run. It owns how a run starts, by one unit-free rule
+(``_initial_step``).
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def integrate(
     """Integrate the problem over its span.
 
     ``step_hook(t, y)`` runs after every accepted step as a monitor; it may
-    raise to abort, and its return value is ignored.
+    raise to abort, and its return value is ignored. Every IntegrationError
+    raised here, the hook's too, carries the accepted states as ``partial``.
     """
     rhs = problem.rhs
     t0, t1 = float(problem.span[0]), float(problem.span[1])
@@ -145,17 +146,11 @@ def integrate(
 
     t = t0
     f = np.asarray(rhs(t, y), dtype=float)
-    n_rhs = 1
-    if problem.first_step is None:
-        h, n_probe = _initial_step(rhs, t0, y, f, t1, rtol, atol)
-        n_rhs += n_probe
-    else:
-        h = problem.first_step
-
     ts = [t0]
     ys = [y.copy()]
     n_accepted = 0
     n_rejected = 0
+    n_rhs = 1
     err_prev = 1e-4  # PI controller memory
 
     k = np.empty((7, dim))
@@ -163,65 +158,64 @@ def integrate(
     if min_step is None:
         min_step = _MIN_STEP_FRACTION * (t1 - t0)
 
-    def _partial():
+    def solution():
         return OdeSolution(
             ts=np.array(ts), ys=np.array(ys),
             n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs,
         )
 
-    while t < t1:
-        if n_accepted + n_rejected > _MAX_STEPS:
-            raise IntegrationError(f"step budget exhausted at t = {t}", _partial())
-        if h < min_step:
-            raise IntegrationError(f"step size underflow at t = {t} (h = {h}); problem too "
-                                   "stiff or singular", _partial())
-        last = h >= t1 - t
-        if last:  # land on t1 exactly, so a following span starts where this one ends
-            h = t1 - t
-
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h, yi)
-        n_rhs += 6
-
-        y_new = y + h * (_B5 @ k)
-        # stage 7 is evaluated at (t+h, y_new): FSAL
-        err_vec = h * (_E @ k)
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
-
-        if not math.isfinite(err):
-            # overshot into a bad region; retry with a much smaller step
-            n_rejected += 1
-            h *= _MIN_FACTOR
-            continue
-
-        if err <= 1.0:
-            t_new = t1 if last else t + h
-            if step_hook is not None:
-                try:
-                    step_hook(t_new, y_new)
-                except IntegrationError as exc:
-                    if exc.partial is None:
-                        exc.partial = _partial()
-                    raise
-            t, y, f = t_new, y_new, k[6].copy()
-            ts.append(t)
-            ys.append(y.copy())
-            n_accepted += 1
-
-            factor = _SAFETY * err ** (-_EXPO) * err_prev ** _PI_BETA if err > 0.0 else _MAX_FACTOR
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-4)
+    try:
+        if problem.first_step is None:
+            h, n_probe = _initial_step(rhs, t0, y, f, t1, rtol, atol)
+            n_rhs += n_probe
         else:
-            n_rejected += 1
-            factor = _SAFETY * err ** (-0.2)
-            h *= min(1.0, max(_MIN_FACTOR, factor))
+            h = problem.first_step
 
-    return OdeSolution(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_rhs=n_rhs,
-    )
+        while t < t1:
+            if n_accepted + n_rejected > _MAX_STEPS:
+                raise IntegrationError(f"step budget exhausted at t = {t}")
+            if h < min_step:
+                raise IntegrationError(f"step size underflow at t = {t} (h = {h}); problem too "
+                                       "stiff or singular")
+            last = h >= t1 - t
+            if last:  # land on t1 exactly, so a following span starts where this one ends
+                h = t1 - t
+
+            k[0] = f
+            for i in range(1, 7):
+                yi = y + h * (_A[i] @ k[:i])
+                k[i] = rhs(t + _C[i] * h, yi)
+            n_rhs += 6
+
+            y_new = y + h * (_B5 @ k)
+            # stage 7 is evaluated at (t+h, y_new): FSAL
+            err_vec = h * (_E @ k)
+            err = _error_norm(err_vec, y, y_new, rtol, atol)
+
+            if not math.isfinite(err):
+                # overshot into a bad region; retry with a much smaller step
+                n_rejected += 1
+                h *= _MIN_FACTOR
+                continue
+
+            if err <= 1.0:
+                t_new = t1 if last else t + h
+                if step_hook is not None:
+                    step_hook(t_new, y_new)
+                t, y, f = t_new, y_new, k[6].copy()
+                ts.append(t)
+                ys.append(y.copy())
+                n_accepted += 1
+
+                factor = _SAFETY * err ** (-_EXPO) * err_prev ** _PI_BETA if err > 0.0 else _MAX_FACTOR
+                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev = max(err, 1e-4)
+            else:
+                n_rejected += 1
+                factor = _SAFETY * err ** (-0.2)
+                h *= min(1.0, max(_MIN_FACTOR, factor))
+    except IntegrationError as exc:
+        exc.partial = solution()
+        raise
+
+    return solution()

@@ -1,5 +1,7 @@
 import collections
 import math
+import re
+import types
 
 import numpy as np
 import pytest
@@ -312,6 +314,20 @@ class TestDrive:
         with pytest.raises(IntegrationError, match="det"):
             drive(protocol, PMR15, bad)
 
+    def test_late_det_drift_names_the_first_drifted_state(self, monkeypatch, late_drift):
+        # the drive runs to its end before the check, which names the first
+        # accepted state past the limit: the drift starts after t_mid
+        sols = traced_solutions(monkeypatch)
+        with pytest.raises(IntegrationError, match=r"det\(B_p\) drifted") as err:
+            drive(late_drift.protocol, PMR15, np.eye(3))
+        t_named = float(re.search(r"at t = (\S+);", str(err.value)).group(1))
+        (sol,) = sols
+        assert sol.ts[-1] == late_drift.protocol[0].span[1]
+        det_err = np.abs(np.linalg.det(sol.ys[:, _SYM_INDEX]) - 1.0)
+        first = int(np.argmax(det_err > evolution.DET_DRIFT_LIMIT))
+        assert det_err[first] > evolution.DET_DRIFT_LIMIT
+        assert t_named == sol.ts[first] > late_drift.t_mid
+
     @pytest.mark.parametrize("b_p0", [
         np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # asymmetric
         np.diag([1.0, math.nan, 1.0]),
@@ -367,6 +383,21 @@ class TestDrive:
                  / (PMR15.mu_p_bar + PMR15.mu_g_bar) * math.log(1.01))
         assert traj.t_axial[-1] == pytest.approx(t_inf, rel=0.25)
         assert traj.eps_axial[-1] == pytest.approx(math.log(1.01), rel=1e-9)
+
+
+@pytest.fixture
+def late_drift(monkeypatch):
+    """A uniaxial ramp to 1.02 over one retardation time whose rate kernel
+    scales B_p up, and so moves det(B_p) off 1, only once the stretch passes
+    its midpoint value 1.01 at t_mid."""
+    tau = PMR15.retardation_time()
+    kernel = evolution._rate_kernel
+
+    def perturbed(y, b, lmat, mp):
+        return kernel(y, b, lmat, mp) + max(0.0, b[0, 0] - 1.01**2) / tau * y
+
+    monkeypatch.setattr(evolution, "_rate_kernel", perturbed)
+    return types.SimpleNamespace(protocol=ramp_hold("uniaxial", 1.02, tau, tau), t_mid=0.5 * tau)
 
 
 def traced_solutions(monkeypatch):

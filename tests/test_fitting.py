@@ -248,6 +248,35 @@ class TestDatasetValidation:
                 t_unload=np.array([200.0]), eps_unload=np.array([0.004]), stress=1e7,
             )
 
+    @pytest.mark.parametrize("t_load, eps_load, t_unload, eps_unload", [
+        ([0.0, 5.0, 10.0], [0.01], [15.0], [0.004]),
+        ([0.0, 10.0], [0.01, 0.02], [15.0, 20.0], [0.004]),
+        ([0.0, 5.0, 10.0], [0.01, 0.02], [15.0], [0.004]),
+        ([[0.0, 5.0], [10.0, 15.0]], [0.01, 0.02], [20.0], [0.004]),
+    ], ids=["3-load-times-1-strain", "2-unload-times-1-strain", "3-times-2-strains", "2-D-t_load"])
+    def test_strains_must_match_their_times(self, t_load, eps_load, t_unload, eps_unload):
+        # the first two were broadcast into a misfit (1.136 and 0.762 on
+        # hfpe285), the last two failed inside creep_error
+        with pytest.raises(ValueError, match="must be 1-D arrays of one length"):
+            ExperimentalDataset(
+                t_load=np.array(t_load), eps_load=np.array(eps_load),
+                t_unload=np.array(t_unload), eps_unload=np.array(eps_unload), stress=1e7,
+            )
+
+    @pytest.mark.parametrize("unload_start, t_unload, eps_unload", [
+        (math.inf, [], []),
+        (math.nan, [15.0, 20.0], [0.005, 0.001]),
+    ], ids=["inf", "nan"])
+    def test_unload_start_must_be_finite(self, unload_start, t_unload, eps_unload):
+        # inf was accepted and failed only in creep_error; nan was said to
+        # precede the last load stamp
+        with pytest.raises(ValueError, match="unload start must be finite"):
+            ExperimentalDataset(
+                t_load=np.array([0.0, 10.0]), eps_load=np.array([0.01, 0.02]),
+                t_unload=np.array(t_unload), eps_unload=np.array(eps_unload),
+                stress=1e7, unload_start=unload_start,
+            )
+
     def test_unload_start_default_and_override(self):
         ds = ExperimentalDataset(
             t_load=np.array([0.0, 10.0]), eps_load=np.array([0.01, 0.02]),

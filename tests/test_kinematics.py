@@ -123,6 +123,12 @@ class TestProtocols:
         assert p.L(2.0)[0, 1] == pytest.approx(0.1)
         assert np.linalg.det(p.F(2.0)) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("kind", ["Shear", "torsion", ""])
+    def test_rejects_unknown_kind(self, kind):
+        # "Shear" once ran as a uniaxial motion
+        with pytest.raises(ValueError, match="unknown protocol kind"):
+            MotionProtocol(kind, (0.0, 1.0), lambda t: 0.1 * t, lambda t: 0.1)
+
 
 class TestRampHold:
     @pytest.mark.parametrize("kind, rest, amplitude", [("uniaxial", 1.0, 1.03), ("shear", 0.0, 0.05)])
@@ -148,3 +154,12 @@ class TestRampHold:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ramp_hold("torsion", 0.1, 1.0, 2.0)
+
+    @pytest.mark.parametrize("ramp, duration", [
+        (2.0, 1.0), (-1.0, 5.0), (0.0, 5.0), (1.0, math.inf), (math.nan, 5.0), (1.0, math.nan),
+    ])
+    def test_rejects_a_ramp_outside_the_duration(self, ramp, duration):
+        # a ramp past the duration ran to the ramp's end; a negative one
+        # failed later, in OdeProblem
+        with pytest.raises(ValueError, match="0 < ramp <= duration < inf"):
+            ramp_hold("uniaxial", 1.02, ramp, duration)

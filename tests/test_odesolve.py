@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polyvisc import odesolve
 from polyvisc.odesolve import IntegrationError, OdeProblem, OdeSolution, integrate
 
 
@@ -80,6 +81,29 @@ class TestFailureModes:
             solve(lambda t, y: y * y, (0.0, 2.0), [1.0])
         assert isinstance(err.value.partial, OdeSolution)
         assert err.value.partial.ts[-1] < 1.01
+
+    @pytest.mark.parametrize("case", ["underflow", "budget", "nan-at-start"])
+    def test_every_failure_carries_its_partial(self, monkeypatch, case):
+        # the hook's abort is covered in TestStepHook; a nan rate at t0 fails
+        # in the start and once carried no partial
+        rhs, match = {
+            "underflow": (lambda t, y: y * y, "step size underflow at t = "),
+            "budget": (lambda t, y: -y, "step budget exhausted"),
+            "nan-at-start": (lambda t, y: np.full_like(y, math.nan), r"at t = 0\.0 \(initial"),
+        }[case]
+        if case == "budget":
+            monkeypatch.setattr(odesolve, "_MAX_STEPS", 5)
+        with pytest.raises(IntegrationError, match=match) as err:
+            solve(rhs, (0.0, 2.0), [1.0])
+        partial = err.value.partial
+        assert isinstance(partial, OdeSolution)
+        assert partial.ts[0] == 0.0 and partial.ys[0, 0] == 1.0
+        assert partial.n_accepted == len(partial.ts) - 1 == len(partial.ys) - 1
+        assert partial.n_rhs >= 1 + 6 * (partial.n_accepted + partial.n_rejected)
+        if case == "budget":
+            assert partial.n_accepted + partial.n_rejected == 6
+        if case == "nan-at-start":
+            assert partial.n_accepted == partial.n_rejected == 0 and partial.n_rhs == 1
 
     def test_invalid_problem(self):
         with pytest.raises(ValueError):

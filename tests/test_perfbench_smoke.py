@@ -4,7 +4,8 @@
 its output (``check(result)`` returns None when the output is right). Those
 checks otherwise run only inside ``perfbench/run.py``. This runs the first
 ops of every workload for seed 7, covering each kind of op, through them,
-and the first fit ops of seed 31, whose noise and initial guesses differ.
+and the first fit and tensor ops of seed 31, whose noise, initial guesses,
+amplitudes and ramp times differ.
 It reads ``perfbench/`` and changes nothing there.
 """
 
@@ -64,3 +65,9 @@ def test_first_fit_ops_of_seed_31_pass_their_checks(workloads, tmp_path):
     # exceed its value at the truth, about 5e-11), and a change that moves
     # the simplex path can fail it from one start and pass from another
     assert failed_checks(workloads, tmp_path, "fit", 31, 2) == []
+
+
+def test_first_tensor_ops_of_seed_31_pass_their_checks(workloads, tmp_path):
+    # the tensor checks read the trajectory's det(B_p), dissipation and
+    # identity residual, and the replay's agreement with the scalar solution
+    assert failed_checks(workloads, tmp_path, "tensor", 31, 8) == []
