@@ -22,11 +22,11 @@ multiplicative noise) stands in for them in tests and examples.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -180,10 +180,12 @@ def load_dataset(path) -> ExperimentalDataset:
 
 
 def _read_utf8(path) -> io.StringIO:
-    """The file's text, newlines translated as ``open`` would; raises
-    DatasetError on bytes that are not UTF-8."""
+    """The file's text, newlines translated as ``open`` would and a leading
+    byte-order mark dropped; raises DatasetError on bytes that are not UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a leading byte-order mark is dropped from the bytes, not by "utf-8-sig",
+        # whose error offsets would not index ``data``
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
@@ -212,10 +214,10 @@ def save_dataset(ds: ExperimentalDataset, path) -> None:
             fh.write(f"# provenance={ds.provenance}\n")
         fh.write("segment,t_s,strain\n")
         # full precision: fits treat these as exact observations
-        for t, e in zip(ds.t_load, ds.eps_load):
-            fh.write(f"load,{float(t)!r},{float(e)!r}\n")
-        for t, e in zip(ds.t_unload, ds.eps_unload):
-            fh.write(f"unload,{float(t)!r},{float(e)!r}\n")
+        fh.writelines(f"load,{t!r},{e!r}\n"
+                      for t, e in zip(ds.t_load.tolist(), ds.eps_load.tolist()))
+        fh.writelines(f"unload,{t!r},{e!r}\n"
+                      for t, e in zip(ds.t_unload.tolist(), ds.eps_unload.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -240,11 +242,10 @@ def save_trajectory(traj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# pressure_convention={traj.pressure_convention}\n")
         fh.write("t,eps_axial,T11_pa,detBp,xi_m,identity_residual\n")
-        for i in range(len(traj)):
-            fh.write(
-                f"{traj.t[i]:.9f},{traj.eps_axial[i]:.12e},{traj.t_axial[i]:.6e},"
-                f"{traj.det_bp[i]:.15f},{traj.xi_m[i]:.6e},{traj.identity_residual[i]:.3e}\n"
-            )
+        cols = (traj.t, traj.eps_axial, traj.t_axial, traj.det_bp, traj.xi_m,
+                traj.identity_residual)
+        fh.writelines(f"{t:.9f},{e:.12e},{s:.6e},{d:.15f},{x:.6e},{r:.3e}\n"
+                      for t, e, s, d, x, r in zip(*(c.tolist() for c in cols)))
 
 
 # --------------------------------------------------------------------------
@@ -336,59 +337,42 @@ def render_svg(curves: Sequence[CreepCurve]) -> str:
         y = py0 + (e - e_lo) / (e_hi - e_lo) * (py1 - py0)
         return x, y
 
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(_SVG_W),
-        height=str(_SVG_H),
-        viewBox=f"0 0 {_SVG_W} {_SVG_H}",
-    )
-    ET.SubElement(root, "rect", x="0", y="0", width=str(_SVG_W), height=str(_SVG_H),
-                  fill="white")
-    # axes
-    axis_style = {"stroke": "black", "stroke-width": "1"}
-    ET.SubElement(root, "line", x1=str(px0), y1=str(py0), x2=str(px1), y2=str(py0),
-                  **axis_style)
-    ET.SubElement(root, "line", x1=str(px0), y1=str(py0), x2=str(px0), y2=str(py1),
-                  **axis_style)
-    xlabel = ET.SubElement(root, "text", x=str(0.5 * (px0 + px1)), y=str(_SVG_H - 12),
-                           fill="black")
-    xlabel.set("text-anchor", "middle")
-    xlabel.text = "time (s)"
-    ylabel = ET.SubElement(root, "text", x="18", y=str(0.5 * (py0 + py1)), fill="black")
-    ylabel.set("text-anchor", "middle")
-    ylabel.set("transform", f"rotate(-90 18 {0.5 * (py0 + py1)})")
-    ylabel.text = "strain"
-    # range annotations at the axis ends
+    # every value is a number or fixed ASCII text, so nothing needs escaping
+    mid_y = 0.5 * (py0 + py1)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white" />',
+        # axes
+        f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="black" stroke-width="1" />',
+        f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="black" stroke-width="1" />',
+        f'<text x="{0.5 * (px0 + px1)}" y="{_SVG_H - 12}" fill="black" '
+        'text-anchor="middle">time (s)</text>',
+        f'<text x="18" y="{mid_y}" fill="black" text-anchor="middle" '
+        f'transform="rotate(-90 18 {mid_y})">strain</text>',
+    ]
+    # range annotations at the axis ends; attribute order is part of the output's
+    # bytes, and a tick names its fixed coordinate first
     for t_val, anchor in ((t_lo, "start"), (t_hi, "end")):
-        tick = ET.SubElement(root, "text", y=str(py0 + 16), fill="black")
-        tick.set("x", str(to_px(t_val, e_lo)[0]))
-        tick.set("text-anchor", anchor)
-        tick.set("font-size", "11")
-        tick.text = f"{t_val:.4g}"
+        parts.append(f'<text y="{py0 + 16}" fill="black" x="{to_px(t_val, e_lo)[0]}" '
+                     f'text-anchor="{anchor}" font-size="11">{t_val:.4g}</text>')
     for e_val in (e_lo, e_hi):
-        tick = ET.SubElement(root, "text", x=str(px0 - 6), fill="black")
-        tick.set("y", str(to_px(t_lo, e_val)[1] + 4))
-        tick.set("text-anchor", "end")
-        tick.set("font-size", "11")
-        tick.text = f"{e_val:.4g}"
+        parts.append(f'<text x="{px0 - 6}" fill="black" y="{to_px(t_lo, e_val)[1] + 4}" '
+                     f'text-anchor="end" font-size="11">{e_val:.4g}</text>')
 
     for i, curve in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         xs, ys = to_px(curve.t, curve.epsilon)  # elementwise, in the scalar operation order
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
-        poly = ET.SubElement(root, "polyline", fill="none", stroke=color)
-        poly.set("stroke-width", "1.5")
-        poly.set("points", pts)
-        # legend entry
         ly = 30 + 18 * i
-        ET.SubElement(root, "line", x1=str(px1 - 150), y1=str(ly), x2=str(px1 - 120),
-                      y2=str(ly), stroke=color)
-        entry = ET.SubElement(root, "text", x=str(px1 - 112), y=str(ly + 4), fill="black")
-        entry.set("font-size", "12")
-        entry.text = f"curve {i}"
-
-    return ET.tostring(root, encoding="unicode")
+        parts += [
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}" />',
+            # legend entry
+            f'<line x1="{px1 - 150}" y1="{ly}" x2="{px1 - 120}" y2="{ly}" stroke="{color}" />',
+            f'<text x="{px1 - 112}" y="{ly + 4}" fill="black" font-size="12">curve {i}</text>',
+        ]
+    parts.append("</svg>")
+    return "".join(parts)
 
 
 def save_svg(curves: Sequence[CreepCurve], path) -> None:

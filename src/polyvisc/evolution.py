@@ -161,7 +161,8 @@ def drive(
     it starts from the previous piece's end state, with the previous piece's
     last accepted step as its first step, and the breakpoint is recorded
     once. The first piece takes ``odesolve``'s automatic start. The
-    step-size floor is taken from the whole drive's span.
+    step-size floor is taken from the shortest piece's span, so a short
+    ramp in a long drive can take steps shorter than the ramp.
 
     Raises DomainError unless ``b_p0`` is a finite 3x3 matrix, symmetric
     within 1e-8 of its largest entry, and unless the viscous rates
@@ -184,7 +185,7 @@ def drive(
     for name, mu in (("mu_p_bar", mp.mu_p_bar), ("mu_g_bar", mp.mu_g_bar)):
         if not math.isfinite(2.0 * mu / mp.eta):  # the flow rule's (2/eta)*mu terms
             raise DomainError(f"viscous rate 2*{name}/eta = {2.0 * mu / mp.eta} is not finite")
-    min_step = _MIN_STEP_FRACTION * (pieces[-1].span[1] - pieces[0].span[0])
+    min_step = _MIN_STEP_FRACTION * min(piece.span[1] - piece.span[0] for piece in pieces)
 
     def rhs_of(piece):
         def rhs(t, y):

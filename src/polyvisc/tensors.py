@@ -13,8 +13,9 @@ evolution equation: the flow rule solves A*X + X*A = M with A symmetric
 positive definite at every right-hand-side evaluation. ``eig_sym`` is
 LAPACK ``eigh`` behind a finiteness check, and ``_sylvester_from_decomp``
 solves the equation in A's eigenbasis, where it is a componentwise divide.
-Every SPD test is ``_require_spd`` on the eigenvalues, against the floor
-``SPD_EIG_FLOOR``.
+An SPD test on a decomposed tensor is ``_require_spd`` on its eigenvalues,
+against the floor ``SPD_EIG_FLOOR``; ``material.dissipation_rate`` instead
+tests SPD by whether its Cholesky factorization fails.
 """
 
 from __future__ import annotations

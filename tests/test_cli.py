@@ -476,13 +476,35 @@ class TestDriveRelax:
         assert traj[-1, 0] == 2.0e6
         assert np.all(traj[:, 2] == 0.0)
 
-    @pytest.mark.parametrize("amplitude", ["1e10", "1e300"])
-    def test_huge_shear_is_a_numerical_failure(self, capsys, amplitude):
-        # at 1e300 the first step-size guess underflows to 0
+    @pytest.mark.parametrize("amplitude, message", [
+        # the ramp's steps leave the SPD cone
+        pytest.param("1e10", "evolution requires an SPD tensor", id="1e10"),
+        # the first step-size guess underflows to 0
+        pytest.param("1e300", "step size underflow", id="1e300"),
+    ])
+    def test_huge_shear_is_a_numerical_failure(self, capsys, amplitude, message):
         code = run("drive", "--preset", "pmr15_288", "--protocol", "shear",
                    "--amplitude", amplitude, "--duration", "100")
         assert code == 3
-        assert "step size underflow" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_huge_shear_ramp_fails_alike_with_or_without_its_hold(self, capsys):
+        # the step floor comes from the ramp piece, not from the whole drive
+        errors = []
+        for duration in ("50", "100"):
+            code = run("drive", "--preset", "pmr15_288", "--protocol", "shear",
+                       "--amplitude", "1e10", "--ramp-time", "50", "--duration", duration)
+            assert code == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("ramp", ["1e-9", "1e-15"])
+    def test_short_ramp_in_long_drive(self, capsys, ramp):
+        # a floor of 1e-12 of the whole 1e4 s drive was longer than the ramp itself
+        code = run("drive", "--preset", "pmr15_288", "--amplitude", "1.02",
+                   "--ramp-time", ramp, "--duration", "1e4")
+        assert code == 0
+        assert "T_axial(end) = 1.288760e+07 Pa" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, quantity", [
         (["drive", "--preset", "pmr15_288", "--protocol", "shear", "--amplitude", "1e20",

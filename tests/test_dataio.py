@@ -127,11 +127,31 @@ class TestDatasetIO:
         path = tmp_path / "round.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert np.max(np.abs(back.t_load - ds.t_load)) <= 1e-9 * max(1.0, ds.t_load[-1])
-        assert np.max(np.abs(back.eps_load - ds.eps_load)) <= 1e-9
-        assert np.max(np.abs(back.eps_unload - ds.eps_unload)) <= 1e-9
+        # written with repr, so every sample reads back exactly
+        assert np.array_equal(back.t_load, ds.t_load)
+        assert np.array_equal(back.eps_load, ds.eps_load)
+        assert np.array_equal(back.t_unload, ds.t_unload)
+        assert np.array_equal(back.eps_unload, ds.eps_unload)
         assert back.stress == ds.stress
         assert back.temperature_c == 285.0
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "# stress_pa=1e7\nsegment,t_s,strain\nload,0.0,0.01\nload,10.0,0.012\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_dataset(plain), load_dataset(marked)
+        assert np.array_equal(a.t_load, b.t_load)
+        assert np.array_equal(a.eps_load, b.eps_load)
+        assert a.stress == b.stress
+
+    def test_byte_order_mark_keeps_bad_byte_line(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        # the bad byte opens its line: an offset that skipped the mark would count line 2
+        path.write_bytes(b"\xef\xbb\xbf# stress_pa=1e7\nsegment,t_s,strain\n\xffload,0.0,1\n")
+        with pytest.raises(DatasetError, match="line 3: not UTF-8 text"):
+            load_dataset(path)
 
     def test_synthetic_generator_is_deterministic(self):
         a = make_synthetic_dataset(HFPE285, 1e7, 1e4, 1e4, noise=0.01, seed=42)
@@ -169,6 +189,27 @@ class TestCurveExport:
         assert lines[1] == "t,eps_axial,T11_pa,detBp,xi_m,identity_residual"
         assert len(lines) == 2 + len(traj)
 
+    def test_trajectory_columns_parse_back_within_written_precision(self, tmp_path):
+        from polyvisc.evolution import drive
+        from polyvisc.kinematics import ramp_hold
+
+        traj = drive(ramp_hold("uniaxial", 1.02, 50.0, 100.0), HFPE285, np.eye(3))
+        path = tmp_path / "traj.csv"
+        save_trajectory(traj, path)
+        back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        # (array, rtol, atol) per column, from its format: .9f .12e .6e .15f .6e .3e
+        columns = (
+            (traj.t, 1e-15, 1e-9),
+            (traj.eps_axial, 1e-12, 0.0),
+            (traj.t_axial, 1e-6, 0.0),
+            (traj.det_bp, 0.0, 1e-15),
+            (traj.xi_m, 1e-6, 0.0),
+            (traj.identity_residual, 1e-3, 0.0),
+        )
+        assert back.shape == (len(traj), len(columns))
+        for k, (col, rtol, atol) in enumerate(columns):
+            np.testing.assert_allclose(back[:, k], col, rtol=rtol, atol=atol)
+
 
 class TestSvg:
     def test_well_formed_with_one_polyline_per_curve(self):
@@ -199,6 +240,17 @@ class TestSvg:
         poly = root.findall(f"{ns}polyline")[0]
         ys = {p.split(",")[1] for p in poly.get("points").split()}
         assert len(ys) == 1  # one horizontal line
+
+    def test_one_point_per_sample_and_palette_cycles(self):
+        curves = [simulate_creep([CreepSegment(1.0e6 * (k + 1), 100.0)], HFPE285)
+                  for k in range(7)]
+        root = ET.fromstring(render_svg(curves))
+        ns = "{http://www.w3.org/2000/svg}"
+        polylines = root.findall(f"{ns}polyline")
+        assert [len(p.get("points").split()) for p in polylines] == [c.t.size for c in curves]
+        colors = [p.get("stroke") for p in polylines]
+        assert len(set(colors[:6])) == 6
+        assert colors[6] == colors[0]
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
