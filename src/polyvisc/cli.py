@@ -3,12 +3,14 @@
 Units at the CLI follow the published convention: temperatures in degrees
 Celsius, stresses in Pa (scientific notation accepted everywhere). Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
-4 validation failure.
+4 validation failure. The argument parser is built once per process, on the
+first ``main`` call, and every later call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,6 +65,7 @@ def _int_at_least(minimum: int):
     return _checked(int, lambda v: v >= minimum, f"an integer >= {minimum}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polyvisc",

@@ -244,7 +244,7 @@ def save_trajectory(traj, path) -> None:
         fh.write("t,eps_axial,T11_pa,detBp,xi_m,identity_residual\n")
         cols = (traj.t, traj.eps_axial, traj.t_axial, traj.det_bp, traj.xi_m,
                 traj.identity_residual)
-        fh.writelines(f"{t:.9f},{e:.12e},{s:.6e},{d:.15f},{x:.6e},{r:.3e}\n"
+        fh.writelines(f"{t!r},{e:.12e},{s:.6e},{d:.15f},{x:.6e},{r:.3e}\n"
                       for t, e, s, d, x, r in zip(*(c.tolist() for c in cols)))
 
 

@@ -12,7 +12,9 @@ consequence, not an input: once a drive is integrated, det(B_p) of its
 accepted states is checked, and drift raises rather than renormalizing.
 Every tensor here is a plain 3x3 matrix: F and L come from the protocol as
 arrays, and ``drive`` starts from a 3x3 B_p. ``SymTensor3`` appears only as
-the element type of ``Trajectory.b_p``.
+the element type of ``Trajectory.b_p``. The kernel forms its 3x3 products
+with ``ndarray.dot``: the same BLAS call as ``@`` with less dispatch, which
+is most of the cost at this size.
 
 The right-hand side runs once per state. The trajectory is built in one
 pass over the stacked accepted states: per state only F, B_G and D_G come
@@ -50,8 +52,7 @@ from .odesolve import (
     integrate,
 )
 from .tensors import (
-    _COLS,
-    _ROWS,
+    _FLAT,
     _SYM_INDEX,
     DomainError,
     SymTensor3,
@@ -78,8 +79,10 @@ def _elastic_split(bpm: np.ndarray, b: np.ndarray):
     _require_spd(lam, "evolution")
     s = np.sqrt(lam)
     ss = s[:, None] * s
-    b_g = q @ ((q.T @ b @ q) / ss) @ q.T
-    return lam, q, ss, 0.5 * (b_g + b_g.T)
+    b_g = q.dot(q.T.dot(b).dot(q) / ss).dot(q.T)
+    b_g += b_g.T
+    b_g *= 0.5
+    return lam, q, ss, b_g
 
 
 def _flow(bpm: np.ndarray, b_g: np.ndarray, lam, q, mp: MaterialParams) -> np.ndarray:
@@ -93,25 +96,30 @@ def _flow(bpm: np.ndarray, b_g: np.ndarray, lam, q, mp: MaterialParams) -> np.nd
     """
     inv = 1.0 / lam
     mu_p, mu_g = mp.mu_p_bar, mp.mu_g_bar
-    c = (mu_g * float(np.vdot(q * inv, b_g @ q)) - 3.0 * mu_p) / float(inv.sum())
-    m = (2.0 / mp.eta) * (c * _I3 + mu_p * bpm - mu_g * b_g)
-    return _sylvester_from_decomp(lam, q.T @ m @ q)
+    c = (mu_g * float(np.vdot(q * inv, b_g.dot(q))) - 3.0 * mu_p) / float(inv.sum())
+    m = mu_p * bpm
+    m.flat[::4] += c  # the diagonal: + c I
+    m -= mu_g * b_g
+    m *= 2.0 / mp.eta
+    return _sylvester_from_decomp(lam, q.T.dot(m).dot(q))
 
 
 def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """Rate of B_p's components ``y`` under total stretch B and velocity gradient L."""
     bpm = y[_SYM_INDEX]
     lam, q, ss, b_g = _elastic_split(bpm, b)
-    lb = lmat @ bpm
+    lb = lmat.dot(bpm)
+    rate = lb + lb.T
     # V D_G V is (D_G * s s^T) in the eigenbasis
-    return (lb + lb.T - 2.0 * (q @ (_flow(bpm, b_g, lam, q, mp) * ss) @ q.T))[_ROWS, _COLS]
+    rate -= 2.0 * q.dot(_flow(bpm, b_g, lam, q, mp) * ss).dot(q.T)
+    return rate.take(_FLAT)
 
 
 def dG_rate(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
     """Natural-configuration stretching from the flow rule."""
     lam, q = eig_sym(b_p)
     _require_spd(lam, "dG_rate")
-    return q @ _flow(b_p, b_g, lam, q, mp) @ q.T
+    return q.dot(_flow(b_p, b_g, lam, q, mp)).dot(q.T)
 
 
 @dataclass
@@ -143,8 +151,8 @@ def _sample(piece: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
     """F, B_G and D_G at one accepted state, from the right-hand side's own kernel."""
     b_p = y[_SYM_INDEX]
     f = piece.F(t)
-    lam, q, _, b_g = _elastic_split(b_p, f @ f.T)
-    return f, b_g, q @ _flow(b_p, b_g, lam, q, mp) @ q.T
+    lam, q, _, b_g = _elastic_split(b_p, f.dot(f.T))
+    return f, b_g, q.dot(_flow(b_p, b_g, lam, q, mp)).dot(q.T)
 
 
 def drive(
@@ -190,12 +198,12 @@ def drive(
     def rhs_of(piece):
         def rhs(t, y):
             f = piece.F(t)
-            return _rate_kernel(y, f @ f.T, piece.L(t), mp)
+            return _rate_kernel(y, f.dot(f.T), piece.L(t), mp)
 
         return rhs
 
     # averaging removes the rounding asymmetry of a product such as J B_p J
-    y = (0.5 * (b_p0 + b_p0.T))[_ROWS, _COLS]
+    y = (0.5 * (b_p0 + b_p0.T)).take(_FLAT)
     sols = []
     first_step = None
     for piece in pieces:

@@ -5,7 +5,10 @@ returns the states on the accepted mesh. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
 ``uniaxial``); an optional ``step_hook`` sees every accepted step and may
 abort the run. It owns how a run starts, by one unit-free rule
-(``_initial_step``).
+(``_initial_step``). A trial stage that leaves the right-hand side's domain
+(it raises ``DomainError``) rejects the step like a non-finite error
+estimate, as CVODE treats a recoverable right-hand-side failure; a start
+state outside the domain still raises.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .tensors import DomainError
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -137,6 +142,8 @@ def integrate(
     ``step_hook(t, y)`` runs after every accepted step as a monitor; it may
     raise to abort, and its return value is ignored. Every IntegrationError
     raised here, the hook's too, carries the accepted states as ``partial``.
+    ``n_rhs`` counts the right-hand-side evaluations made, a failed one
+    included.
     """
     rhs = problem.rhs
     t0, t1 = float(problem.span[0]), float(problem.span[1])
@@ -182,15 +189,16 @@ def integrate(
                 h = t1 - t
 
             k[0] = f
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ k[:i])
-                k[i] = rhs(t + _C[i] * h, yi)
-            n_rhs += 6
-
-            y_new = y + h * (_B5 @ k)
-            # stage 7 is evaluated at (t+h, y_new): FSAL
-            err_vec = h * (_E @ k)
-            err = _error_norm(err_vec, y, y_new, rtol, atol)
+            try:
+                for i in range(1, 7):
+                    n_rhs += 1
+                    k[i] = rhs(t + _C[i] * h, y + h * _A[i].dot(k[:i]))
+            except DomainError:  # a trial stage left the domain: as a non-finite estimate
+                err = math.inf
+            else:
+                y_new = y + h * _B5.dot(k)
+                # stage 7 is evaluated at (t+h, y_new): FSAL
+                err = _error_norm(h * _E.dot(k), y, y_new, rtol, atol)
 
             if not math.isfinite(err):
                 # overshot into a bad region; retry with a much smaller step

@@ -6,7 +6,8 @@ element type of ``Trajectory.b_p`` (kept because the benchmark reads the
 recorded states through ``as_matrix``): six components in the canonical
 order (xx, yy, zz, xy, yz, xz), immutable, with no algebra of its own. This
 module owns that layout (``_SYM_INDEX`` gathers the 3x3 matrix from the
-components, ``_ROWS``/``_COLS`` pick the components out of a matrix).
+components, and ``_FLAT`` picks them out of a matrix's row-major
+elements).
 
 The spectral routines are the workhorses of the natural-configuration
 evolution equation: the flow rule solves A*X + X*A = M with A symmetric
@@ -35,8 +36,7 @@ SPD_EIG_FLOOR = 1e-12
 
 # Canonical components (xx, yy, zz, xy, yz, xz) <-> 3x3 matrix.
 _SYM_INDEX = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
-_ROWS = np.array([0, 1, 2, 0, 1, 0])
-_COLS = np.array([0, 1, 2, 1, 2, 2])
+_FLAT = np.array([0, 4, 8, 1, 5, 2])
 
 
 @dataclass(frozen=True)

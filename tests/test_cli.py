@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polyvisc
-from polyvisc import cli
-from polyvisc.dataio import load_dataset, make_synthetic_dataset, save_dataset
+from polyvisc import cli, evolution, kinematics
+from polyvisc.dataio import get_preset, load_dataset, make_synthetic_dataset, save_dataset
 from polyvisc.fitting import PENALTY
 from polyvisc.material import MaterialParams
 
@@ -289,6 +289,17 @@ class TestFit:
         assert str(held_path) in payload["holdout"]
         assert payload["holdout"][str(held_path)] < 1e-2
 
+    def test_holdout_is_not_carried_into_the_next_fit(self, dataset_file, tmp_path, capsys):
+        # one parser serves every call in a process: no call may see another's options
+        out = tmp_path / "fit.json"
+        argv = ("fit", "--data", str(dataset_file), "--init", "hfpe285", "--max-iter", "5")
+        assert run(*argv, "--holdout", str(dataset_file)) == 0
+        assert any(line.startswith("holdout ") for line in capsys.readouterr().out.splitlines())
+        assert run(*argv, "--out", str(out)) == 0
+        assert not any(line.startswith("holdout ")
+                       for line in capsys.readouterr().out.splitlines())
+        assert "holdout" not in json.loads(out.read_text())
+
     def test_missing_data_flag(self):
         assert run("fit", "--init", "hfpe285") == 1
 
@@ -477,8 +488,8 @@ class TestDriveRelax:
         assert np.all(traj[:, 2] == 0.0)
 
     @pytest.mark.parametrize("amplitude, message", [
-        # the ramp's steps leave the SPD cone
-        pytest.param("1e10", "evolution requires an SPD tensor", id="1e10"),
+        # trial stages leave the SPD cone and are rejected until the step underflows
+        pytest.param("1e10", "step size underflow at t = 4.99996", id="1e10"),
         # the first step-size guess underflows to 0
         pytest.param("1e300", "step size underflow", id="1e300"),
     ])
@@ -499,12 +510,28 @@ class TestDriveRelax:
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("ramp", ["1e-9", "1e-15"])
-    def test_short_ramp_in_long_drive(self, capsys, ramp):
+    def test_short_ramp_in_long_drive(self, tmp_path, capsys, ramp):
         # a floor of 1e-12 of the whole 1e4 s drive was longer than the ramp itself
+        out = tmp_path / "traj.csv"
         code = run("drive", "--preset", "pmr15_288", "--amplitude", "1.02",
-                   "--ramp-time", ramp, "--duration", "1e4")
+                   "--ramp-time", ramp, "--duration", "1e4", "--out", str(out))
         assert code == 0
         assert "T_axial(end) = 1.288760e+07 Pa" in capsys.readouterr().out
+        # the ramp's times were written as 0.000000000, ten rows of them at 1e-15
+        t = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)[:, 0]
+        traj = evolution.drive(kinematics.ramp_hold("uniaxial", 1.02, float(ramp), 1e4),
+                               get_preset("pmr15_288").params(), np.eye(3))
+        assert np.all(np.diff(t) > 0.0)
+        assert np.array_equal(t, traj.t)
+
+    @pytest.mark.parametrize("eta", ["1e-3", "1e3"])
+    def test_fast_relax_rejects_stages_outside_the_spd_cone(self, capsys, eta):
+        # tau = eta / (2 mu_g): the automatic start takes the whole 5 tau hold, and a
+        # trial stage of that step left the SPD cone, which ended the relax with exit 3
+        code = run("relax", "--mu-p", "3e8", "--mu-g", "1e8", "--eta", eta,
+                   "--lambda-hold", "1.01")
+        assert code == 0
+        assert "T_axial(end) = 2.245829e+06 Pa" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, quantity", [
         (["drive", "--preset", "pmr15_288", "--protocol", "shear", "--amplitude", "1e20",
@@ -606,6 +633,25 @@ class TestPresetsAndValidate:
 
     def test_no_subcommand(self):
         assert run() == 1
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process: no call may see another's options."""
+
+    def test_out_is_not_carried_into_the_next_drive(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ("drive", "--preset", "pmr15_288", "--amplitude", "1.02")
+        assert run(*argv, "--out", str(out)) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert "trajectory written" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_a_usage_error_leaves_the_next_call_valid(self, capsys):
+        assert run("drive", "--preset", "pmr15_288", "--amplitude", "1.02", "--rtol", "-1") == 1
+        assert run("drive", "--preset", "pmr15_288", "--amplitude", "1.02") == 0
+        assert capsys.readouterr().err.count("error: ") == 1
 
 
 class TestImport:

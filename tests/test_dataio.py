@@ -197,9 +197,9 @@ class TestCurveExport:
         path = tmp_path / "traj.csv"
         save_trajectory(traj, path)
         back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        # (array, rtol, atol) per column, from its format: .9f .12e .6e .15f .6e .3e
+        # (array, rtol, atol) per column, from its format: repr .12e .6e .15f .6e .3e
         columns = (
-            (traj.t, 1e-15, 1e-9),
+            (traj.t, 0.0, 0.0),
             (traj.eps_axial, 1e-12, 0.0),
             (traj.t_axial, 1e-6, 0.0),
             (traj.det_bp, 0.0, 1e-15),

@@ -25,7 +25,7 @@ from polyvisc.evolution import (
 from polyvisc.kinematics import MotionProtocol, ramp_hold, uniaxial_L
 from polyvisc.material import MaterialParams, pressure, stress
 from polyvisc.odesolve import IntegrationError
-from polyvisc.tensors import _COLS, _ROWS, _SYM_INDEX, DomainError, SymTensor3
+from polyvisc.tensors import _FLAT, _SYM_INDEX, DomainError, SymTensor3
 from polyvisc.uniaxial import CreepSegment, lambda_rate, simulate_creep, solve_B
 
 from test_tensors import random_rotation
@@ -158,7 +158,7 @@ def spd_sqrt(a: np.ndarray) -> np.ndarray:
 def kernel_rate(b_p: np.ndarray, b_g: np.ndarray, lmat: np.ndarray, mp: MaterialParams):
     """drive's rate of B_p (matrix) at the total stretch B = V B_G V that splits into B_G."""
     v = spd_sqrt(b_p)
-    return _rate_kernel(b_p[_ROWS, _COLS], v @ b_g @ v, lmat, mp)[_SYM_INDEX]
+    return _rate_kernel(b_p.take(_FLAT), v @ b_g @ v, lmat, mp)[_SYM_INDEX]
 
 
 class TestBpRate:
@@ -190,7 +190,7 @@ class TestBpRate:
         b_p = np.diag([b, b**-0.5, b**-0.5])
         lam_dot = lambda_rate(lam, b, PMR15)
         total = np.diag([lam**2, 1.0 / lam, 1.0 / lam])
-        rate = _rate_kernel(b_p[_ROWS, _COLS], total, uniaxial_L(lam, lam_dot), PMR15)[_SYM_INDEX]
+        rate = _rate_kernel(b_p.take(_FLAT), total, uniaxial_L(lam, lam_dot), PMR15)[_SYM_INDEX]
         assert np.linalg.norm(rate) <= 1e-12 * np.linalg.norm(b_p) * abs(lam_dot / lam) / 1e-3
 
     def test_det_preservation_in_rate_form(self):
@@ -247,8 +247,8 @@ class TestRateKernel:
         b_g = symmetrized(v_inv @ b @ v_inv)
         d_g = dG_rate(b_p, b_g, mp)
         lb = lmat @ b_p
-        expected = symmetrized(lb + lb.T - 2.0 * v @ d_g @ v)[_ROWS, _COLS]
-        got = _rate_kernel(b_p[_ROWS, _COLS], b, lmat, mp)
+        expected = symmetrized(lb + lb.T - 2.0 * v @ d_g @ v).take(_FLAT)
+        got = _rate_kernel(b_p.take(_FLAT), b, lmat, mp)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -306,6 +306,15 @@ class TestDrive:
         ratio = traj.t_axial[-1] / traj.t_axial[0]
         expected = PMR15.mu_g_bar / (PMR15.mu_p_bar + PMR15.mu_g_bar)
         assert ratio == pytest.approx(expected, rel=2e-3)
+
+    def test_fast_relax_ends_where_a_slow_one_does(self):
+        # at eta = 1e-3 and 1e3 (tau = 5e-12 and 5 s) the automatic start takes the whole
+        # 5 tau hold, and a trial stage of that step left the SPD cone and ended the relax
+        ends = []
+        for eta in (1e-3, 1e3, 1e13):
+            mp = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=eta)
+            ends.append(relax(1.01, mp, hold_time=5.0 * mp.retardation_time()).t_axial[-1])
+        assert max(ends) - min(ends) <= 1e-6 * abs(ends[-1])
 
     def test_det_drift_abort(self):
         # a non-unimodular start trips the determinant monitor immediately
@@ -659,8 +668,8 @@ class TestRotationEquivariance:
             b = random_spd(rng)
             lmat = rng.standard_normal((3, 3)) * (PMR15.mu_p_bar / PMR15.eta)
             lmat -= np.trace(lmat) / 3.0 * np.eye(3)
-            rate = _rate_kernel(b_p[_ROWS, _COLS], b, lmat, PMR15)[_SYM_INDEX]
-            turned = _rate_kernel(symmetrized(q @ b_p @ q.T)[_ROWS, _COLS],
+            rate = _rate_kernel(b_p.take(_FLAT), b, lmat, PMR15)[_SYM_INDEX]
+            turned = _rate_kernel(symmetrized(q @ b_p @ q.T).take(_FLAT),
                                   symmetrized(q @ b @ q.T), q @ lmat @ q.T, PMR15)[_SYM_INDEX]
             diff = np.linalg.norm(turned - q @ rate @ q.T)
             assert diff <= 1e-12 * np.linalg.norm(rate)

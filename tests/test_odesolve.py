@@ -5,6 +5,7 @@ import pytest
 
 from polyvisc import odesolve
 from polyvisc.odesolve import IntegrationError, OdeProblem, OdeSolution, integrate
+from polyvisc.tensors import DomainError
 
 
 def solve(rhs, span, y0, rtol=1e-8, atol=1e-10, **kw):
@@ -104,6 +105,29 @@ class TestFailureModes:
             assert partial.n_accepted + partial.n_rejected == 6
         if case == "nan-at-start":
             assert partial.n_accepted == partial.n_rejected == 0 and partial.n_rhs == 1
+
+    def test_a_stage_outside_the_domain_is_a_rejected_step(self):
+        # y' = -5 y from y = 1 with a first step of the whole span: the second
+        # stage is at y = 1 - 5/5 = 0, outside the domain y > 0
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if y[0] <= 0.0:
+                raise DomainError("y must be positive")
+            return -5.0 * y
+
+        sol = integrate(OdeProblem(rhs=rhs, span=(0.0, 1.0), y0=np.array([1.0]), first_step=1.0))
+        assert sol.n_rejected >= 1
+        assert sol.n_rhs == len(calls)  # the failed evaluation counts, the stages after it do not
+        assert sol.ys[-1, 0] == pytest.approx(math.exp(-5.0), rel=1e-6)
+
+    def test_a_start_outside_the_domain_raises(self):
+        def rhs(t, y):
+            raise DomainError("y must be positive")
+
+        with pytest.raises(DomainError):
+            solve(rhs, (0.0, 1.0), [-1.0])
 
     def test_invalid_problem(self):
         with pytest.raises(ValueError):
