@@ -229,13 +229,14 @@ def save_curve(curve: CreepCurve, path) -> None:
 
     Each segment is written on its row of ``curve.samples``, both ends
     included, so a boundary time appears twice: pre-jump, then post-jump.
+    ``t_s`` is written with ``repr``, so it parses back exactly.
     """
     ts, eps = curve.samples
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,strain\n")
         for seg, t_row, e_row in zip(curve.segments, ts.tolist(), eps.tolist()):
             fh.write(f"# segment {seg.index} stress_pa={seg.stress!r}\n")
-            fh.writelines(f"{t:.9f},{e:.9f}\n" for t, e in zip(t_row, e_row))
+            fh.writelines(f"{t!r},{e:.9f}\n" for t, e in zip(t_row, e_row))
 
 
 def save_trajectory(traj, path) -> None:

@@ -16,10 +16,13 @@ the element type of ``Trajectory.b_p``. The kernel forms its 3x3 products
 with ``ndarray.dot``: the same BLAS call as ``@`` with less dispatch, which
 is most of the cost at this size.
 
-The right-hand side runs once per state. The trajectory is built in one
-pass over the stacked accepted states: per state only F, B_G and D_G come
-from the kernel (``_sample``); stress, dissipation, the identity residual
-and det(B_p) are array expressions over the stack. Stress and dissipation
+The kernel runs once per accepted state, as the right-hand side. Each
+state's F, B_G and D_G are what the right-hand side kept of its call at
+``odesolve``'s FSAL stage, made at exactly that state; the start state's
+come from the drive's first call. The trajectory is built in one pass over
+the stacked accepted states: stress, dissipation, the identity residual and
+det(B_p) are array expressions over the stack, and a state whose stress,
+dissipation or identity residual is not finite raises. Stress and dissipation
 come from ``material``; this module only fixes the pressure, by
 traction-freeness of the lateral face e_y for uniaxial motions and by
 tr(T) = 0 for shear, and records the convention used. Motions are posed in
@@ -104,15 +107,20 @@ def _flow(bpm: np.ndarray, b_g: np.ndarray, lam, q, mp: MaterialParams) -> np.nd
     return _sylvester_from_decomp(lam, q.T.dot(m).dot(q))
 
 
-def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialParams) -> np.ndarray:
-    """Rate of B_p's components ``y`` under total stretch B and velocity gradient L."""
+def _rate_kernel(y: np.ndarray, b: np.ndarray, lmat: np.ndarray, mp: MaterialParams):
+    """Rate of B_p's components ``y`` under total stretch B and velocity gradient L.
+
+    Returns ``(rate, B_G, Q, D_G)``: the state's B_G, B_p's eigenvectors Q
+    and D_G in that eigenbasis are what a trajectory records of the state.
+    """
     bpm = y[_SYM_INDEX]
     lam, q, ss, b_g = _elastic_split(bpm, b)
+    d_g = _flow(bpm, b_g, lam, q, mp)
     lb = lmat.dot(bpm)
     rate = lb + lb.T
     # V D_G V is (D_G * s s^T) in the eigenbasis
-    rate -= 2.0 * q.dot(_flow(bpm, b_g, lam, q, mp) * ss).dot(q.T)
-    return rate.take(_FLAT)
+    rate -= 2.0 * q.dot(d_g * ss).dot(q.T)
+    return rate.take(_FLAT), b_g, q, d_g
 
 
 def dG_rate(b_p: np.ndarray, b_g: np.ndarray, mp: MaterialParams) -> np.ndarray:
@@ -147,14 +155,6 @@ class Trajectory:
         return self.t.size
 
 
-def _sample(piece: MotionProtocol, mp: MaterialParams, t: float, y: np.ndarray):
-    """F, B_G and D_G at one accepted state, from the right-hand side's own kernel."""
-    b_p = y[_SYM_INDEX]
-    f = piece.F(t)
-    lam, q, _, b_g = _elastic_split(b_p, f.dot(f.T))
-    return f, b_g, q.dot(_flow(b_p, b_g, lam, q, mp)).dot(q.T)
-
-
 def drive(
     protocol: Union[MotionProtocol, Sequence[MotionProtocol]],
     mp: MaterialParams,
@@ -176,7 +176,9 @@ def drive(
     within 1e-8 of its largest entry, and unless the viscous rates
     2*mu_p_bar/eta and 2*mu_g_bar/eta are finite; IntegrationError, after
     integrating, if det(B_p) of an accepted state is more than
-    DET_DRIFT_LIMIT from 1, naming the first such state.
+    DET_DRIFT_LIMIT from 1, naming the first such state; and then
+    DomainError if a state's stress, dissipation rate or identity residual
+    is not finite, naming the first such state.
     """
     pieces = (protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)
     for prev, piece in zip(pieces, pieces[1:]):
@@ -195,12 +197,24 @@ def drive(
             raise DomainError(f"viscous rate 2*{name}/eta = {2.0 * mu / mp.eta} is not finite")
     min_step = _MIN_STEP_FRACTION * min(piece.span[1] - piece.span[0] for piece in pieces)
 
+    # (F, B_G, Q, D_G in Q's basis) of the start state and of each accepted state
+    samples = []
+    latest = None
+
     def rhs_of(piece):
         def rhs(t, y):
+            nonlocal latest
             f = piece.F(t)
-            return _rate_kernel(y, f.dot(f.T), piece.L(t), mp)
+            rate, b_g, q, d_g = _rate_kernel(y, f.dot(f.T), piece.L(t), mp)
+            latest = (f, b_g, q, d_g)
+            if not samples:  # the drive's first call is at its start state
+                samples.append(latest)
+            return rate
 
         return rhs
+
+    def record(t, y):  # the latest call was at exactly (t, y): odesolve's FSAL stage
+        samples.append(latest)
 
     # averaging removes the rounding asymmetry of a product such as J B_p J
     y = (0.5 * (b_p0 + b_p0.T)).take(_FLAT)
@@ -211,28 +225,29 @@ def drive(
             rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
             first_step=first_step, min_step=min_step,
         )
-        sol = integrate(problem)
+        sol = integrate(problem, record)
         sols.append(sol)
         y = sol.ys[-1]
         first_step = sol.ts[-1] - sol.ts[-2]
-    return _build_trajectory(pieces, sols, mp)
+    return _build_trajectory(pieces, sols, samples, mp)
 
 
-def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
+def _build_trajectory(pieces, sols, samples, mp: MaterialParams) -> Trajectory:
     # a later piece's first time is the previous piece's last: it is sampled once, on
     # the earlier piece (F and the stretch are continuous there, so either gives the same)
     rows = [(piece, t, y) for k, (piece, sol) in enumerate(zip(pieces, sols))
             for t, y in zip(sol.ts[k > 0:], sol.ys[k > 0:])]
+    ts = np.array([t for _, t, _ in rows])
     ys = np.array([y for _, _, y in rows])
     b_p = ys[:, _SYM_INDEX]
     det_bp = np.linalg.det(b_p)
     drifted = np.flatnonzero(np.abs(det_bp - 1.0) > DET_DRIFT_LIMIT)
     if drifted.size:
         i = drifted[0]
-        raise IntegrationError(f"det(B_p) drifted to {det_bp[i]} at t = {rows[i][1]}; "
+        raise IntegrationError(f"det(B_p) drifted to {det_bp[i]} at t = {ts[i]}; "
                                "aborting instead of renormalizing")
-    samples = [_sample(piece, mp, t, y) for piece, t, y in rows]
-    fs, b_g, d_g = (np.array(part) for part in zip(*samples))
+    fs, b_g, q, d_g = (np.array(part) for part in zip(*samples))
+    d_g = q @ d_g @ q.transpose(0, 2, 1)  # to the lab frame
 
     if pieces[0].kind == "shear":
         p = pressure(b_p, mp)
@@ -242,10 +257,19 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
         p = pressure(b_p, mp, _I3[1])  # the lateral face e_y is traction-free
         convention = "lateral traction-free"
         eps_ax = np.array([math.log(piece.drive(t)) for piece, t, _ in rows])
-    t_sym = stress(b_p, p, mp)
-    xi = dissipation_rate(b_p, d_g, mp)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the state
+        t_sym = stress(b_p, p, mp)
+        xi = dissipation_rate(b_p, d_g, mp)
+        residual = check_dissipation_identity(t_sym, b_g, d_g, xi, mp)
+    finite = np.array([np.isfinite(t_sym).all(axis=(1, 2)), np.isfinite(xi),
+                       np.isfinite(residual)])
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        names = [name for name, ok in zip(("stress", "xi_m", "identity residual"), finite[:, i])
+                 if not ok]
+        raise DomainError(f"{', '.join(names)} not finite at t = {ts[i]}, the first such state")
     return Trajectory(
-        t=np.array([t for _, t, _ in rows]),
+        t=ts,
         F=fs,
         b_p=[SymTensor3(*row) for row in ys.tolist()],
         stress=t_sym,
@@ -253,7 +277,7 @@ def _build_trajectory(pieces, sols, mp: MaterialParams) -> Trajectory:
         t_axial=t_sym[:, 0, 0],
         det_bp=det_bp,
         xi_m=xi,
-        identity_residual=check_dissipation_identity(t_sym, b_g, d_g, xi, mp),
+        identity_residual=residual,
         pressure_convention=convention,
     )
 
@@ -306,7 +330,7 @@ def replay_uniaxial(curve: CreepCurve, mp: MaterialParams) -> List[Trajectory]:
             jump = np.diag([j, 1.0 / math.sqrt(j), 1.0 / math.sqrt(j)])
             b_p = jump @ b_p @ jump
 
-        # F, L and the samples all ask for the stretch: solve it once per time
+        # F, L and the axial strain all ask for the stretch: solve it once per time
         lam = functools.lru_cache(maxsize=None)(seg.lam_at)
         protocol = MotionProtocol(
             "uniaxial", (float(seg.t_start), float(seg.t_end)), lam,

@@ -3,12 +3,14 @@
 Implements the Dormand-Prince 5(4) pair with PI step-size control and
 returns the states on the accepted mesh. It integrates the six-component
 tensor evolution (the scalar creep equation is solved in closed form in
-``uniaxial``); an optional ``step_hook`` sees every accepted step and may
-abort the run. It owns how a run starts, by one unit-free rule
-(``_initial_step``). A trial stage that leaves the right-hand side's domain
-(it raises ``DomainError``) rejects the step like a non-finite error
-estimate, as CVODE treats a recoverable right-hand-side failure; a start
-state outside the domain still raises.
+``uniaxial``). The pair is first same as last (FSAL): a step's seventh
+stage is evaluated at exactly its new state, and once accepted it is the
+next step's first. An optional ``step_hook`` sees every accepted state
+right after that evaluation and may abort the run. The module owns how a
+run starts, by one unit-free rule (``_initial_step``). A trial stage that
+leaves the right-hand side's domain (it raises ``DomainError``) rejects the
+step like a non-finite error estimate, as CVODE treats a recoverable
+right-hand-side failure; a start state outside the domain still raises.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .tensors import DomainError
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])  # stage 7 is at (t_new, y_new)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -30,9 +32,8 @@ _A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),  # the fifth-order weights too
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # fifth-order minus embedded fourth-order weights (local error estimate)
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -139,11 +140,13 @@ def integrate(
 ) -> OdeSolution:
     """Integrate the problem over its span.
 
-    ``step_hook(t, y)`` runs after every accepted step as a monitor; it may
-    raise to abort, and its return value is ignored. Every IntegrationError
-    raised here, the hook's too, carries the accepted states as ``partial``.
-    ``n_rhs`` counts the right-hand-side evaluations made, a failed one
-    included.
+    ``step_hook(t, y)`` runs after every accepted step, and the last
+    right-hand-side call before it was made at exactly that ``(t, y)`` (the
+    FSAL stage; ``t`` is the span's end on the landing step), so the hook
+    can read what that call left behind. It may raise to abort, and its
+    return value is ignored. Every IntegrationError raised here, the hook's
+    too, carries the accepted states as ``partial``. ``n_rhs`` counts the
+    right-hand-side evaluations made, a failed one included.
     """
     rhs = problem.rhs
     t0, t1 = float(problem.span[0]), float(problem.span[1])
@@ -189,15 +192,18 @@ def integrate(
                 h = t1 - t
 
             k[0] = f
+            t_new = t1 if last else t + h
             try:
-                for i in range(1, 7):
+                for i in range(1, 6):
                     n_rhs += 1
                     k[i] = rhs(t + _C[i] * h, y + h * _A[i].dot(k[:i]))
+                # stage 7 is evaluated at exactly (t_new, y_new): first same as last (FSAL)
+                y_new = y + h * _A[6].dot(k[:6])
+                n_rhs += 1
+                k[6] = rhs(t_new, y_new)
             except DomainError:  # a trial stage left the domain: as a non-finite estimate
                 err = math.inf
             else:
-                y_new = y + h * _B5.dot(k)
-                # stage 7 is evaluated at (t+h, y_new): FSAL
                 err = _error_norm(h * _E.dot(k), y, y_new, rtol, atol)
 
             if not math.isfinite(err):
@@ -207,7 +213,6 @@ def integrate(
                 continue
 
             if err <= 1.0:
-                t_new = t1 if last else t + h
                 if step_hook is not None:
                     step_hook(t_new, y_new)
                 t, y, f = t_new, y_new, k[6].copy()

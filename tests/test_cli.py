@@ -16,6 +16,7 @@ from polyvisc import cli, evolution, kinematics
 from polyvisc.dataio import get_preset, load_dataset, make_synthetic_dataset, save_dataset
 from polyvisc.fitting import PENALTY
 from polyvisc.material import MaterialParams
+from polyvisc.uniaxial import simulate_creep
 
 HFPE285 = MaterialParams(mu_p_bar=4.79e8, mu_g_bar=1.43e9, eta=3.95e13)
 
@@ -47,6 +48,27 @@ class TestSimulate:
         assert code == 0
         first_data = out.read_text().splitlines()[2]
         assert float(first_data.split(",")[1]) == pytest.approx(0.013374, abs=2e-6)
+
+    def test_fast_material_times_parse_back_exactly(self, tmp_path):
+        # tau = 5e-12 s: t_s was written as .9f, and all 34 rows read 0.000000000
+        out = tmp_path / "c.csv"
+        mp = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=1e-3)
+        program = [(1e7, 2.5e-11), (0.0, 2.5e-11)]
+        code = run("simulate", "--mu-p", "3e8", "--mu-g", "1e8", "--eta", "1e-3",
+                   "--segment", "1e7:2.5e-11", "--segment", "0:2.5e-11", "--out", str(out))
+        assert code == 0
+        t_s = []  # one list per segment marker
+        for line in out.read_text().splitlines()[1:]:
+            if line.startswith("# segment"):
+                t_s.append([])
+            else:
+                t_s[-1].append(float(line.split(",")[0]))
+        assert sum(map(len, t_s)) == 34
+        # each segment's times increase strictly; a boundary time is written twice
+        assert all(np.all(np.diff(ts) > 0.0) for ts in t_s)
+        assert t_s[0][-1] == t_s[1][0]
+        curve = simulate_creep(program, mp)
+        assert np.array_equal(np.concatenate(t_s), curve.samples[0].ravel())
 
     def test_zero_stress_is_flat(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -547,6 +569,18 @@ class TestDriveRelax:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {quantity}")
         assert "is not finite" in err
+
+    def test_overflowing_dissipation_is_a_numerical_failure(self, capsys):
+        # eta D:D overflowed to inf and the identity residual to nan: this exited 0 and
+        # printed "max identity residual = nan"
+        code = run("relax", "--mu-p", "3.681822846870821e+299", "--mu-g",
+                   "3.084978276042465e+300", "--eta", "7.602319112436696e+222",
+                   "--lambda-hold", "0.99", "--hold-time", "8.600434081176914e-80")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: xi_m, identity residual not finite at "
+                                "t = 0.0, the first such state\n")
+        assert "nan" not in captured.out
 
     def test_ill_conditioned_state_names_the_ratio_floor(self, capsys):
         # every eigenvalue of B_p is positive: the test that fails is the conditioning floor

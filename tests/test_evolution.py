@@ -16,6 +16,8 @@ from polyvisc import evolution, uniaxial
 from polyvisc.dataio import get_preset, presets
 from polyvisc.evolution import (
     Trajectory,
+    _elastic_split,
+    _flow,
     _rate_kernel,
     dG_rate,
     drive,
@@ -158,7 +160,7 @@ def spd_sqrt(a: np.ndarray) -> np.ndarray:
 def kernel_rate(b_p: np.ndarray, b_g: np.ndarray, lmat: np.ndarray, mp: MaterialParams):
     """drive's rate of B_p (matrix) at the total stretch B = V B_G V that splits into B_G."""
     v = spd_sqrt(b_p)
-    return _rate_kernel(b_p.take(_FLAT), v @ b_g @ v, lmat, mp)[_SYM_INDEX]
+    return _rate_kernel(b_p.take(_FLAT), v @ b_g @ v, lmat, mp)[0][_SYM_INDEX]
 
 
 class TestBpRate:
@@ -190,7 +192,7 @@ class TestBpRate:
         b_p = np.diag([b, b**-0.5, b**-0.5])
         lam_dot = lambda_rate(lam, b, PMR15)
         total = np.diag([lam**2, 1.0 / lam, 1.0 / lam])
-        rate = _rate_kernel(b_p.take(_FLAT), total, uniaxial_L(lam, lam_dot), PMR15)[_SYM_INDEX]
+        rate = _rate_kernel(b_p.take(_FLAT), total, uniaxial_L(lam, lam_dot), PMR15)[0][_SYM_INDEX]
         assert np.linalg.norm(rate) <= 1e-12 * np.linalg.norm(b_p) * abs(lam_dot / lam) / 1e-3
 
     def test_det_preservation_in_rate_form(self):
@@ -248,7 +250,7 @@ class TestRateKernel:
         d_g = dG_rate(b_p, b_g, mp)
         lb = lmat @ b_p
         expected = symmetrized(lb + lb.T - 2.0 * v @ d_g @ v).take(_FLAT)
-        got = _rate_kernel(b_p.take(_FLAT), b, lmat, mp)
+        got = _rate_kernel(b_p.take(_FLAT), b, lmat, mp)[0]
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -403,7 +405,8 @@ def late_drift(monkeypatch):
     kernel = evolution._rate_kernel
 
     def perturbed(y, b, lmat, mp):
-        return kernel(y, b, lmat, mp) + max(0.0, b[0, 0] - 1.01**2) / tau * y
+        rate, *parts = kernel(y, b, lmat, mp)
+        return rate + max(0.0, b[0, 0] - 1.01**2) / tau * y, *parts
 
     monkeypatch.setattr(evolution, "_rate_kernel", perturbed)
     return types.SimpleNamespace(protocol=ramp_hold("uniaxial", 1.02, tau, tau), t_mid=0.5 * tau)
@@ -421,6 +424,61 @@ def traced_solutions(monkeypatch):
 
     monkeypatch.setattr(evolution, "integrate", recording)
     return sols
+
+
+def recorded_samples(monkeypatch):
+    """Record the (pieces, solutions, samples) of every trajectory that evolution builds."""
+    built = []
+    build = evolution._build_trajectory
+
+    def recording(pieces, sols, samples, mp):
+        built.append((pieces, sols, samples))
+        return build(pieces, sols, samples, mp)
+
+    monkeypatch.setattr(evolution, "_build_trajectory", recording)
+    return built
+
+
+FAST = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=1e-3)  # tau = 5e-12 s
+
+
+def sampled_runs(mp: MaterialParams):
+    tau = mp.retardation_time()
+    return {
+        "uniaxial ramp-hold": lambda: [drive(ramp_hold("uniaxial", 1.02, tau, 3.0 * tau),
+                                             mp, np.eye(3))],
+        "shear ramp-hold": lambda: [drive(ramp_hold("shear", 0.05, 0.7 * tau, 3.0 * tau),
+                                          mp, np.eye(3))],
+        "relax": lambda: [relax(0.99, mp, 3.0 * tau)],
+        "replay": lambda: replay_uniaxial(
+            simulate_creep([(1.0e7, 2.0 * tau), (0.0, 2.0 * tau)], mp), mp),
+    }
+
+
+class TestSamples:
+    @pytest.mark.parametrize("mp, case", [
+        *((PMR15, case) for case in sampled_runs(PMR15)),
+        # the automatic start takes the whole hold and trial stages leave the SPD cone:
+        # a by-product kept from a rejected step's stage would be stale
+        (FAST, "relax"),
+    ], ids=[*sampled_runs(PMR15), "fast relax"])
+    def test_each_row_is_the_kernel_at_its_state(self, monkeypatch, mp, case):
+        built = recorded_samples(monkeypatch)
+        trajs = sampled_runs(mp)[case]()
+        assert len(built) == len(trajs)
+        for traj, (pieces, sols, samples) in zip(trajs, built):
+            assert len(samples) == len(traj)
+            for i, (f, b_g, q, d_g) in enumerate(samples):
+                t, b_p = traj.t[i], traj.b_p[i].as_matrix()
+                piece = next(p for p in pieces if t <= p.span[1])  # a breakpoint's is the earlier
+                f_ref = piece.F(t)
+                lam, q_ref, _, b_g_ref = _elastic_split(b_p, f_ref.dot(f_ref.T))
+                d_ref = _flow(b_p, b_g_ref, lam, q_ref, mp)
+                for got, ref in ((f, f_ref), (traj.F[i], f_ref), (b_g, b_g_ref), (q, q_ref),
+                                 (d_g, d_ref)):
+                    assert got.tobytes() == ref.tobytes()
+        if mp is FAST:
+            assert sum(sol.n_rejected for _, sols, _ in built for sol in sols) > 0
 
 
 class TestPiecewiseDrive:
@@ -668,9 +726,9 @@ class TestRotationEquivariance:
             b = random_spd(rng)
             lmat = rng.standard_normal((3, 3)) * (PMR15.mu_p_bar / PMR15.eta)
             lmat -= np.trace(lmat) / 3.0 * np.eye(3)
-            rate = _rate_kernel(b_p.take(_FLAT), b, lmat, PMR15)[_SYM_INDEX]
+            rate = _rate_kernel(b_p.take(_FLAT), b, lmat, PMR15)[0][_SYM_INDEX]
             turned = _rate_kernel(symmetrized(q @ b_p @ q.T).take(_FLAT),
-                                  symmetrized(q @ b @ q.T), q @ lmat @ q.T, PMR15)[_SYM_INDEX]
+                                  symmetrized(q @ b @ q.T), q @ lmat @ q.T, PMR15)[0][_SYM_INDEX]
             diff = np.linalg.norm(turned - q @ rate @ q.T)
             assert diff <= 1e-12 * np.linalg.norm(rate)
 

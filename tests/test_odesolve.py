@@ -39,6 +39,13 @@ class TestClosedForms:
         assert sol.ys[-1] == pytest.approx([1.0, 0.0], abs=1e-7)
 
 
+def positive_decay(t, y):
+    # y' = -5 y on the domain y > 0
+    if y[0] <= 0.0:
+        raise DomainError("y must be positive")
+    return -5.0 * y
+
+
 class TestToleranceBehavior:
     @pytest.mark.parametrize(
         "rhs,span,y0,exact",
@@ -113,9 +120,7 @@ class TestFailureModes:
 
         def rhs(t, y):
             calls.append(t)
-            if y[0] <= 0.0:
-                raise DomainError("y must be positive")
-            return -5.0 * y
+            return positive_decay(t, y)
 
         sol = integrate(OdeProblem(rhs=rhs, span=(0.0, 1.0), y0=np.array([1.0]), first_step=1.0))
         assert sol.n_rejected >= 1
@@ -139,12 +144,48 @@ class TestFailureModes:
                 OdeProblem(rhs=lambda t, y: y, span=(0.0, 1.0), y0=np.array([1.0]), **bad)
 
 
+# (rhs, span, first_step): a probed start; a zero rate whose landing step from t has
+# t + (t1 - t) != t1 in floating point; a first step whose second stage is at y = 0
+HOOK_RUNS = {
+    "decay": (lambda t, y: -y, (0.0, 1.0), None),
+    "landing": (lambda t, y: np.zeros_like(y), (0.0, 3250.1015031114853), 162.50507515557427),
+    "domain": (positive_decay, (0.0, 1.0), 1.0),
+}
+
+
 class TestStepHook:
     def test_hook_sees_every_accepted_step(self):
         seen = []
         sol = solve(lambda t, y: -y, (0.0, 1.0), [1.0], step_hook=lambda t, y: seen.append(t))
         assert len(seen) == sol.n_accepted
         assert seen[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("case", sorted(HOOK_RUNS))
+    def test_hook_follows_the_rhs_call_at_its_state(self, case):
+        # FSAL: the RHS call just before each hook call was made at exactly the hook's (t, y)
+        rhs, span, first_step = HOOK_RUNS[case]
+        calls, hooked = [], []
+
+        def recording(t, y):
+            calls.append((t, y.copy()))
+            return rhs(t, y)
+
+        def hook(t, y):
+            hooked.append((len(calls) - 1, t, y.copy()))
+
+        sol = integrate(OdeProblem(rhs=recording, span=span, y0=np.array([1.0]),
+                                   first_step=first_step), step_hook=hook)
+        assert sol.n_rhs == len(calls)
+        assert len(hooked) == sol.n_accepted
+        for k, (i, t, y) in enumerate(hooked):
+            assert calls[i][0] == t == sol.ts[k + 1]
+            assert calls[i][1].tobytes() == y.tobytes() == sol.ys[k + 1].tobytes()
+        assert hooked[-1][1] == span[1]
+        if case == "landing":
+            t_last = sol.ts[-2]
+            assert t_last + (span[1] - t_last) != span[1]
+        if case == "domain":
+            assert sol.n_rejected >= 1
 
     def test_hook_abort_attaches_partial(self):
         def hook(t, y):

@@ -67,8 +67,10 @@ def test_tensor_sites_are_bound_and_called():
     assert tracer.counts["odesolve.steps_accepted"] > 0
     # the identity check runs once per drive, over the stack of its samples
     assert totals["evolution.drive"][0] == totals["material.identity_check"][0]
-    # one decomposition and one solve per kernel evaluation and per sample
+    # one decomposition and one solve per kernel evaluation, none per sample: each
+    # recorded state's B_G and D_G come from the right-hand side's own call
     assert totals["tensors.eig_sym"][0] == totals["tensors.sylvester"][0]
+    assert totals["tensors.eig_sym"][0] == totals["evolution.rhs"][0]
     # uninstall restores the undecorated names
     assert evolution.eig_sym is tensors.eig_sym
 
