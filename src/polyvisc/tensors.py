@@ -11,9 +11,13 @@ elements).
 
 The spectral routines are the workhorses of the natural-configuration
 evolution equation: the flow rule solves A*X + X*A = M with A symmetric
-positive definite at every right-hand-side evaluation. ``eig_sym`` is
-LAPACK ``eigh`` behind a finiteness check, and ``_sylvester_from_decomp``
-solves the equation in A's eigenbasis, where it is a componentwise divide.
+positive definite at every right-hand-side evaluation. ``eig_sym`` is a
+finiteness check and one call of the LAPACK ``eigh`` gufunc that
+``np.linalg.eigh`` wraps: at 3x3 the wrapper's Python work (an ``errstate``
+context, type and shape checks) cost more than the decomposition. A
+decomposition that does not converge gives nan eigenvalues, which the
+caller's ``_require_spd`` rejects. ``_sylvester_from_decomp`` solves the
+equation in A's eigenbasis, where it is a componentwise divide.
 An SPD test on a decomposed tensor is ``_require_spd`` on its eigenvalues,
 against the floor ``SPD_EIG_FLOOR``; ``material.dissipation_rate`` instead
 tests SPD by whether its Cholesky factorization fails.
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class DomainError(ValueError):
@@ -37,6 +42,9 @@ SPD_EIG_FLOOR = 1e-12
 # Canonical components (xx, yy, zz, xy, yz, xz) <-> 3x3 matrix.
 _SYM_INDEX = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
 _FLAT = np.array([0, 4, 8, 1, 5, 2])
+
+# the gufunc behind np.linalg.eigh(a, UPLO="L")
+_EIGH_LO = _umath_linalg.eigh_lo
 
 
 @dataclass(frozen=True)
@@ -58,13 +66,18 @@ def eig_sym(a):
     """numpy's ``eigh`` pair (eigenvalues ascending, eigenvectors as columns).
 
     ``a`` is a 3x3 matrix taken as symmetric (LAPACK reads its lower
-    triangle). Eigenvector signs are LAPACK's: every consumer forms
-    Q f(Lambda) Q^T, which does not depend on them. Non-finite input raises
-    DomainError.
+    triangle). The gufunc ``np.linalg.eigh`` wraps is called directly, in
+    double precision, so the result is bitwise ``np.linalg.eigh``'s.
+    Eigenvector signs are LAPACK's: every consumer forms Q f(Lambda) Q^T,
+    which does not depend on them. Non-finite input raises DomainError. A
+    decomposition that does not converge returns nan eigenvalues (with
+    numpy's "invalid value" RuntimeWarning) where ``np.linalg.eigh`` raises
+    ``LinAlgError``; every caller passes them to ``_require_spd``, which
+    rejects nan as DomainError.
     """
     if not np.isfinite(a).all():
         raise DomainError("eig_sym requires a finite tensor")
-    return np.linalg.eigh(a)
+    return _EIGH_LO(a, signature="d->dd")
 
 
 def _require_spd(eigenvalues, what: str) -> None:

@@ -3,8 +3,11 @@
 Each check exercises a different leg of the kernel (unimodularity of the
 evolved natural configuration, non-negative dissipation, the stress-power
 identity, agreement of the tensor integrator with the scalar creep module,
-and convergence to the linearized solid). ``quick=True`` shortens the time
-horizons and sample counts without loosening any pass criterion.
+and convergence to the linearized solid). The first checks run on a
+uniaxial replay, whose B_p stays coaxial with the load, so a defect in the
+shear components of the flow is invisible there; one shear ramp-hold gets
+the same three trajectory checks. ``quick=True`` shortens the time horizons
+and sample counts without loosening any pass criterion.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import numpy as np
 
 from . import uniaxial
 from .dataio import get_preset
-from .evolution import dG_rate, replay_uniaxial
+from .evolution import dG_rate, drive, replay_uniaxial
+from .kinematics import ramp_hold
 from .material import MaterialParams
+from .odesolve import IntegrationError
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,12 @@ def _random_spd(rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _diagnostics(traj) -> tuple:
+    """(max |det B_p - 1|, min xi_m, max identity residual) over a trajectory."""
+    return (float(np.max(np.abs(traj.det_bp - 1.0))), float(np.min(traj.xi_m)),
+            float(np.max(traj.identity_residual)))
+
+
 def run_validation(quick: bool = False) -> List[CheckResult]:
     results: List[CheckResult] = []
     preset = get_preset("pmr15_288")
@@ -46,17 +57,15 @@ def run_validation(quick: bool = False) -> List[CheckResult]:
     curve = uniaxial.simulate_creep([(stress, t_load)], mp)
     traj = replay_uniaxial(curve, mp)[0]
 
-    det_err = float(np.max(np.abs(traj.det_bp - 1.0)))
+    det_err, xi_min, res_max = _diagnostics(traj)
     results.append(
         CheckResult("det_drift", det_err <= 1e-8, f"max |det B_p - 1| = {det_err:.3e}")
     )
 
-    xi_min = float(np.min(traj.xi_m))
     results.append(
         CheckResult("dissipation_positivity", xi_min >= 0.0, f"min xi_m = {xi_min:.3e}")
     )
 
-    res_max = float(np.max(traj.identity_residual))
     results.append(
         CheckResult(
             "dissipation_identity", res_max <= 1e-8, f"max residual = {res_max:.3e}"
@@ -76,6 +85,19 @@ def run_validation(quick: bool = False) -> List[CheckResult]:
             f"max B_p dev = {bp_err:.3e}, max T11 dev = {t11_err:.3e}",
         )
     )
+
+    # the det, dissipation and identity checks on a shear ramp-hold; a drive
+    # that fails (a det drift beyond DET_DRIFT_LIMIT, say) is a failed check
+    try:
+        shear = drive(ramp_hold("shear", 0.05, tau, 2.0 * tau), mp, np.eye(3))
+    except (ValueError, IntegrationError) as exc:
+        results.append(CheckResult("shear_ramp_hold", False, f"drive failed: {exc}"))
+    else:
+        det_err, xi_min, res_max = _diagnostics(shear)
+        results.append(CheckResult(
+            "shear_ramp_hold", det_err <= 1e-8 and xi_min >= 0.0 and res_max <= 1e-8,
+            f"max |det B_p - 1| = {det_err:.3e}, min xi_m = {xi_min:.3e}, "
+            f"max residual = {res_max:.3e}"))
 
     # convergence to the linearized standard linear solid at small load
     t11 = 1e-3 * mp.mu_p_bar

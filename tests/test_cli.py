@@ -643,7 +643,7 @@ class TestPresetsAndValidate:
     def test_validate_quick(self, capsys):
         assert run("validate", "--quick") == 0
         captured = capsys.readouterr().out
-        assert captured.count("[PASS]") == 6
+        assert captured.count("[PASS]") == 7
         assert "[FAIL]" not in captured
 
     def test_validate_negative_control(self, monkeypatch, capsys):
@@ -661,6 +661,32 @@ class TestPresetsAndValidate:
         captured = capsys.readouterr().out
         assert code == 4
         assert "[FAIL] general_vs_scalar" in captured
+
+    @pytest.mark.parametrize("defect", ["rate shear components", "eigenbasis D_G off-diagonal"])
+    def test_validate_catches_shear_only_defects(self, monkeypatch, capsys, defect):
+        # both defects vanish on the uniaxial replay that feeds the other checks
+        if defect == "rate shear components":
+            kernel = evolution._rate_kernel
+
+            def perturbed(*args):
+                rate, *rest = kernel(*args)
+                rate[3:] *= 1.05  # (xy, yz, xz)
+                return (rate, *rest)
+
+            monkeypatch.setattr(evolution, "_rate_kernel", perturbed)
+        else:
+            flow = evolution._flow
+
+            def perturbed(*args):
+                d_g = flow(*args)
+                return np.where(np.eye(3, dtype=bool), d_g, 1.05 * d_g)
+
+            monkeypatch.setattr(evolution, "_flow", perturbed)
+        code = run("validate", "--quick")
+        captured = capsys.readouterr().out
+        assert code == 4
+        assert "[FAIL] shear_ramp_hold" in captured
+        assert captured.count("[FAIL]") == 1
 
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1

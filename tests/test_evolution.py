@@ -472,8 +472,8 @@ class TestSamples:
                 t, b_p = traj.t[i], traj.b_p[i].as_matrix()
                 piece = next(p for p in pieces if t <= p.span[1])  # a breakpoint's is the earlier
                 f_ref = piece.F(t)
-                lam, q_ref, _, b_g_ref = _elastic_split(b_p, f_ref.dot(f_ref.T))
-                d_ref = _flow(b_p, b_g_ref, lam, q_ref, mp)
+                lam, q_ref, _, b_g_ref, b_gt = _elastic_split(b_p, f_ref.dot(f_ref.T))
+                d_ref = _flow(b_p, b_g_ref, b_gt, lam, q_ref, mp)
                 for got, ref in ((f, f_ref), (traj.F[i], f_ref), (b_g, b_g_ref), (q, q_ref),
                                  (d_g, d_ref)):
                     assert got.tobytes() == ref.tobytes()
@@ -531,6 +531,15 @@ class TestPiecewiseDrive:
                              np.eye(3))
                 worst = max(worst, float(np.max(traj.identity_residual)))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("preset", sorted(presets()))
+    def test_relax_identity_residual(self, preset):
+        # the lab-frame M guard of the shear test, on relaxation from a stretch jump
+        mp = get_preset(preset).params()
+        tau = mp.retardation_time()
+        worst = max(float(np.max(relax(lam, mp, 5.0 * tau).identity_residual))
+                    for lam in (1.002, 1.02, 1.05, 0.98))
+        assert worst <= 1e-9
 
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from scipy.linalg import sqrtm
 
 from polyvisc.evolution import _elastic_split, dG_rate
 from polyvisc.material import MaterialParams
-from polyvisc.tensors import DomainError, SymTensor3, _sylvester_from_decomp, eig_sym
+from polyvisc.tensors import (
+    DomainError,
+    SymTensor3,
+    _require_spd,
+    _sylvester_from_decomp,
+    eig_sym,
+)
 
 UNIT = MaterialParams(mu_p_bar=1.0, mu_g_bar=0.8, eta=1.0)
 
@@ -142,9 +149,42 @@ class TestEigConvention:
             assert_eig_convention(a, *eig_sym(a))
 
     def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                eig_sym(SymTensor3(1.0, 1.0, 1.0, bad, 0.0, 0.0).as_matrix())
+        for bad in (math.nan, math.inf, -math.inf):
+            for i, j in ((0, 1), (2, 2)):
+                a = np.eye(3)
+                a[i, j] = a[j, i] = bad
+                with pytest.raises(DomainError):
+                    eig_sym(a)
+
+
+def eigh_contract_inputs():
+    """Symmetric matrices at scales 2^-1000 to 2^1000, degenerate, zero and int ones."""
+    rng = np.random.default_rng(71)
+    yield from (np.eye(3), np.diag([4.0, 0.5, 0.5]), np.zeros((3, 3)),
+                np.diag([3, 1, 2]), np.diag([1e-300, 1e-300, 1e300]))
+    for scale in (2.0**-1000, 2.0**-500, 1.0, 2.0**500, 2.0**1000):
+        for _ in range(300):
+            yield random_sym(rng) * scale
+        for _ in range(60):
+            yield random_spd(rng, cond_max=1e12) * scale
+
+
+class TestEigSymIsEigh:
+    def test_bitwise_equal_to_numpy_eigh(self):
+        # eig_sym calls the gufunc behind np.linalg.eigh, without its wrapper
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            for a in eigh_contract_inputs():
+                lam, q = eig_sym(a)
+                ref_lam, ref_q = np.linalg.eigh(a)
+                assert lam.dtype == q.dtype == np.float64
+                assert lam.tobytes() == ref_lam.tobytes()
+                assert q.tobytes() == ref_q.tobytes()
+
+    def test_unconverged_eigenvalues_are_rejected(self):
+        # a decomposition that does not converge returns nan eigenvalues, not LinAlgError
+        with pytest.raises(DomainError):
+            _require_spd(np.full(3, math.nan), "evolution")
 
 
 def kernel_b_g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,7 +220,7 @@ class TestSqrtSpd:
         rng = np.random.default_rng(29)
         for _ in range(1000):
             a = random_spd(rng, cond_max=1e6)
-            lam, q, _, _ = _elastic_split(a, np.eye(3))
+            lam, q, _, _, _ = _elastic_split(a, np.eye(3))
             v = (q * np.sqrt(lam)) @ q.T
             err = np.linalg.norm(v @ v - a)
             assert err <= 1e-12 * np.linalg.norm(a)
