@@ -135,8 +135,9 @@ class ExperimentalDataset:
 class FitConfig:
     """Initial guess, weight and iteration cap for a creep fit.
 
-    The initial guess is exactly three positive finite values and the weight
-    lies in [0, 1]; anything else raises ValueError here, before a search.
+    The initial guess is exactly three positive finite values, the weight
+    lies in [0, 1] and ``max_iter`` is an int >= 1 (not a bool); anything
+    else raises ValueError here, before a search.
     """
 
     initial: Sequence[float]  # (mu_p_bar, mu_g_bar, eta)
@@ -151,6 +152,9 @@ class FitConfig:
                              f"{len(self.initial)}")
         if not all(0.0 < v < math.inf for v in self.initial):
             raise ValueError(f"initial guess must be positive and finite, got {self.initial!r}")
+        cap = self.max_iter
+        if isinstance(cap, bool) or not (isinstance(cap, int) and cap >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {cap!r}")
 
 
 @dataclass
@@ -205,7 +209,7 @@ def creep_error(mp: MaterialParams, ds: ExperimentalDataset, w: float) -> float:
     misfit = 0.0
     for weight, k, data in scored:
         sim = eps_sim[k] / data.scale if data.scale > _SQUARE_SAFE else eps_sim[k]
-        misfit += weight * math.sqrt(float(np.sum((sim - data.eps) ** 2)) / data.norm_sq)
+        misfit += weight * math.sqrt(float(np.add.reduce((sim - data.eps) ** 2)) / data.norm_sq)
     return misfit
 
 
@@ -261,11 +265,11 @@ def nelder_mead(
     stalled = False
 
     while iterations < max_iter:
-        order = np.argsort(fvals, kind="stable")
+        order = fvals.argsort(kind="stable")
         verts = verts[order]
         fvals = fvals[order]
 
-        diam = float(np.max(np.abs(verts[1:] - verts[0])))
+        diam = float(np.maximum.reduce(abs(verts[1:] - verts[0]), axis=None))
         spread_tol = min(_FTOL, max(_FTOL_REL * abs(fvals[0]), _FTOL_FLOOR))
         if stalled or (diam < _XTOL and (fvals[-1] - fvals[0]) < spread_tol):
             stalled = False
@@ -282,7 +286,7 @@ def nelder_mead(
             continue
 
         iterations += 1
-        centroid = np.mean(verts[:-1], axis=0)
+        centroid = np.add.reduce(verts[:-1], axis=0) / n  # np.mean, bit for bit
         reflected = centroid + alpha * (centroid - verts[-1])
         f_r = f(reflected)
         n_fev += 1
@@ -339,7 +343,7 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
     x0 = np.log(np.asarray(cfg.initial, dtype=float))
 
     def objective(logp: np.ndarray) -> float:
-        mu_p, mu_g, eta = np.exp(logp)
+        mu_p, mu_g, eta = np.exp(logp).tolist()
         try:
             mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
         except ConfigError:

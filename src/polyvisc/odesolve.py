@@ -101,9 +101,15 @@ class OdeSolution:
     n_rhs: int = 0
 
 
+def _rms(x: np.ndarray) -> float:
+    """Root mean square: np.mean's reduction and division, without its Python wrapper."""
+    sq = x * x
+    return math.sqrt(np.add.reduce(sq) / sq.size)
+
+
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return _rms(err / scale)
 
 
 def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
@@ -118,8 +124,8 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     span = t1 - t0
     scale = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore"):  # an overflowing norm is inf: h0 = 0 below
-        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
     if d1 * span <= 1.0:
         return _STATIONARY_FIRST_STEP * span, 0
     h0 = max(1e-6, 10 * _MIN_STEP_FRACTION * span) if d0 < 1e-5 else 0.01 * d0 / d1
@@ -129,7 +135,7 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
             f"step size underflow at t = {t0} (initial h = {h0}); problem too stiff or singular")
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     with np.errstate(over="ignore"):
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+        d2 = _rms((f1 - f0) / scale) / h0
     h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span), 1
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -170,7 +171,10 @@ def _newton(c, dt, ops):
     alone. At extreme parameters an intermediate value can overflow: Python
     floats do so silently, numpy warns, so the array callers run this with
     numpy's warnings off. Both paths bisect past a non-finite Newton step,
-    and their callers reject a non-finite stretch as DomainError.
+    and their callers reject a non-finite stretch as DomainError. On arrays
+    the bracket and the step are updated in place (``ops.put``), and the
+    bisection midpoint is formed only in an iteration where some element
+    bisects.
     """
     if c.maxwell:
         return c.lam_start * ops.exp(-c.rate * dt)
@@ -187,13 +191,15 @@ def _newton(c, dt, ops):
         lam = lam0 + dl
         dq = dl * (lam + lam0 + r)  # Q(lam) - Q(lam_start)
         f = v + k - (0.5 * ops.log1p(dq / q0) + r15 * term(dl, 2.0 * lam + r, c, ops))
-        lo, hi = ops.where(f < 0.0, v, lo), ops.where(f > 0.0, v, hi)
-        newton = f * (q0 + dq) / qr
-        step, v_newton = abs(newton), v - newton
+        lo, hi = ops.put(lo, v, f < 0.0), ops.put(hi, v, f > 0.0)
+        dv = f * (q0 + dq) / qr  # the Newton step
+        step, v_newton = abs(dv), v - dv
         # bisect where an unconverged Newton step would leave the bracket
         # or does not halve the last step
         bisect = (step > tol) & ((step > 0.5 * abs_dv) | (v_newton < lo) | (v_newton > hi))
-        dv = ops.where(done, 0.0, ops.where(bisect, v - 0.5 * (lo + hi), newton))
+        if ops.any(bisect):
+            dv = ops.where(bisect, v - 0.5 * (lo + hi), dv)
+        dv = ops.put(dv, 0.0, done)
         v = v - dv
         abs_dv = abs(dv)
         done = abs_dv <= tol
@@ -204,13 +210,21 @@ def _newton(c, dt, ops):
     return lam0 + d0 * ops.expm1(v)
 
 
+def _put(a: np.ndarray, b, where) -> np.ndarray:
+    """``a`` with ``b`` written in place where ``where`` holds."""
+    np.copyto(a, b, where=where)
+    return a
+
+
 _SCALAR = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log1p=math.log1p, atan=math.atan,
-    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y, all=bool,
+    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y,
+    put=lambda a, b, where: b if where else a, any=bool, all=bool,
 )
 _NUMPY = SimpleNamespace(
     exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
-    maximum=np.maximum, minimum=np.minimum, where=np.where, all=np.ndarray.all,
+    maximum=np.maximum, minimum=np.minimum, where=np.where,
+    put=_put, any=np.count_nonzero, all=lambda m: np.count_nonzero(m) == m.size,
 )
 
 
@@ -255,8 +269,11 @@ class SegmentTrace:
 
     def __post_init__(self):
         r, lam0 = self.lam_inf, self.lam_start
+        slack = 1e-12 * max(1.0, abs(self.t_end))  # the times lam_at accepts
+        self.t_lo, self.t_hi = self.t_start - slack, self.t_end + slack
         self.maxwell = r == 0.0
         if self.maxwell:
+            self.term = None
             return
         q = self.b * math.sqrt(self.b) / r
         self.disc = r * r - 4.0 * q
@@ -275,13 +292,12 @@ class SegmentTrace:
             raise DomainError(f"no finite creep solution in segment {self.index}")
 
     def _check_times(self, t_min: float, t_max: float) -> None:
-        slack = 1e-12 * max(1.0, abs(self.t_end))
-        if t_min < self.t_start - slack or t_max > self.t_end + slack:
+        if t_min < self.t_lo or t_max > self.t_hi:
             raise ValueError(f"times outside segment {self.index} requested")
 
     def lam_at(self, t):
         """Stretch at time(s) t in [t_start, t_end]: a float for a scalar t."""
-        if np.ndim(t) == 0:
+        if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
             self._check_times(t, t)
             try:
@@ -295,21 +311,27 @@ class SegmentTrace:
             ts = np.asarray(t, dtype=float)
             if not ts.size:
                 return ts.copy()
-            self._check_times(ts.min(), ts.max())
+            self._check_times(np.minimum.reduce(ts, axis=None), np.maximum.reduce(ts, axis=None))
             with np.errstate(all="ignore"):
                 lam = _newton(self, np.maximum(ts - self.t_start, 0.0), _NUMPY)
-            ok = 0.0 < lam.min() and lam.max() < math.inf
+            ok = _positive_finite(lam)
         if not ok:
             raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
         return lam
 
 
-# What a batch gathers per element from its segment: the span, then the
-# constants, the last of them those the H term reads.
+def _positive_finite(x: np.ndarray) -> bool:
+    """Whether every element lies in (0, inf); nan does not."""
+    return 0.0 < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < math.inf
+
+
+# What a batch gathers per element from its segment: the span and the
+# accepted time bounds, then the constants, the last of them those the H
+# term reads.
 _H_FIELDS = ("a0", "w", "a0_w", "w2", "w_sq", "w2_inv", "w4")
-_BATCH_FIELDS = ("t_start", "t_end", "lam_start", "lam_inf", "rate",
+_BATCH_FIELDS = ("t_start", "t_end", "t_lo", "t_hi", "lam_start", "lam_inf", "rate",
                  "d0", "q0", "qr", "rho", "r15") + _H_FIELDS
-_MAXWELL_FIELDS = _BATCH_FIELDS[:5]
+_MAXWELL_FIELDS = _BATCH_FIELDS[:7]
 
 
 @dataclass
@@ -328,6 +350,17 @@ class CreepCurve:
     segments: List[SegmentTrace]
     strain_measure: str = "log"
 
+    def __post_init__(self):
+        # the constants a batch gathers, one column per segment (the Maxwell
+        # limit has no Newton constants), and the H term when all segments
+        # share one (else None)
+        segs = self.segments
+        self._maxwell = segs[0].maxwell
+        self._names = _MAXWELL_FIELDS if self._maxwell else _BATCH_FIELDS
+        self._table = np.array(list(map(operator.attrgetter(*self._names), segs))).T
+        terms = {s.term for s in segs}
+        self._term = terms.pop() if len(terms) == 1 else None
+
     def _to_strain(self, lam: np.ndarray) -> np.ndarray:
         if self.strain_measure == "engineering":
             return lam - 1.0
@@ -338,32 +371,19 @@ class CreepCurve:
         lam = self.segments[index].lam_at(np.atleast_1d(times))
         return self._to_strain(lam)
 
-    @cached_property
-    def _fields(self) -> SimpleNamespace:
-        """Each segment's ``_BATCH_FIELDS`` as a column of ``table`` (the
-        Maxwell limit has no Newton constants), its discriminant's sign, and
-        the H term of every segment when they all share one (else None)."""
-        segs = self.segments
-        maxwell = segs[0].maxwell
-        names = _MAXWELL_FIELDS if maxwell else _BATCH_FIELDS
-        branch = None if maxwell else np.sign([s.disc for s in segs])
-        shared = not maxwell and len(set(branch.tolist())) == 1
-        return SimpleNamespace(
-            maxwell=maxwell, names=names,
-            table=np.array([[getattr(s, name) for s in segs] for name in names]),
-            branch=branch, term=_h_term(branch[0]) if shared else None,
-        )
-
     def _lam(self, counts, times: np.ndarray) -> np.ndarray:
         """Stretch at ``times``, the first counts[0] in segment 0, the next
-        counts[1] in segment 1 and so on: one Newton call."""
-        fields = self._fields
+        counts[1] in segment 1 and so on: one Newton call. Raises ValueError
+        for a time outside its segment, before solving."""
         n = len(counts)
-        columns = np.repeat(fields.table[:, :n], counts, axis=1)
-        c = SimpleNamespace(maxwell=fields.maxwell, term=fields.term,
-                            **dict(zip(fields.names, columns)))
-        if not fields.maxwell and c.term is None:  # rare: a log-branch load, an atan-branch unload
-            branch = np.repeat(fields.branch[:n], counts)
+        c = SimpleNamespace(maxwell=self._maxwell, term=self._term,
+                            **dict(zip(self._names, self._table[:, :n].repeat(counts, axis=1))))
+        outside = (times < c.t_lo) | (times > c.t_hi)
+        if np.count_nonzero(outside):
+            seg = np.repeat(np.arange(n), counts)
+            raise ValueError(f"times outside segment {seg[outside][0]} requested")
+        if not c.maxwell and c.term is None:  # e.g. a log-branch load, an atan-branch unload
+            branch = np.repeat(np.sign([s.disc for s in self.segments[:n]]), counts)
             c.term, c.cases = _mixed_term, []
             for kind in set(branch.tolist()):
                 mask = branch == kind
@@ -371,7 +391,7 @@ class CreepCurve:
                 c.cases.append((_h_term(kind), mask, sub))
         with np.errstate(all="ignore"):
             lam = _newton(c, np.maximum(times - c.t_start, 0.0), _NUMPY)
-        if not (0.0 < lam.min() and lam.max() < math.inf):
+        if not _positive_finite(lam):
             seg = np.repeat(np.arange(n), counts)
             bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
             raise DomainError(f"creep solution left lambda > 0 in segment {bad}")
@@ -384,9 +404,6 @@ class CreepCurve:
         if len(times) > len(self.segments):
             raise ValueError(f"times for {len(times)} segments, the curve has {len(self.segments)}")
         counts = [t.size for t in times]
-        for seg, t in zip(self.segments, times):
-            if t.size:
-                seg._check_times(t.min(), t.max())
         if not any(counts):
             return [t.copy() for t in times]
         eps = self._to_strain(self._lam(counts, np.concatenate(times)))
@@ -396,7 +413,7 @@ class CreepCurve:
     def samples(self):
         """(times, strains), each (n_segments, SEGMENT_SAMPLES): every segment's
         output grid, np.linspace(t_start, t_end, SEGMENT_SAMPLES) row by row."""
-        t_start, t_end = self._fields.table[:2]
+        t_start, t_end = self._table[:2]
         ts = np.linspace(t_start, t_end, SEGMENT_SAMPLES, axis=1)
         lam = self._lam([SEGMENT_SAMPLES] * len(self.segments), ts.ravel())
         return ts, self._to_strain(lam.reshape(ts.shape))

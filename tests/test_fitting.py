@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyvisc.dataio import make_synthetic_dataset
+from polyvisc.dataio import get_preset, make_synthetic_dataset, presets
 from polyvisc.fitting import (
     ExperimentalDataset,
     FitConfig,
@@ -210,6 +212,78 @@ class TestCreepError:
                 eta=10 ** rng.uniform(12.5, 14),
             )
             assert creep_error(mp, ds, w=0.5) >= 0.0
+
+
+# Datasets of the misfit property: synthetic 1 %-noise creep/recovery data of
+# each preset at its fit load over 5 tau + 5 tau, a log-branch load with an
+# atan-branch unload (both branches in one batch) and a Maxwell-limit
+# material. Each entry is (the material the data came from, the dataset).
+def _misfit_dataset(name):
+    if name == "mixed":
+        mp = MaterialParams(4.79e8, 4.79e6, 3.95e13)
+        stress, t_load, t_unload = 0.3 * mp.mu_p_bar, 2e4, 4e4
+    elif name == "maxwell":
+        mp = MaterialParams(3.76e8, 0.0, 6.22e12)
+        stress, t_load, t_unload = 1.0e7, 1e4, 1e4
+    else:
+        row = get_preset(name)
+        mp, stress = row.params(), row.fit_load_pa()
+        t_load = t_unload = 5.0 * mp.retardation_time()
+    return mp, make_synthetic_dataset(mp, stress=stress, t_load=t_load, t_unload=t_unload,
+                                      n_load=30, n_unload=15, noise=0.01, seed=3)
+
+
+_MISFIT_DATASETS = {name: _misfit_dataset(name)
+                    for name in [*sorted(presets()), "mixed", "maxwell"]}
+
+
+def _misfit_by_segment(mp, ds, w):
+    """The misfit of ``creep_error`` from one solve per segment and phase."""
+    t_u = ds.t_unload_start()
+    curve = simulate_creep([CreepSegment(ds.stress, t_u),
+                            CreepSegment(0.0, float(ds.t_unload[-1]) - t_u)], mp)
+    misfit = 0.0
+    for k, weight, t, eps in ((0, w, ds.t_load, ds.eps_load),
+                              (1, 1.0 - w, ds.t_unload, ds.eps_unload)):
+        if weight > 0.0:
+            sim = curve.strain_in_segment(k, t)
+            misfit += weight * math.sqrt(float(np.sum((sim - eps) ** 2))
+                                         / float(np.sum(eps * eps)))
+    return misfit
+
+
+class TestCreepErrorIsTheMisfit:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        dataset=st.sampled_from(sorted(presets())),
+        decades=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        w=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @example(dataset="mixed", decades=(0.0, 0.0, 0.0), w=0.5)
+    @example(dataset="mixed", decades=(0.3, -0.5, 0.2), w=0.5)
+    @example(dataset="maxwell", decades=(0.0, 0.0, 0.0), w=0.5)
+    @example(dataset="maxwell", decades=(-0.4, 0.0, 1.0), w=0.5)
+    def test_equals_the_per_segment_misfit(self, dataset, decades, w):
+        # the batched objective is bit for bit the misfit of per-segment
+        # solves, for trial parameters within 2 decades of the data's
+        truth, ds = _MISFIT_DATASETS[dataset]
+        base = (truth.mu_p_bar, truth.mu_g_bar, truth.eta)
+        mp = MaterialParams(*(v * 10.0**d for v, d in zip(base, decades)))
+        try:
+            expected = _misfit_by_segment(mp, ds, w)
+        except DomainError:
+            with pytest.raises(DomainError):
+                creep_error(mp, ds, w)
+            return
+        assert creep_error(mp, ds, w) == expected
+
+    def test_mixed_dataset_takes_both_branches(self):
+        truth, ds = _MISFIT_DATASETS["mixed"]
+        curve = simulate_creep([CreepSegment(ds.stress, ds.t_unload_start()),
+                                CreepSegment(0.0, float(ds.t_unload[-1]) - ds.t_unload_start())],
+                               truth)
+        load, unload = curve.segments
+        assert load.disc > 0.0 > unload.disc
 
 
 class TestDatasetValidation:
@@ -504,6 +578,21 @@ class TestFitConfig:
     def test_non_finite_guess(self, initial):
         with pytest.raises(ValueError, match="initial guess must be positive and finite"):
             FitConfig(initial=initial)
+
+    @pytest.mark.parametrize("max_iter", [
+        0, -3, math.nan,  # each returned after 0 iterations and 4 evaluations, not converged
+        2.5,  # ran 3 iterations
+        True,  # ran 1 iteration
+        False, "10", None,
+    ])
+    def test_iteration_cap_is_a_positive_int(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            FitConfig(initial=(4.79e8, 1.43e9, 3.95e13), max_iter=max_iter)
+
+    def test_iteration_cap_of_one(self):
+        ds = synthetic(HFPE285, n_load=10, n_unload=5)
+        res = fit_dataset(ds, FitConfig(initial=(4.0e8, 1.2e9, 3.0e13), max_iter=1))
+        assert res.iterations == 1 and not res.converged
 
     @pytest.mark.parametrize("initial", [(4.79e8, 1.43e9), (4.79e8, 1.43e9, 3.95e13, 1.0)])
     def test_guess_is_a_triple(self, initial):

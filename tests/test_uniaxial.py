@@ -405,6 +405,38 @@ class TestBatch:
         assert array_solves() == 1
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
 
+    @pytest.fixture()
+    def bisected(self, monkeypatch):
+        """Counts the elements the array Newton solve bisects (it forms the
+        midpoint only then); each read resets the count."""
+        counts = []
+        where = uniaxial._NUMPY.where
+        monkeypatch.setattr(uniaxial._NUMPY, "where",
+                            lambda cond, x, y: counts.append(np.count_nonzero(cond))
+                            or where(cond, x, y))
+
+        def count():
+            n = sum(counts)
+            counts.clear()
+            return n
+
+        return count
+
+    def test_bisecting_batch_matches_the_scalar_solves(self, bisected):
+        # a log-branch load above mu_p_bar, where some Newton steps would
+        # leave the bracket: the output grid bisects 12 elements
+        mp = MaterialParams(mu_p_bar=3.0e8, mu_g_bar=8.24e-4 * 3.0e8, eta=1.0e13)
+        curve = simulate_creep([(1.33 * mp.mu_p_bar, 0.33 * mp.retardation_time())], mp)
+        (seg,) = curve.segments
+        assert seg.disc > 0.0  # the log term
+        ts, eps = curve.samples
+        assert bisected() > 0
+        assert np.array_equal(eps[0], curve.strain_in_segment(0, ts[0]))
+        assert bisected() > 0
+        assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
+        ref = _rk_reference(seg, seg.lam_start, mp)
+        assert np.max(np.abs(seg.lam_at(ref.ts) / ref.ys[:, 0] - 1.0)) <= 1e-9
+
     @pytest.mark.parametrize("mu_g_bar", [PMR15.mu_g_bar, 0.0])
     def test_times_for_a_prefix_of_the_segments(self, mu_g_bar):
         # times for the first k < n segments, the middle one empty, as the
