@@ -159,6 +159,10 @@ def _h_term(disc: float):
 
 
 _NEWTON_MAX_ITER = 200
+# Iterations of the plain Newton pass before a batch falls back to the
+# bracketed loop. Two-segment programs with moduli and eta within 10^+-3 of
+# a preset converge in 2 to 6.
+_PLAIN_MAX_ITER = 8
 
 
 def _newton(c, dt, ops):
@@ -166,13 +170,30 @@ def _newton(c, dt, ops):
 
     ``c`` holds the segment constants: floats for one time on ``_SCALAR``,
     floats or arrays gathered per element (``CreepCurve._lam``) for an array
-    of times on ``_NUMPY``. An element stops updating once its own step is
-    within tolerance, so each takes exactly the steps it takes when solved
-    alone. At extreme parameters an intermediate value can overflow: Python
-    floats do so silently, numpy warns, so the array callers run this with
-    numpy's warnings off. Both paths bisect past a non-finite Newton step,
-    and their callers reject a non-finite stretch as DomainError. On arrays
-    the bracket and the step are updated in place (``ops.put``), and the
+    of times on ``_NUMPY``. The bracketed loop (``_bracketed_newton``)
+    defines the solution. An array first takes the plain pass
+    (``_plain_newton``), which returns the loop's result bit for bit or
+    None where the loop could bisect; on None the whole array reruns
+    through the loop. One time and the Maxwell limit go straight to the
+    loop.
+    """
+    if ops is _NUMPY and not c.maxwell:
+        lam = _plain_newton(c, dt)
+        if lam is not None:
+            return lam
+    return _bracketed_newton(c, dt, ops)
+
+
+def _bracketed_newton(c, dt, ops):
+    """``_newton``'s loop: Newton with a bisection fallback, as ``rtsafe``.
+
+    An element stops updating once its own step is within tolerance, so
+    each takes exactly the steps it takes when solved alone. At extreme
+    parameters an intermediate value can overflow: Python floats do so
+    silently, numpy warns, so the array callers run this with numpy's
+    warnings off. Both paths bisect past a non-finite Newton step, and
+    their callers reject a non-finite stretch as DomainError. On arrays the
+    bracket and the step are updated in place (``ops.put``), and the
     bisection midpoint is formed only in an iteration where some element
     bisects.
     """
@@ -210,6 +231,61 @@ def _newton(c, dt, ops):
     return lam0 + d0 * ops.expm1(v)
 
 
+def _plain_newton(c, dt):
+    """``_bracketed_newton``'s iteration on arrays without the bracket, or None.
+
+    The same start, residual, Newton step, per-element freeze and stop,
+    with no bracket updates and no bisection test, under a cap of
+    _PLAIN_MAX_ITER iterations. Its iterates are the loop's as long as the
+    loop does not bisect. It returns None, and the caller runs the loop,
+    unless:
+
+    - no step fails the loop's own halving test: above tolerance and more
+      than half the last step (the first against 2 (hi - lo); a frozen
+      element's last step is 0);
+    - every element converged within the cap;
+    - every final v is finite and inside the analytic bracket
+      [-k max(1, rho), -k min(1, rho)].
+
+    Under the first check each step is at most half the one before, so the
+    steps after an iterate sum to less than the step from it, and no step
+    reaches back to an earlier iterate that the iteration turned at. Those
+    iterates and the analytic ends are the loop's bracket, and the last
+    check covers the ends, so the loop's bracket test fails as well: where
+    this pass returns, the loop would have returned the same bits.
+    """
+    lam0, r, d0, rho, q0, qr = c.lam_start, c.lam_inf, c.d0, c.rho, c.q0, c.qr
+    r15, term = c.r15, c.term
+    k = c.rate * dt
+    nk = -k
+    lo, hi = nk * np.maximum(1.0, rho), nk * np.minimum(1.0, rho)
+    tol = 1e-12 * (1.0 + k)
+    v = nk * rho
+    # the loop bisects where step > tol and step > abs_dv / 2
+    limit = np.maximum(tol, 0.5 * abs(2.0 * (hi - lo)))
+    done = False
+    for _ in range(_PLAIN_MAX_ITER):
+        dl = d0 * np.expm1(v)
+        lam = lam0 + dl
+        dq = dl * (lam + lam0 + r)
+        f = v + k - (0.5 * np.log1p(dq / q0) + r15 * term(dl, 2.0 * lam + r, c, _NUMPY))
+        dv = f * (q0 + dq) / qr
+        if np.count_nonzero(abs(dv) > limit):
+            return None
+        np.copyto(dv, 0.0, where=done)
+        v = v - dv
+        abs_dv = abs(dv)
+        done = abs_dv <= tol
+        if np.count_nonzero(done) == done.size:
+            break
+        limit = np.maximum(tol, 0.5 * abs_dv)
+    else:
+        return None
+    if np.count_nonzero((lo <= v) & (v <= hi)) != v.size:  # nan is outside
+        return None
+    return lam0 + d0 * np.expm1(v)
+
+
 def _put(a: np.ndarray, b, where) -> np.ndarray:
     """``a`` with ``b`` written in place where ``where`` holds."""
     np.copyto(a, b, where=where)
@@ -244,9 +320,12 @@ class SegmentTrace:
     v: dF/dv = Q(r)/Q(lam) > 0 for F = v + k - H(lam) + H(lam_start), and v
     lies in [-k max(1, rho), -k min(1, rho)] with rho = Q(lam_start)/Q(r).
     It starts at v = -k rho, the end from which Newton approaches the root
-    of the convex (lam < r) or concave (lam > r) F monotonically, and
-    bisects the shrinking bracket instead of any step that would leave it or
-    fails to halve the previous one, so lam stays between lam_start and r.
+    of the convex (lam < r) or concave (lam > r) F monotonically. The
+    bracketed loop bisects the shrinking bracket instead of any step that
+    would leave it or fails to halve the previous one, so lam stays between
+    lam_start and r. An array of times first takes the same Newton steps
+    without the bracket, and keeps them only where the loop would not have
+    bisected (``_plain_newton``).
     In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
 
     The constants ``_newton`` reads are set here: d0 = lam_start - r,
@@ -325,13 +404,15 @@ def _positive_finite(x: np.ndarray) -> bool:
     return 0.0 < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < math.inf
 
 
-# What a batch gathers per element from its segment: the span and the
-# accepted time bounds, then the constants, the last of them those the H
-# term reads.
+# What a batch gathers per element from its segment: the span start and
+# the accepted time bounds, the constants of the Maxwell limit, then those
+# of the Newton solve, and last those its H term reads (all H terms' for a
+# curve of mixed terms).
+_MAXWELL_FIELDS = ("t_start", "t_lo", "t_hi", "lam_start", "rate")
+_NEWTON_FIELDS = _MAXWELL_FIELDS + ("lam_inf", "d0", "q0", "qr", "rho", "r15")
+_TERM_FIELDS = {_atan_term: ("a0", "w2", "w_sq", "w2_inv"), _log_term: ("w", "w4", "a0_w"),
+                _rational_term: ("a0",)}
 _H_FIELDS = ("a0", "w", "a0_w", "w2", "w_sq", "w2_inv", "w4")
-_BATCH_FIELDS = ("t_start", "t_end", "t_lo", "t_hi", "lam_start", "lam_inf", "rate",
-                 "d0", "q0", "qr", "rho", "r15") + _H_FIELDS
-_MAXWELL_FIELDS = _BATCH_FIELDS[:7]
 
 
 @dataclass
@@ -351,15 +432,16 @@ class CreepCurve:
     strain_measure: str = "log"
 
     def __post_init__(self):
-        # the constants a batch gathers, one column per segment (the Maxwell
-        # limit has no Newton constants), and the H term when all segments
-        # share one (else None)
+        # the H term when all segments share one (else None), and the
+        # constants a batch gathers, one column per segment, with a last
+        # row t_end that ``samples`` reads
         segs = self.segments
         self._maxwell = segs[0].maxwell
-        self._names = _MAXWELL_FIELDS if self._maxwell else _BATCH_FIELDS
-        self._table = np.array(list(map(operator.attrgetter(*self._names), segs))).T
         terms = {s.term for s in segs}
         self._term = terms.pop() if len(terms) == 1 else None
+        self._names = (_MAXWELL_FIELDS if self._maxwell
+                       else _NEWTON_FIELDS + _TERM_FIELDS.get(self._term, _H_FIELDS))
+        self._table = np.array(list(map(operator.attrgetter(*self._names, "t_end"), segs))).T
 
     def _to_strain(self, lam: np.ndarray) -> np.ndarray:
         if self.strain_measure == "engineering":
@@ -376,8 +458,8 @@ class CreepCurve:
         counts[1] in segment 1 and so on: one Newton call. Raises ValueError
         for a time outside its segment, before solving."""
         n = len(counts)
-        c = SimpleNamespace(maxwell=self._maxwell, term=self._term,
-                            **dict(zip(self._names, self._table[:, :n].repeat(counts, axis=1))))
+        c = SimpleNamespace(maxwell=self._maxwell, term=self._term)
+        vars(c).update(zip(self._names, self._table[:-1, :n].repeat(counts, axis=1)))
         outside = (times < c.t_lo) | (times > c.t_hi)
         if np.count_nonzero(outside):
             seg = np.repeat(np.arange(n), counts)
@@ -386,9 +468,10 @@ class CreepCurve:
             branch = np.repeat(np.sign([s.disc for s in self.segments[:n]]), counts)
             c.term, c.cases = _mixed_term, []
             for kind in set(branch.tolist()):
-                mask = branch == kind
-                sub = SimpleNamespace(**{name: getattr(c, name)[mask] for name in _H_FIELDS})
-                c.cases.append((_h_term(kind), mask, sub))
+                mask, term = branch == kind, _h_term(kind)
+                sub = SimpleNamespace(**{name: getattr(c, name)[mask]
+                                         for name in _TERM_FIELDS[term]})
+                c.cases.append((term, mask, sub))
         with np.errstate(all="ignore"):
             lam = _newton(c, np.maximum(times - c.t_start, 0.0), _NUMPY)
         if not _positive_finite(lam):
@@ -413,7 +496,7 @@ class CreepCurve:
     def samples(self):
         """(times, strains), each (n_segments, SEGMENT_SAMPLES): every segment's
         output grid, np.linspace(t_start, t_end, SEGMENT_SAMPLES) row by row."""
-        t_start, t_end = self._table[:2]
+        t_start, t_end = self._table[0], self._table[-1]
         ts = np.linspace(t_start, t_end, SEGMENT_SAMPLES, axis=1)
         lam = self._lam([SEGMENT_SAMPLES] * len(self.segments), ts.ravel())
         return ts, self._to_strain(lam.reshape(ts.shape))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from polyvisc import dataio, fitting, uniaxial
@@ -436,6 +436,99 @@ class TestBatch:
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
         ref = _rk_reference(seg, seg.lam_start, mp)
         assert np.max(np.abs(seg.lam_at(ref.ts) / ref.ys[:, 0] - 1.0)) <= 1e-9
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        """Counts the array solves that run the bracketed loop; each read
+        resets the count."""
+        calls = []
+        loop = uniaxial._bracketed_newton
+        monkeypatch.setattr(uniaxial, "_bracketed_newton",
+                            lambda c, dt, ops: calls.append(ops) or loop(c, dt, ops))
+
+        def count():
+            n = sum(ops is uniaxial._NUMPY for ops in calls)
+            calls.clear()
+            return n
+
+        return count
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        preset=st.sampled_from(sorted(presets())),
+        decades=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        program=st.tuples(*[st.tuples(st.floats(-0.9, 3.0), st.floats(0.01, 50.0))] * 2),
+    )
+    # a log-branch load whose batch the loop bisects
+    @example(preset="pmr15_288", decades=(0.0, -2.0, 0.0), program=((1.5, 0.5), (0.0, 5.0)))
+    def test_plain_pass_is_the_bracketed_loop(self, preset, decades, program, bisected,
+                                              fallbacks, monkeypatch):
+        # two-segment programs with moduli and eta within 10^+-3 of a preset,
+        # loads from -0.9 to 3 mu_p_bar and 0.01-50 tau per segment, 200
+        # stamps each: the batch is the bracketed loop's bit for bit, and
+        # every batch that the loop bisects runs the loop
+        row = get_preset(preset)
+        mu_p, mu_g, eta = (v * 10.0**d for v, d in zip((row.mu_p_bar, row.mu_g_bar, row.eta),
+                                                        decades))
+        mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=mu_g, eta=eta)
+        tau = mp.retardation_time()
+        try:
+            curve = simulate_creep([(load * mu_p, d * tau) for load, d in program], mp)
+        except DomainError:
+            reject()
+        stamps = [np.linspace(s.t_start, s.t_end, 200) for s in curve.segments]
+
+        def solve():
+            try:
+                return np.concatenate(curve.strains_in_segments(stamps)).tobytes()
+            except DomainError as exc:
+                return str(exc)
+
+        with monkeypatch.context() as m:
+            m.setattr(uniaxial, "_plain_newton", lambda c, dt: None)
+            bisected()
+            loop = solve()
+            loop_bisects = bisected()
+        fallbacks()
+        assert solve() == loop
+        assert fallbacks() == 1 or not loop_bisects
+
+    def test_grouping_does_not_change_a_segment(self, bisected, fallbacks):
+        # the bisecting load above, then an atan-branch unload: the batch of
+        # both runs the bracketed loop, the unload alone takes the plain pass,
+        # and each segment's strains are those of its own solve, bit for bit
+        mp = MaterialParams(mu_p_bar=3.0e8, mu_g_bar=8.24e-4 * 3.0e8, eta=1.0e13)
+        tau = mp.retardation_time()
+        curve = simulate_creep([(1.33 * mp.mu_p_bar, 0.33 * tau), (0.0, 5.0 * tau)], mp)
+        load, unload = curve.segments
+        assert load.disc > 0.0 > unload.disc
+        stamps = [np.linspace(s.t_start, s.t_end, 50) for s in curve.segments]
+        fallbacks()
+        together = curve.strains_in_segments(stamps)
+        assert bisected() > 0
+        assert fallbacks() == 1
+        for k, eps in enumerate(together):
+            assert eps.tobytes() == curve.strain_in_segment(k, stamps[k]).tobytes()
+            assert fallbacks() == (k == 0)
+
+    def test_plain_pass_beyond_its_cap_runs_the_loop(self, fallbacks, monkeypatch):
+        tau = PMR15.retardation_time()
+        curve = simulate_creep([(1.0e7, tau), (-5.0e6, 2 * tau)], PMR15)
+        stamps = [np.linspace(s.t_start, s.t_end, 50) for s in curve.segments]
+        fallbacks()
+        plain = curve.strains_in_segments(stamps)
+        assert fallbacks() == 0
+        with monkeypatch.context() as m:
+            m.setattr(uniaxial, "_PLAIN_MAX_ITER", 1)  # the batch needs more
+            capped = curve.strains_in_segments(stamps)
+        assert fallbacks() == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, capped))
+        # a nan time converges in neither: the pass stops at its cap, and the
+        # loop raises
+        with pytest.raises(DomainError, match="creep solution did not converge"):
+            curve.strain_in_segment(0, [0.5 * tau, math.nan])
+        assert fallbacks() == 1
 
     @pytest.mark.parametrize("mu_g_bar", [PMR15.mu_g_bar, 0.0])
     def test_times_for_a_prefix_of_the_segments(self, mu_g_bar):
