@@ -3,6 +3,8 @@
 Within a constant-stress segment the traction-free condition pins the
 natural-configuration stretch B, so only the total stretch lambda evolves,
 and its scalar flow rule integrates in closed form (``SegmentTrace``).
+Newton inverts it: a bracketed loop on ``math`` for one time, and for an
+array one numpy pass whose uncertified elements the loop re-solves.
 Instantaneous load changes enter as multiplicative jumps of lambda between
 segments; the initial condition of a virgin load is lambda(0) = sqrt(B).
 Strain is logarithmic by default (engineering strain is available for data
@@ -133,24 +135,25 @@ def _flow_constants(b: float, mp: MaterialParams):
 # int_{lam_start}^{lam} dlam/Q(lam) = g(dl, a) with dl = lam - lam_start and
 # a = 2 lam + r, by the sign of the discriminant r^2 - 4q of Q. The products
 # of constants (w2 = 2w, w_sq = w^2, w2_inv = 2/w, w4 = 4w) are formed once
-# per segment (``SegmentTrace``).
-def _atan_term(dl, a, c, ops):
-    return c.w2_inv * ops.atan(c.w2 * dl / (c.w_sq + a * c.a0))
+# per segment (``SegmentTrace``). The caller passes atan and log1p: math's
+# for one time, numpy's for an array.
+def _atan_term(dl, a, c, atan, log1p):
+    return c.w2_inv * atan(c.w2 * dl / (c.w_sq + a * c.a0))
 
 
-def _log_term(dl, a, c, ops):
-    return ops.log1p(c.w4 * dl / ((a + c.w) * c.a0_w)) / c.w
+def _log_term(dl, a, c, atan, log1p):
+    return log1p(c.w4 * dl / ((a + c.w) * c.a0_w)) / c.w
 
 
-def _rational_term(dl, a, c, ops):
+def _rational_term(dl, a, c, atan, log1p):
     return 4.0 * dl / (a * c.a0)
 
 
-def _mixed_term(dl, a, c, ops):
+def _mixed_term(dl, a, c, atan, log1p):
     """Each element through its own segment's term (``c.cases``: term, mask, constants)."""
     g = np.empty_like(dl)
     for term, mask, sub in c.cases:
-        g[mask] = term(dl[mask], a[mask], sub, ops)
+        g[mask] = term(dl[mask], a[mask], sub, atan, log1p)
     return g
 
 
@@ -159,101 +162,86 @@ def _h_term(disc: float):
 
 
 _NEWTON_MAX_ITER = 200
-# Iterations of the plain Newton pass before a batch falls back to the
-# bracketed loop. Two-segment programs with moduli and eta within 10^+-3 of
-# a preset converge in 2 to 6.
+# Iterations of the array pass before an unconverged element is re-solved
+# by the bracketed loop. Two-segment programs with moduli and eta within
+# 10^+-3 of a preset converge in 2 to 6.
 _PLAIN_MAX_ITER = 8
 
 
-def _newton(c, dt, ops):
-    """Stretch at dt >= 0 after the segment start: Newton on v (see ``SegmentTrace``).
+def _bracketed_newton(c, dt: float) -> float:
+    """Stretch dt >= 0 after the start of segment ``c``: Newton on v (see
+    ``SegmentTrace``) with a bisection fallback, as ``rtsafe``.
 
-    ``c`` holds the segment constants: floats for one time on ``_SCALAR``,
-    floats or arrays gathered per element (``CreepCurve._lam``) for an array
-    of times on ``_NUMPY``. The bracketed loop (``_bracketed_newton``)
-    defines the solution. An array first takes the plain pass
-    (``_plain_newton``), which returns the loop's result bit for bit or
-    None where the loop could bisect; on None the whole array reruns
-    through the loop. One time and the Maxwell limit go straight to the
-    loop.
-    """
-    if ops is _NUMPY and not c.maxwell:
-        lam = _plain_newton(c, dt)
-        if lam is not None:
-            return lam
-    return _bracketed_newton(c, dt, ops)
-
-
-def _bracketed_newton(c, dt, ops):
-    """``_newton``'s loop: Newton with a bisection fallback, as ``rtsafe``.
-
-    An element stops updating once its own step is within tolerance, so
-    each takes exactly the steps it takes when solved alone. At extreme
-    parameters an intermediate value can overflow: Python floats do so
-    silently, numpy warns, so the array callers run this with numpy's
-    warnings off. Both paths bisect past a non-finite Newton step, and
-    their callers reject a non-finite stretch as DomainError. On arrays the
-    bracket and the step are updated in place (``ops.put``), and the
-    bisection midpoint is formed only in an iteration where some element
-    bisects.
+    This loop on Python floats and ``math`` defines the solution. At
+    extreme parameters an intermediate value can overflow: an infinite
+    Newton step is bisected, and where a ``math`` function overflows or
+    leaves its domain it raises, which ``SegmentTrace._lam_one`` turns into
+    a nan stretch that its caller rejects as DomainError.
     """
     if c.maxwell:
-        return c.lam_start * ops.exp(-c.rate * dt)
+        return c.lam_start * math.exp(-c.rate * dt)
     lam0, r, d0, rho, q0, qr = c.lam_start, c.lam_inf, c.d0, c.rho, c.q0, c.qr
     r15, term = c.r15, c.term
     k = c.rate * dt
-    lo, hi = -k * ops.maximum(1.0, rho), -k * ops.minimum(1.0, rho)
+    lo, hi = -k * max(1.0, rho), -k * min(1.0, rho)
     tol = 1e-12 * (1.0 + k)
     v = -k * rho
     abs_dv = abs(2.0 * (hi - lo))
-    done = False
     for _ in range(_NEWTON_MAX_ITER):
-        dl = d0 * ops.expm1(v)
+        dl = d0 * math.expm1(v)
         lam = lam0 + dl
         dq = dl * (lam + lam0 + r)  # Q(lam) - Q(lam_start)
-        f = v + k - (0.5 * ops.log1p(dq / q0) + r15 * term(dl, 2.0 * lam + r, c, ops))
-        lo, hi = ops.put(lo, v, f < 0.0), ops.put(hi, v, f > 0.0)
+        f = v + k - (0.5 * math.log1p(dq / q0)
+                     + r15 * term(dl, 2.0 * lam + r, c, math.atan, math.log1p))
+        if f < 0.0:
+            lo = v
+        elif f > 0.0:
+            hi = v
         dv = f * (q0 + dq) / qr  # the Newton step
         step, v_newton = abs(dv), v - dv
         # bisect where an unconverged Newton step would leave the bracket
         # or does not halve the last step
-        bisect = (step > tol) & ((step > 0.5 * abs_dv) | (v_newton < lo) | (v_newton > hi))
-        if ops.any(bisect):
-            dv = ops.where(bisect, v - 0.5 * (lo + hi), dv)
-        dv = ops.put(dv, 0.0, done)
-        v = v - dv
+        if step > tol and (step > 0.5 * abs_dv or v_newton < lo or v_newton > hi):
+            dv = v - 0.5 * (lo + hi)
+        v -= dv
         abs_dv = abs(dv)
-        done = abs_dv <= tol
-        if ops.all(done):
+        if abs_dv <= tol:
             break
     else:
         raise DomainError("creep solution did not converge")
-    return lam0 + d0 * ops.expm1(v)
+    return lam0 + d0 * math.expm1(v)
 
 
 def _plain_newton(c, dt):
-    """``_bracketed_newton``'s iteration on arrays without the bracket, or None.
+    """(lam, redo): ``_bracketed_newton``'s iteration on an array, and the
+    flat indices of the elements it cannot certify.
 
-    The same start, residual, Newton step, per-element freeze and stop,
-    with no bracket updates and no bisection test, under a cap of
-    _PLAIN_MAX_ITER iterations. Its iterates are the loop's as long as the
-    loop does not bisect. It returns None, and the caller runs the loop,
-    unless:
+    ``c`` holds the segment constants, floats or arrays gathered per element
+    (``CreepCurve._lam``). The pass takes the loop's start, residual, Newton
+    step, per-element freeze and stop, without its bracket updates and
+    bisection test, for at most _PLAIN_MAX_ITER iterations. An element's
+    iterates are the loop's until the loop bisects it. It is certified when
 
-    - no step fails the loop's own halving test: above tolerance and more
-      than half the last step (the first against 2 (hi - lo); a frozen
-      element's last step is 0);
-    - every element converged within the cap;
-    - every final v is finite and inside the analytic bracket
+    - none of its steps fails the loop's own halving test: above tolerance
+      and more than half the last step (the first against 2 (hi - lo));
+    - it converged within the cap;
+    - its final v is finite and inside the analytic bracket
       [-k max(1, rho), -k min(1, rho)].
 
     Under the first check each step is at most half the one before, so the
     steps after an iterate sum to less than the step from it, and no step
     reaches back to an earlier iterate that the iteration turned at. Those
     iterates and the analytic ends are the loop's bracket, and the last
-    check covers the ends, so the loop's bracket test fails as well: where
-    this pass returns, the loop would have returned the same bits.
+    check covers the ends, so the loop's bracket test fails as well: a
+    certified element takes the loop's steps, and differs from the loop's
+    result only by numpy's roundings of expm1, log1p and atan against
+    ``math``'s. Each element is certified on its own, whatever its batch.
+    The caller re-solves the others (``redo``) by their segments' loops.
+    A failed element is frozen; tracking starts at the first failure, so a
+    batch without one pays no numpy call for it. Maxwell: the exponential.
     """
+    if c.maxwell:
+        return c.lam_start * np.exp(-c.rate * dt), ()
     lam0, r, d0, rho, q0, qr = c.lam_start, c.lam_inf, c.d0, c.rho, c.q0, c.qr
     r15, term = c.r15, c.term
     k = c.rate * dt
@@ -264,44 +252,35 @@ def _plain_newton(c, dt):
     # the loop bisects where step > tol and step > abs_dv / 2
     limit = np.maximum(tol, 0.5 * abs(2.0 * (hi - lo)))
     done = False
+    failed = None  # the elements that failed the halving test, from the first failure on
     for _ in range(_PLAIN_MAX_ITER):
         dl = d0 * np.expm1(v)
         lam = lam0 + dl
         dq = dl * (lam + lam0 + r)
-        f = v + k - (0.5 * np.log1p(dq / q0) + r15 * term(dl, 2.0 * lam + r, c, _NUMPY))
+        f = v + k - (0.5 * np.log1p(dq / q0)
+                     + r15 * term(dl, 2.0 * lam + r, c, np.arctan, np.log1p))
         dv = f * (q0 + dq) / qr
-        if np.count_nonzero(abs(dv) > limit):
-            return None
+        fails = abs(dv) > limit
+        if np.count_nonzero(fails):
+            failed = fails if failed is None else failed | fails
         np.copyto(dv, 0.0, where=done)
         v = v - dv
         abs_dv = abs(dv)
         done = abs_dv <= tol
+        if failed is not None:
+            done |= failed
         if np.count_nonzero(done) == done.size:
             break
         limit = np.maximum(tol, 0.5 * abs_dv)
     else:
-        return None
-    if np.count_nonzero((lo <= v) & (v <= hi)) != v.size:  # nan is outside
-        return None
-    return lam0 + d0 * np.expm1(v)
-
-
-def _put(a: np.ndarray, b, where) -> np.ndarray:
-    """``a`` with ``b`` written in place where ``where`` holds."""
-    np.copyto(a, b, where=where)
-    return a
-
-
-_SCALAR = SimpleNamespace(
-    exp=math.exp, expm1=math.expm1, log1p=math.log1p, atan=math.atan,
-    maximum=max, minimum=min, where=lambda cond, x, y: x if cond else y,
-    put=lambda a, b, where: b if where else a, any=bool, all=bool,
-)
-_NUMPY = SimpleNamespace(
-    exp=np.exp, expm1=np.expm1, log1p=np.log1p, atan=np.arctan,
-    maximum=np.maximum, minimum=np.minimum, where=np.where,
-    put=_put, any=np.count_nonzero, all=lambda m: np.count_nonzero(m) == m.size,
-)
+        failed = ~done if failed is None else failed | ~done
+    ok = (lo <= v) & (v <= hi)  # nan is outside
+    if failed is not None:
+        ok &= ~failed
+    lam = lam0 + d0 * np.expm1(v)
+    if np.count_nonzero(ok) == ok.size:
+        return lam, ()
+    return lam, np.flatnonzero(~ok)
 
 
 @dataclass
@@ -316,19 +295,19 @@ class SegmentTrace:
         k = rate * (t - t_start),       H = ln(Q)/2 + (3r/2) * int dlam/Q,
 
     where the integral is an atan, a log or a rational term by the sign of
-    the discriminant disc = r^2 - 4q (``term``). ``_newton`` solves this for
+    the discriminant disc = r^2 - 4q (``term``). Newton solves this for
     v: dF/dv = Q(r)/Q(lam) > 0 for F = v + k - H(lam) + H(lam_start), and v
     lies in [-k max(1, rho), -k min(1, rho)] with rho = Q(lam_start)/Q(r).
     It starts at v = -k rho, the end from which Newton approaches the root
     of the convex (lam < r) or concave (lam > r) F monotonically. The
-    bracketed loop bisects the shrinking bracket instead of any step that
-    would leave it or fails to halve the previous one, so lam stays between
-    lam_start and r. An array of times first takes the same Newton steps
-    without the bracket, and keeps them only where the loop would not have
-    bisected (``_plain_newton``).
-    In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
+    bracketed loop (``_bracketed_newton``, one time) bisects the shrinking
+    bracket instead of any step that would leave it or fails to halve the
+    previous one, so lam stays between lam_start and r. An array of times
+    takes the same Newton steps without the bracket (``_plain_newton``);
+    each element the pass cannot certify as the loop's result is re-solved
+    by the loop. In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
 
-    The constants ``_newton`` reads are set here: d0 = lam_start - r,
+    The constants the Newton solves read are set here: d0 = lam_start - r,
     q0 = Q(lam_start), qr = Q(r), rho, r15 = 1.5 r, a0 = 2 lam_start + r,
     w = sqrt(|disc|), a0_w = a0 - w = 2 lam_start + 4q/(r + w) (the log
     term's factor formed without cancellation), and the products of w the
@@ -371,28 +350,35 @@ class SegmentTrace:
             raise DomainError(f"no finite creep solution in segment {self.index}")
 
     def _check_times(self, t_min: float, t_max: float) -> None:
-        if t_min < self.t_lo or t_max > self.t_hi:
+        if not (self.t_lo <= t_min and t_max <= self.t_hi):  # nan is outside
             raise ValueError(f"times outside segment {self.index} requested")
+
+    def _lam_one(self, dt: float) -> float:
+        """The bracketed loop at dt >= 0; nan for ``math``'s range and domain errors."""
+        try:
+            return _bracketed_newton(self, dt)
+        except DomainError:
+            raise
+        except (ArithmeticError, ValueError):
+            return math.nan
 
     def lam_at(self, t):
         """Stretch at time(s) t in [t_start, t_end]: a float for a scalar t."""
         if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
             self._check_times(t, t)
-            try:
-                lam = _newton(self, max(t - self.t_start, 0.0), _SCALAR)
-            except DomainError:
-                raise
-            except (ArithmeticError, ValueError):  # math's range and domain errors
-                lam = math.nan
+            lam = self._lam_one(max(t - self.t_start, 0.0))
             ok = 0.0 < lam < math.inf
         else:
             ts = np.asarray(t, dtype=float)
             if not ts.size:
                 return ts.copy()
             self._check_times(np.minimum.reduce(ts, axis=None), np.maximum.reduce(ts, axis=None))
+            dt = np.maximum(ts - self.t_start, 0.0)
             with np.errstate(all="ignore"):
-                lam = _newton(self, np.maximum(ts - self.t_start, 0.0), _NUMPY)
+                lam, redo = _plain_newton(self, dt)
+            for i in redo:
+                lam.flat[i] = self._lam_one(float(dt.flat[i]))
             ok = _positive_finite(lam)
         if not ok:
             raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
@@ -455,15 +441,16 @@ class CreepCurve:
 
     def _lam(self, counts, times: np.ndarray) -> np.ndarray:
         """Stretch at ``times``, the first counts[0] in segment 0, the next
-        counts[1] in segment 1 and so on: one Newton call. Raises ValueError
-        for a time outside its segment, before solving."""
+        counts[1] in segment 1 and so on: one array pass, and each element it
+        cannot certify re-solved by its own segment's loop. Raises ValueError
+        for a time outside its segment (nan included), before solving."""
         n = len(counts)
         c = SimpleNamespace(maxwell=self._maxwell, term=self._term)
         vars(c).update(zip(self._names, self._table[:-1, :n].repeat(counts, axis=1)))
-        outside = (times < c.t_lo) | (times > c.t_hi)
-        if np.count_nonzero(outside):
+        inside = (c.t_lo <= times) & (times <= c.t_hi)
+        if np.count_nonzero(inside) != inside.size:
             seg = np.repeat(np.arange(n), counts)
-            raise ValueError(f"times outside segment {seg[outside][0]} requested")
+            raise ValueError(f"times outside segment {seg[~inside][0]} requested")
         if not c.maxwell and c.term is None:  # e.g. a log-branch load, an atan-branch unload
             branch = np.repeat(np.sign([s.disc for s in self.segments[:n]]), counts)
             c.term, c.cases = _mixed_term, []
@@ -472,8 +459,13 @@ class CreepCurve:
                 sub = SimpleNamespace(**{name: getattr(c, name)[mask]
                                          for name in _TERM_FIELDS[term]})
                 c.cases.append((term, mask, sub))
+        dt = np.maximum(times - c.t_start, 0.0)
         with np.errstate(all="ignore"):
-            lam = _newton(c, np.maximum(times - c.t_start, 0.0), _NUMPY)
+            lam, redo = _plain_newton(c, dt)
+        if len(redo):
+            seg = np.repeat(np.arange(n), counts)
+            for i in redo:
+                lam[i] = self.segments[seg[i]]._lam_one(float(dt[i]))
         if not _positive_finite(lam):
             seg = np.repeat(np.arange(n), counts)
             bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
@@ -486,6 +478,9 @@ class CreepCurve:
         times = [np.asarray(t, dtype=float) for t in times]
         if len(times) > len(self.segments):
             raise ValueError(f"times for {len(times)} segments, the curve has {len(self.segments)}")
+        for k, t in enumerate(times):
+            if t.ndim != 1:
+                raise ValueError(f"times for segment {k} must be 1-D, got shape {t.shape}")
         counts = [t.size for t in times]
         if not any(counts):
             return [t.copy() for t in times]

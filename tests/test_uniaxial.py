@@ -383,75 +383,51 @@ class TestBatch:
                    if k != 1)
 
     @pytest.fixture()
-    def array_solves(self, monkeypatch):
-        """Counts the Newton body's array calls; each read resets the count."""
-        calls = []
-        newton = uniaxial._newton
-        monkeypatch.setattr(uniaxial, "_newton",
-                            lambda c, dt, ops: calls.append(ops) or newton(c, dt, ops))
+    def array_passes(self, monkeypatch):
+        """Records, for each array pass, the flat indices of the elements it
+        could not certify and the caller re-solved by the scalar loop; each
+        read returns the passes since the last read."""
+        passes = []
+        plain = uniaxial._plain_newton
 
-        def count():
-            n = sum(ops is not uniaxial._SCALAR for ops in calls)
-            calls.clear()
-            return n
+        def recorded(c, dt):
+            lam, redo = plain(c, dt)
+            passes.append(list(redo))
+            return lam, redo
 
-        return count
+        monkeypatch.setattr(uniaxial, "_plain_newton", recorded)
 
-    def test_mixed_branches_in_one_solve(self, array_solves):
+        def read():
+            out = passes[:]
+            passes.clear()
+            return out
+
+        return read
+
+    def test_mixed_branches_in_one_solve(self, array_passes):
         curve = simulate_creep(MIXED_PROGRAM, MIXED)
         load, unload = curve.segments
         assert load.disc > 0.0 > unload.disc  # log term, then atan term
         ts, eps = curve.samples
-        assert array_solves() == 1
+        assert array_passes() == [[]]
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
 
-    @pytest.fixture()
-    def bisected(self, monkeypatch):
-        """Counts the elements the array Newton solve bisects (it forms the
-        midpoint only then); each read resets the count."""
-        counts = []
-        where = uniaxial._NUMPY.where
-        monkeypatch.setattr(uniaxial._NUMPY, "where",
-                            lambda cond, x, y: counts.append(np.count_nonzero(cond))
-                            or where(cond, x, y))
-
-        def count():
-            n = sum(counts)
-            counts.clear()
-            return n
-
-        return count
-
-    def test_bisecting_batch_matches_the_scalar_solves(self, bisected):
+    def test_bisecting_batch_matches_the_scalar_solves(self, array_passes):
         # a log-branch load above mu_p_bar, where some Newton steps would
-        # leave the bracket: the output grid bisects 12 elements
+        # leave the bracket: the output grid re-solves 7 elements
         mp = MaterialParams(mu_p_bar=3.0e8, mu_g_bar=8.24e-4 * 3.0e8, eta=1.0e13)
         curve = simulate_creep([(1.33 * mp.mu_p_bar, 0.33 * mp.retardation_time())], mp)
         (seg,) = curve.segments
         assert seg.disc > 0.0  # the log term
         ts, eps = curve.samples
-        assert bisected() > 0
+        (redo,) = array_passes()
+        assert redo
         assert np.array_equal(eps[0], curve.strain_in_segment(0, ts[0]))
-        assert bisected() > 0
+        assert array_passes() == [redo]
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
+        assert np.array_equal(eps[0, redo], np.log([seg.lam_at(float(ts[0, i])) for i in redo]))
         ref = _rk_reference(seg, seg.lam_start, mp)
         assert np.max(np.abs(seg.lam_at(ref.ts) / ref.ys[:, 0] - 1.0)) <= 1e-9
-
-    @pytest.fixture()
-    def fallbacks(self, monkeypatch):
-        """Counts the array solves that run the bracketed loop; each read
-        resets the count."""
-        calls = []
-        loop = uniaxial._bracketed_newton
-        monkeypatch.setattr(uniaxial, "_bracketed_newton",
-                            lambda c, dt, ops: calls.append(ops) or loop(c, dt, ops))
-
-        def count():
-            n = sum(ops is uniaxial._NUMPY for ops in calls)
-            calls.clear()
-            return n
-
-        return count
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -460,14 +436,14 @@ class TestBatch:
         decades=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
         program=st.tuples(*[st.tuples(st.floats(-0.9, 3.0), st.floats(0.01, 50.0))] * 2),
     )
-    # a log-branch load whose batch the loop bisects
+    # a log-branch load whose batch re-solves some elements
     @example(preset="pmr15_288", decades=(0.0, -2.0, 0.0), program=((1.5, 0.5), (0.0, 5.0)))
-    def test_plain_pass_is_the_bracketed_loop(self, preset, decades, program, bisected,
-                                              fallbacks, monkeypatch):
+    def test_plain_pass_is_the_bracketed_loop(self, preset, decades, program, array_passes):
         # two-segment programs with moduli and eta within 10^+-3 of a preset,
         # loads from -0.9 to 3 mu_p_bar and 0.01-50 tau per segment, 200
-        # stamps each: the batch is the bracketed loop's bit for bit, and
-        # every batch that the loop bisects runs the loop
+        # stamps each: a re-solved element is its own scalar solve bit for
+        # bit, and a certified one (the bracketed loop's result on numpy's
+        # elementary functions) is within 1e-13 of it
         row = get_preset(preset)
         mu_p, mu_g, eta = (v * 10.0**d for v, d in zip((row.mu_p_bar, row.mu_g_bar, row.eta),
                                                         decades))
@@ -479,56 +455,104 @@ class TestBatch:
             reject()
         stamps = [np.linspace(s.t_start, s.t_end, 200) for s in curve.segments]
 
-        def solve():
+        def solve(batch):
             try:
-                return np.concatenate(curve.strains_in_segments(stamps)).tobytes()
-            except DomainError as exc:
+                if batch:
+                    return np.concatenate(curve.strains_in_segments(stamps))
+                return np.log([seg.lam_at(float(t))
+                               for seg, ts in zip(curve.segments, stamps) for t in ts])
+            except DomainError as exc:  # the first element without a solution
                 return str(exc)
 
-        with monkeypatch.context() as m:
-            m.setattr(uniaxial, "_plain_newton", lambda c, dt: None)
-            bisected()
-            loop = solve()
-            loop_bisects = bisected()
-        fallbacks()
-        assert solve() == loop
-        assert fallbacks() == 1 or not loop_bisects
+        eps, scalar = solve(True), solve(False)
+        if isinstance(eps, str) or isinstance(scalar, str):
+            assert eps == scalar
+            return
+        (redo,) = array_passes()
+        assert np.array_equal(eps[redo], scalar[redo])
+        assert np.max(np.abs(eps - scalar)) <= 1e-13  # the stretches' relative deviation
 
-    def test_grouping_does_not_change_a_segment(self, bisected, fallbacks):
+    def test_grouping_does_not_change_a_segment(self, array_passes):
         # the bisecting load above, then an atan-branch unload: the batch of
-        # both runs the bracketed loop, the unload alone takes the plain pass,
-        # and each segment's strains are those of its own solve, bit for bit
+        # both re-solves load elements only, each segment alone re-solves the
+        # same ones, and each segment's strains are those of its own solve,
+        # bit for bit
         mp = MaterialParams(mu_p_bar=3.0e8, mu_g_bar=8.24e-4 * 3.0e8, eta=1.0e13)
         tau = mp.retardation_time()
         curve = simulate_creep([(1.33 * mp.mu_p_bar, 0.33 * tau), (0.0, 5.0 * tau)], mp)
         load, unload = curve.segments
         assert load.disc > 0.0 > unload.disc
         stamps = [np.linspace(s.t_start, s.t_end, 50) for s in curve.segments]
-        fallbacks()
         together = curve.strains_in_segments(stamps)
-        assert bisected() > 0
-        assert fallbacks() == 1
+        (redo,) = array_passes()
+        assert redo and max(redo) < 50
         for k, eps in enumerate(together):
             assert eps.tobytes() == curve.strain_in_segment(k, stamps[k]).tobytes()
-            assert fallbacks() == (k == 0)
+            assert array_passes() == [redo if k == 0 else []]
 
-    def test_plain_pass_beyond_its_cap_runs_the_loop(self, fallbacks, monkeypatch):
+    def test_plain_pass_beyond_its_cap_runs_the_loop(self, array_passes, monkeypatch):
         tau = PMR15.retardation_time()
         curve = simulate_creep([(1.0e7, tau), (-5.0e6, 2 * tau)], PMR15)
         stamps = [np.linspace(s.t_start, s.t_end, 50) for s in curve.segments]
-        fallbacks()
-        plain = curve.strains_in_segments(stamps)
-        assert fallbacks() == 0
+        curve.strains_in_segments(stamps)
+        assert array_passes() == [[]]
         with monkeypatch.context() as m:
             m.setattr(uniaxial, "_PLAIN_MAX_ITER", 1)  # the batch needs more
             capped = curve.strains_in_segments(stamps)
-        assert fallbacks() == 1
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, capped))
-        # a nan time converges in neither: the pass stops at its cap, and the
-        # loop raises
+        # all but the two segment starts (converged at once) are re-solved
+        (redo,) = array_passes()
+        assert len(redo) == 98
+        scalar = [np.log([seg.lam_at(float(t)) for t in ts])
+                  for seg, ts in zip(curve.segments, stamps)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(capped, scalar))
+
+    def test_a_loop_that_does_not_converge_raises(self, monkeypatch):
+        tau = PMR15.retardation_time()
+        curve = simulate_creep([(1.0e7, tau)], PMR15)
+        monkeypatch.setattr(uniaxial, "_NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(uniaxial, "_PLAIN_MAX_ITER", 1)
         with pytest.raises(DomainError, match="creep solution did not converge"):
-            curve.strain_in_segment(0, [0.5 * tau, math.nan])
-        assert fallbacks() == 1
+            curve.segments[0].lam_at(0.5 * tau)
+        with pytest.raises(DomainError, match="creep solution did not converge"):
+            curve.strain_in_segment(0, [0.5 * tau])
+
+    @pytest.mark.parametrize("solve", [
+        lambda curve, t: curve.segments[1].lam_at(t),
+        lambda curve, t: curve.strain_in_segment(1, [curve.segments[1].t_start, t]),
+        lambda curve, t: curve.strains_in_segments([[0.0], [curve.segments[1].t_end, t]]),
+    ], ids=["lam_at", "strain_in_segment", "strains_in_segments"])
+    def test_nan_time_is_outside_its_segment(self, solve, array_passes, monkeypatch):
+        # rejected by the range check, like any other time outside the
+        # segment, before any solve
+        curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 1.0e4)], PMR15)
+
+        def no_solve(*args):
+            raise AssertionError("solved a nan time")
+
+        monkeypatch.setattr(uniaxial, "_bracketed_newton", no_solve)
+        with pytest.raises(ValueError, match="times outside segment 1 requested"):
+            solve(curve, math.nan)
+        assert array_passes() == []
+
+    @pytest.mark.parametrize("times", [np.zeros((2, 3)), 0.0], ids=["2-D", "0-D"])
+    def test_times_per_segment_must_be_1d(self, times):
+        curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 1.0e4)], PMR15)
+        with pytest.raises(ValueError, match="times for segment 1 must be 1-D"):
+            curve.strains_in_segments([[0.0], times])
+
+    @pytest.mark.parametrize("name", sorted(presets()))
+    def test_fit_programs_take_no_scalar_resolve(self, name, array_passes):
+        # the benchmark's fit datasets: 5 tau load and 5 tau unload, 50 + 20
+        # stamps, solved at the preset's own parameters in one certified pass
+        row = get_preset(name)
+        mp = row.params()
+        tau = mp.retardation_time()
+        ds = dataio.make_synthetic_dataset(mp, stress=row.fit_load_pa(), t_load=5 * tau,
+                                           t_unload=5 * tau, n_load=50, n_unload=20)
+        array_passes()
+        fitting.creep_error(mp, ds, 0.5)
+        simulate_creep([(row.fit_load_pa(), 5 * tau), (0.0, 5 * tau)], mp).samples
+        assert array_passes() == [[], []]
 
     @pytest.mark.parametrize("mu_g_bar", [PMR15.mu_g_bar, 0.0])
     def test_times_for_a_prefix_of_the_segments(self, mu_g_bar):
@@ -548,20 +572,21 @@ class TestBatch:
         (load,) = curve.strains_in_segments(times[:1])
         assert np.array_equal(load, eps[0])
 
-    def test_one_array_solve_per_curve_and_per_objective(self, array_solves, tmp_path):
+    def test_one_array_solve_per_curve_and_per_objective(self, array_passes, tmp_path):
+        # one certified pass each, with no scalar re-solve
         tau = PMR15.retardation_time()
         curve = simulate_creep([(1.0e7, tau), (-5.0e6, tau), (0.0, 2 * tau)], PMR15)
-        assert array_solves() == 0  # the segment ends are scalar solves
+        assert array_passes() == []  # the segment ends are scalar solves
         save_curve(curve, tmp_path / "c.csv")
         save_svg([curve], tmp_path / "c.svg")
         assert curve.t.size == curve.epsilon.size
-        assert array_solves() == 1
+        assert array_passes() == [[]]
 
         ds = dataio.make_synthetic_dataset(PMR15, stress=1.0e7, t_load=5 * tau,
                                            t_unload=5 * tau, n_load=20, n_unload=10)
-        array_solves()
+        array_passes()
         fitting.creep_error(PMR15, ds, 0.5)
-        assert array_solves() == 1
+        assert array_passes() == [[]]
 
 
 class TestAnalyticCurve:
