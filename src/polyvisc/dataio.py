@@ -277,12 +277,12 @@ def make_synthetic_dataset(
     curve = simulate_creep(segments, mp)
 
     ts_load = np.linspace(0.0, t_load, n_load)
-    eps_load = curve.strain_in_segment(0, ts_load)
     if t_unload > 0.0:
         ts_unload = np.linspace(t_load, t_load + t_unload, n_unload + 1)[1:]
-        eps_unload = curve.strain_in_segment(1, ts_unload)
+        eps_load, eps_unload = curve.strains_in_segments([ts_load, ts_unload])
     else:
         ts_unload = np.array([])
+        (eps_load,) = curve.strains_in_segments([ts_load])
         eps_unload = np.array([])
 
     if noise > 0.0:

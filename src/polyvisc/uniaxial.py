@@ -3,8 +3,10 @@
 Within a constant-stress segment the traction-free condition pins the
 natural-configuration stretch B, so only the total stretch lambda evolves,
 and its scalar flow rule integrates in closed form (``SegmentTrace``).
-Newton inverts it: a bracketed loop on ``math`` for one time, and for an
-array one numpy pass whose uncertified elements the loop re-solves.
+Newton inverts it: a bracketed loop on ``math`` for one float time
+(``SegmentTrace.lam_at``), and for every array of times, read as one
+``CreepCurve`` batch, one numpy pass whose uncertified elements the loop
+re-solves.
 Instantaneous load changes enter as multiplicative jumps of lambda between
 segments; the initial condition of a virgin load is lambda(0) = sqrt(B).
 Strain is logarithmic by default (engineering strain is available for data
@@ -300,12 +302,14 @@ class SegmentTrace:
     lies in [-k max(1, rho), -k min(1, rho)] with rho = Q(lam_start)/Q(r).
     It starts at v = -k rho, the end from which Newton approaches the root
     of the convex (lam < r) or concave (lam > r) F monotonically. The
-    bracketed loop (``_bracketed_newton``, one time) bisects the shrinking
-    bracket instead of any step that would leave it or fails to halve the
-    previous one, so lam stays between lam_start and r. An array of times
-    takes the same Newton steps without the bracket (``_plain_newton``);
-    each element the pass cannot certify as the loop's result is re-solved
-    by the loop. In the Maxwell limit lam = lam_start * exp(-rate (t - t_start)).
+    bracketed loop (``_bracketed_newton``) bisects the shrinking bracket
+    instead of any step that would leave it or fails to halve the previous
+    one, so lam stays between lam_start and r. ``lam_at`` runs it for one
+    float time. An array of times is read through the curve, in one batch
+    (``CreepCurve._lam``): it takes the same Newton steps without the
+    bracket (``_plain_newton``), and each element the pass cannot certify as
+    the loop's result is re-solved by the loop. In the Maxwell limit
+    lam = lam_start * exp(-rate (t - t_start)).
 
     The constants the Newton solves read are set here: d0 = lam_start - r,
     q0 = Q(lam_start), qr = Q(r), rho, r15 = 1.5 r, a0 = 2 lam_start + r,
@@ -327,7 +331,7 @@ class SegmentTrace:
 
     def __post_init__(self):
         r, lam0 = self.lam_inf, self.lam_start
-        slack = 1e-12 * max(1.0, abs(self.t_end))  # the times lam_at accepts
+        slack = 1e-12 * max(1.0, abs(self.t_end))  # the times lam_at and a batch accept
         self.t_lo, self.t_hi = self.t_start - slack, self.t_end + slack
         self.maxwell = r == 0.0
         if self.maxwell:
@@ -349,10 +353,6 @@ class SegmentTrace:
         if not all(map(math.isfinite, (self.q0, self.qr, self.rho, self.w, self.a0_w))):
             raise DomainError(f"no finite creep solution in segment {self.index}")
 
-    def _check_times(self, t_min: float, t_max: float) -> None:
-        if not (self.t_lo <= t_min and t_max <= self.t_hi):  # nan is outside
-            raise ValueError(f"times outside segment {self.index} requested")
-
     def _lam_one(self, dt: float) -> float:
         """The bracketed loop at dt >= 0; nan for ``math``'s range and domain errors."""
         try:
@@ -362,32 +362,16 @@ class SegmentTrace:
         except (ArithmeticError, ValueError):
             return math.nan
 
-    def lam_at(self, t):
-        """Stretch at time(s) t in [t_start, t_end]: a float for a scalar t."""
-        if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            self._check_times(t, t)
-            lam = self._lam_one(max(t - self.t_start, 0.0))
-            ok = 0.0 < lam < math.inf
-        else:
-            ts = np.asarray(t, dtype=float)
-            if not ts.size:
-                return ts.copy()
-            self._check_times(np.minimum.reduce(ts, axis=None), np.maximum.reduce(ts, axis=None))
-            dt = np.maximum(ts - self.t_start, 0.0)
-            with np.errstate(all="ignore"):
-                lam, redo = _plain_newton(self, dt)
-            for i in redo:
-                lam.flat[i] = self._lam_one(float(dt.flat[i]))
-            ok = _positive_finite(lam)
-        if not ok:
+    def lam_at(self, t: float) -> float:
+        """Stretch at one time t in [t_start, t_end]; an array is a TypeError
+        (``CreepCurve.strain_in_segment`` reads many times in one batch)."""
+        t = float(t)
+        if not (self.t_lo <= t <= self.t_hi):  # nan is outside
+            raise ValueError(f"times outside segment {self.index} requested")
+        lam = self._lam_one(max(t - self.t_start, 0.0))
+        if not (0.0 < lam < math.inf):
             raise DomainError(f"creep solution left lambda > 0 in segment {self.index}")
         return lam
-
-
-def _positive_finite(x: np.ndarray) -> bool:
-    """Whether every element lies in (0, inf); nan does not."""
-    return 0.0 < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < math.inf
 
 
 # What a batch gathers per element from its segment: the span start and
@@ -435,9 +419,13 @@ class CreepCurve:
         return np.log(lam)
 
     def strain_in_segment(self, index: int, times) -> np.ndarray:
-        """Strain at arbitrary times inside one segment (closed form)."""
-        lam = self.segments[index].lam_at(np.atleast_1d(times))
-        return self._to_strain(lam)
+        """Strain at times inside segments[index] (a negative index counts
+        from the end), in the shape of ``times`` made at least 1-D: one
+        batched solve."""
+        k = self.segments[index].index
+        ts = np.array(times, dtype=float, ndmin=1)
+        lam = self._lam([0] * k + [ts.size], ts.ravel())
+        return self._to_strain(lam.reshape(ts.shape))
 
     def _lam(self, counts, times: np.ndarray) -> np.ndarray:
         """Stretch at ``times``, the first counts[0] in segment 0, the next
@@ -466,7 +454,9 @@ class CreepCurve:
             seg = np.repeat(np.arange(n), counts)
             for i in redo:
                 lam[i] = self.segments[seg[i]]._lam_one(float(dt[i]))
-        if not _positive_finite(lam):
+        # every stretch in (0, inf), nan not, and an empty batch passes
+        if not (0.0 < np.minimum.reduce(lam, axis=None, initial=math.inf)
+                and np.maximum.reduce(lam, axis=None, initial=0.0) < math.inf):
             seg = np.repeat(np.arange(n), counts)
             bad = seg[~((lam > 0.0) & (lam < math.inf))][0]
             raise DomainError(f"creep solution left lambda > 0 in segment {bad}")

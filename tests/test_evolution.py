@@ -396,17 +396,20 @@ class TestDrive:
         assert traj.eps_axial[-1] == pytest.approx(math.log(1.01), rel=1e-9)
 
 
-@pytest.fixture
-def late_drift(monkeypatch):
+@pytest.fixture(params=[1.0, 1e-2], ids=["strength1", "strength0.01"])
+def late_drift(request, monkeypatch):
     """A uniaxial ramp to 1.02 over one retardation time whose rate kernel
     scales B_p up, and so moves det(B_p) off 1, only once the stretch passes
-    its midpoint value 1.01 at t_mid."""
+    its midpoint value 1.01 at t_mid. The drift peaks at |det B_p - 1| =
+    1.5e-2 at strength 1, and at 1.5e-4 at strength 1e-2, which a
+    DET_DRIFT_LIMIT loosened to 1e-2 would let through."""
     tau = PMR15.retardation_time()
     kernel = evolution._rate_kernel
+    strength = request.param
 
     def perturbed(y, b, lmat, mp):
         rate, *parts = kernel(y, b, lmat, mp)
-        return rate + max(0.0, b[0, 0] - 1.01**2) / tau * y, *parts
+        return rate + strength * max(0.0, b[0, 0] - 1.01**2) / tau * y, *parts
 
     monkeypatch.setattr(evolution, "_rate_kernel", perturbed)
     return types.SimpleNamespace(protocol=ramp_hold("uniaxial", 1.02, tau, tau), t_mid=0.5 * tau)

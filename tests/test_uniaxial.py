@@ -185,10 +185,11 @@ class TestSimulateCreep:
     def test_monotone_recovery_toward_unity(self):
         tau = PMR15.retardation_time()
         curve = simulate_creep(
-            [CreepSegment(1.0e7, 5 * tau), CreepSegment(0.0, 5 * tau)], PMR15
+            [CreepSegment(1.0e7, 5 * tau), CreepSegment(0.0, 5 * tau)], PMR15,
+            strain_measure="engineering",
         )
         unload = curve.segments[1]
-        lam = unload.lam_at(np.linspace(unload.t_start, unload.t_end, 200))
+        lam = curve.strain_in_segment(1, np.linspace(unload.t_start, unload.t_end, 200)) + 1.0
         assert np.all(np.diff(lam) <= 1e-15)
         assert np.all(lam >= 1.0 - 1e-12)
 
@@ -268,7 +269,8 @@ class TestClosedForm:
         mp = MaterialParams(mu_p_bar=mu_p, mu_g_bar=0.0 if maxwell else mu_g, eta=eta)
         tau = eta / (2.0 * (mp.mu_g_bar or mu_p))
         curve = simulate_creep(
-            [(load * mu_p, durations[0] * tau), (0.0, durations[1] * tau)], mp
+            [(load * mu_p, durations[0] * tau), (0.0, durations[1] * tau)], mp,
+            strain_measure="engineering",  # strain + 1 is the stretch, exactly on [0.5, 2]
         )
         lam_rk = math.sqrt(curve.segments[0].b)
         for seg in curve.segments:
@@ -276,10 +278,10 @@ class TestClosedForm:
                 lam_rk *= math.sqrt(seg.b / curve.segments[seg.index - 1].b)
             if lambda_rate(lam_rk, seg.b, mp) == 0.0:  # the exact answer is lam_start
                 ts = np.linspace(seg.t_start, seg.t_end, 9)
-                assert np.all(seg.lam_at(ts) == seg.lam_start)
+                assert np.all(curve.strain_in_segment(seg.index, ts) + 1.0 == seg.lam_start)
                 continue
             ref = _rk_reference(seg, lam_rk, mp)
-            lam = seg.lam_at(ref.ts)
+            lam = curve.strain_in_segment(seg.index, ref.ts) + 1.0
             assert np.max(np.abs(lam / ref.ys[:, 0] - 1.0)) <= 1e-9
             scalar = np.array([seg.lam_at(float(t)) for t in ref.ts[::7]])
             assert np.max(np.abs(scalar / lam[::7] - 1.0)) <= 1e-14
@@ -287,10 +289,11 @@ class TestClosedForm:
 
     def test_maxwell_limit_is_exponential(self):
         mp = MaterialParams(mu_p_bar=3.76e8, mu_g_bar=0.0, eta=6.22e12)
-        seg = simulate_creep([(0.1 * mp.mu_p_bar, 1.0e5)], mp).segments[0]
+        curve = simulate_creep([(0.1 * mp.mu_p_bar, 1.0e5)], mp, strain_measure="engineering")
+        seg = curve.segments[0]
         rate = lambda_rate(seg.lam_start, seg.b, mp) / seg.lam_start
         ts = np.linspace(0.0, 1.0e5, 11)
-        assert np.allclose(seg.lam_at(ts), seg.lam_start * np.exp(rate * ts),
+        assert np.allclose(curve.strain_in_segment(0, ts) + 1.0, seg.lam_start * np.exp(rate * ts),
                            rtol=1e-13, atol=0.0)
 
     def test_asymptote_is_a_fixed_point(self):
@@ -315,11 +318,11 @@ class TestClosedForm:
             simulate_creep([(1.0e7, 1.0e4)], mp)
 
     def test_rejects_times_outside_segment(self):
-        seg = simulate_creep([(1.0e7, 1.0e4)], PMR15).segments[0]
+        curve = simulate_creep([(1.0e7, 1.0e4)], PMR15)
         with pytest.raises(ValueError):
-            seg.lam_at(2.0e4)
+            curve.segments[0].lam_at(2.0e4)
         with pytest.raises(ValueError):
-            seg.lam_at(np.array([0.0, -1.0]))
+            curve.strain_in_segment(0, np.array([0.0, -1.0]))
 
     def test_output_grid_ends_at_segment_ends(self):
         curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 3.0e4)], PMR15)
@@ -427,7 +430,8 @@ class TestBatch:
         assert np.max(np.abs(eps - _scalar_strains(curve, ts))) <= 1e-13
         assert np.array_equal(eps[0, redo], np.log([seg.lam_at(float(ts[0, i])) for i in redo]))
         ref = _rk_reference(seg, seg.lam_start, mp)
-        assert np.max(np.abs(seg.lam_at(ref.ts) / ref.ys[:, 0] - 1.0)) <= 1e-9
+        lam = np.exp(curve.strain_in_segment(0, ref.ts))
+        assert np.max(np.abs(lam / ref.ys[:, 0] - 1.0)) <= 1e-9
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -539,6 +543,26 @@ class TestBatch:
         curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 1.0e4)], PMR15)
         with pytest.raises(ValueError, match="times for segment 1 must be 1-D"):
             curve.strains_in_segments([[0.0], times])
+
+    def test_one_segment_read_contract(self, array_passes):
+        # lam_at takes one time. An array of times is one curve batch,
+        # indexed as segments[index] is (a negative index counts from the
+        # end; one past the end is an IndexError before any solve), and
+        # read in the shape of its times
+        curve = simulate_creep([(1.0e7, 1.0e4), (0.0, 1.0e4)], PMR15)
+        last = curve.segments[-1]
+        ts = np.linspace(last.t_start, last.t_end, 6)
+        with pytest.raises(TypeError):
+            last.lam_at(ts[:2])
+        eps = curve.strain_in_segment(1, ts)
+        assert curve.strain_in_segment(-1, ts).tobytes() == eps.tobytes()
+        array_passes()
+        with pytest.raises(IndexError):
+            curve.strain_in_segment(2, ts)
+        assert array_passes() == []
+        grid = curve.strain_in_segment(1, ts.reshape(2, 3))
+        assert grid.shape == (2, 3) and grid.tobytes() == eps.tobytes()
+        assert curve.strain_in_segment(1, []).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(presets()))
     def test_fit_programs_take_no_scalar_resolve(self, name, array_passes):
