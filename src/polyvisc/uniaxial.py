@@ -165,14 +165,19 @@ def _h_term(disc: float):
 
 _NEWTON_MAX_ITER = 200
 # Iterations of the array pass before an unconverged element is re-solved
-# by the bracketed loop. Two-segment programs with moduli and eta within
-# 10^+-3 of a preset converge in 2 to 6.
+# by the bracketed loop. Passes over two-segment programs with moduli and
+# eta within 10^+-3 of a preset stop after 1 to 6.
 _PLAIN_MAX_ITER = 8
 
 
 def _bracketed_newton(c, dt: float) -> float:
     """Stretch dt >= 0 after the start of segment ``c``: Newton on v (see
     ``SegmentTrace``) with a bisection fallback, as ``rtsafe``.
+
+    It stops after a Newton step no longer than ``stop``, which leaves v
+    within tol = 1e-12 (1 + k) of the root (``SegmentTrace``, the stop), or
+    after a bisection no longer than tol: the bound rests on a Newton step,
+    so a bisection never takes the wider stop.
 
     This loop on Python floats and ``math`` defines the solution. At
     extreme parameters an intermediate value can overflow: an infinite
@@ -187,6 +192,7 @@ def _bracketed_newton(c, dt: float) -> float:
     k = c.rate * dt
     lo, hi = -k * max(1.0, rho), -k * min(1.0, rho)
     tol = 1e-12 * (1.0 + k)
+    stop = max(tol, min(math.sqrt(tol * c.inv_2k), 0.25 * c.inv_2k))
     v = -k * rho
     abs_dv = abs(2.0 * (hi - lo))
     for _ in range(_NEWTON_MAX_ITER):
@@ -205,9 +211,11 @@ def _bracketed_newton(c, dt: float) -> float:
         # or does not halve the last step
         if step > tol and (step > 0.5 * abs_dv or v_newton < lo or v_newton > hi):
             dv = v - 0.5 * (lo + hi)
+        elif step <= stop:  # v_newton is within tol of the root
+            return lam0 + d0 * math.expm1(v_newton)
         v -= dv
         abs_dv = abs(dv)
-        if abs_dv <= tol:
+        if abs_dv <= tol:  # a bisection (a Newton step this short has returned)
             break
     else:
         raise DomainError("creep solution did not converge")
@@ -220,27 +228,36 @@ def _plain_newton(c, dt):
 
     ``c`` holds the segment constants, floats or arrays gathered per element
     (``CreepCurve._lam``). The pass takes the loop's start, residual, Newton
-    step, per-element freeze and stop, without its bracket updates and
-    bisection test, for at most _PLAIN_MAX_ITER iterations. An element's
-    iterates are the loop's until the loop bisects it. It is certified when
+    step and per-element stop, without its bracket updates and bisection
+    test, for at most _PLAIN_MAX_ITER iterations. An element's iterates are
+    the loop's until the loop bisects it. It is certified when
 
     - none of its steps fails the loop's own halving test: above tolerance
       and more than half the last step (the first against 2 (hi - lo));
-    - it converged within the cap;
+    - it stopped within the cap, on a step no longer than its stop;
     - its final v is finite and inside the analytic bracket
-      [-k max(1, rho), -k min(1, rho)].
+      [-k max(1, rho), -k min(1, rho)]. Rounding puts it outside where the
+      bracket is a few ulps wide: a segment that starts within rounding of
+      its asymptote.
 
     Under the first check each step is at most half the one before, so the
     steps after an iterate sum to less than the step from it, and no step
     reaches back to an earlier iterate that the iteration turned at. Those
     iterates and the analytic ends are the loop's bracket, and the last
     check covers the ends, so the loop's bracket test fails as well: a
-    certified element takes the loop's steps, and differs from the loop's
-    result only by numpy's roundings of expm1, log1p and atan against
-    ``math``'s. Each element is certified on its own, whatever its batch.
-    The caller re-solves the others (``redo``) by their segments' loops.
-    A failed element is frozen; tracking starts at the first failure, so a
-    batch without one pays no numpy call for it. Maxwell: the exponential.
+    certified element takes the loop's Newton steps and stops on the loop's
+    rule. It differs from the loop's result only by numpy's roundings of
+    expm1, log1p and atan against ``math``'s; where those put a step within
+    rounding of its stop, the pass and the loop stop one step apart, and
+    both results lie within tol of the root. Each element is certified on
+    its own, whatever its batch. The caller re-solves the others (``redo``)
+    by their segments' loops.
+    An element that stops or fails is frozen and takes no further step, so
+    the halving test reads only steps the loop takes: the step a stopped
+    element would take next is no step of the loop's, and testing it could
+    only add a needless re-solve. Failures are tracked from the first one
+    on, so a batch without one pays no numpy call for them. Maxwell: the
+    exponential.
     """
     if c.maxwell:
         return c.lam_start * np.exp(-c.rate * dt), ()
@@ -250,6 +267,7 @@ def _plain_newton(c, dt):
     nk = -k
     lo, hi = nk * np.maximum(1.0, rho), nk * np.minimum(1.0, rho)
     tol = 1e-12 * (1.0 + k)
+    stop = np.maximum(tol, np.minimum(np.sqrt(tol * c.inv_2k), 0.25 * c.inv_2k))
     v = nk * rho
     # the loop bisects where step > tol and step > abs_dv / 2
     limit = np.maximum(tol, 0.5 * abs(2.0 * (hi - lo)))
@@ -262,13 +280,13 @@ def _plain_newton(c, dt):
         f = v + k - (0.5 * np.log1p(dq / q0)
                      + r15 * term(dl, 2.0 * lam + r, c, np.arctan, np.log1p))
         dv = f * (q0 + dq) / qr
-        fails = abs(dv) > limit
+        np.copyto(dv, 0.0, where=done)  # a frozen element takes no step
+        abs_dv = abs(dv)
+        fails = abs_dv > limit
         if np.count_nonzero(fails):
             failed = fails if failed is None else failed | fails
-        np.copyto(dv, 0.0, where=done)
         v = v - dv
-        abs_dv = abs(dv)
-        done = abs_dv <= tol
+        done = abs_dv <= stop
         if failed is not None:
             done |= failed
         if np.count_nonzero(done) == done.size:
@@ -311,13 +329,38 @@ class SegmentTrace:
     the loop's result is re-solved by the loop. In the Maxwell limit
     lam = lam_start * exp(-rate (t - t_start)).
 
+    The stop. Between lam_start and r, Q lies between q0 and qr, so
+    F' = Q(r)/Q(lam) lies between 1 and 1/rho, and
+    F'' = -F' (2 lam + r)(lam - r)/Q(lam). So for any two points of the
+    bracket, |F''| at one over 2F' at the other is at most
+    K = (q_hi/q_lo) (2 max(lam_start, r) + r) |d0| / (2 q_lo), with q_lo and
+    q_hi the smaller and the larger of q0 and qr. Let e = |v - v*| be the
+    error of an iterate v in the bracket (the loop's iterates stay in it),
+    and e' that of v - dv after its Newton step. Newton's error recursion
+    (Suli & Mayers, An Introduction to Numerical Analysis, 2003, 1.4)
+    gives e' <= K e^2. The mean value theorem gives
+    e = |dv| F'(v)/F'(z) <= |dv| (1 + 2K e) for some z between v and v*,
+    so e <= |dv| / (1 - 2K |dv|). A step with 2K dv^2 <= tol and
+    K |dv| <= 1/8 therefore leaves e' <= (16/9) K dv^2 <= (8/9) tol. Both
+    loops stop on a Newton step with |dv| <= stop, where
+    stop = max(tol, min(sqrt(tol/(2K)), 1/(8K))) per time, and
+    tol = 1e-12 (1 + k). Where K > 1/(8 tol) the stop is the rule it
+    replaces, |dv| <= tol: below tol, rounding can stall the iteration. The
+    bound holds for F as computed, whose rounding is about 1e-16 of
+    1 + k + |v| + q0/Q(lam) and so fixes the root to well within tol
+    unless the segment unloads from many times its asymptote (rho ~ 1e4):
+    there rounding, not the stop, limits v, as it did under the old rule.
+    ``inv_2k`` = 1/(2K) is inf for d0 = 0, where F = v + k is linear and
+    the start v = -k is its root, and 0 where K overflows, which leaves the
+    tol stop.
+
     The constants the Newton solves read are set here: d0 = lam_start - r,
     q0 = Q(lam_start), qr = Q(r), rho, r15 = 1.5 r, a0 = 2 lam_start + r,
     w = sqrt(|disc|), a0_w = a0 - w = 2 lam_start + 4q/(r + w) (the log
     term's factor formed without cancellation), and the products of w the
     H term reads: w2 = 2w, w_sq = w^2 and w2_inv = 2/w (atan), w4 = 4w (log).
     Each is rounded as the loop would round it, so hoisting them changes no
-    bit of the solution.
+    bit of the solution. The stop's ``inv_2k`` is formed here too.
     """
 
     index: int
@@ -350,6 +393,9 @@ class SegmentTrace:
         self.w2, self.w_sq, self.w4 = 2.0 * w, w * w, 4.0 * w
         self.w2_inv = 2.0 / w if w else math.inf  # read by the atan term only, where w > 0
         self.term = _h_term(self.disc)
+        q_lo, q_hi = min(self.q0, self.qr), max(self.q0, self.qr)
+        self.inv_2k = (q_lo / q_hi * q_lo / (2.0 * max(lam0, r) + r) / abs(self.d0)
+                       if self.d0 else math.inf)
         if not all(map(math.isfinite, (self.q0, self.qr, self.rho, self.w, self.a0_w))):
             raise DomainError(f"no finite creep solution in segment {self.index}")
 
@@ -379,7 +425,7 @@ class SegmentTrace:
 # of the Newton solve, and last those its H term reads (all H terms' for a
 # curve of mixed terms).
 _MAXWELL_FIELDS = ("t_start", "t_lo", "t_hi", "lam_start", "rate")
-_NEWTON_FIELDS = _MAXWELL_FIELDS + ("lam_inf", "d0", "q0", "qr", "rho", "r15")
+_NEWTON_FIELDS = _MAXWELL_FIELDS + ("lam_inf", "d0", "q0", "qr", "rho", "r15", "inv_2k")
 _TERM_FIELDS = {_atan_term: ("a0", "w2", "w_sq", "w2_inv"), _log_term: ("w", "w4", "a0_w"),
                 _rational_term: ("a0",)}
 _H_FIELDS = ("a0", "w", "a0_w", "w2", "w_sq", "w2_inv", "w4")
