@@ -118,8 +118,20 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     A start is stationary when its rate would move y by at most one tolerance
     unit over the span (d1*span <= 1; never for a nan or inf rate): it takes
     ``_STATIONARY_FIRST_STEP`` of the span, unprobed. Any other start takes
-    the probed Hairer-Norsett-Wanner step (Solving ODEs I, sec. II.4); its
-    fallback for a state below 1e-5 tolerance units stays above the floor.
+    the probed Hairer-Norsett-Wanner step (Solving ODEs I, sec. II.4),
+    h1 = (0.01 / max(d1, d2))**(1/5), taken in the problem's own time unit.
+    d1 = rms(f0/scale) is a rate (tolerance units per time) and the Euler
+    probe's d2 = rms((f1 - f0)/scale)/h0 a second derivative (per time
+    squared), so max(d1, d2) compares numbers of different units. In the
+    unit 1/w, w = d2/d1, both read d1**2/d2; the rule there, taken back to
+    the problem's unit, is h1 = 0.01**(1/5) * d1**(-1/5) * (d1/d2)**(4/5),
+    the h with h**5 * d1*w**4 = 0.01. It equals HNW's step wherever d1 = d2,
+    and scaling time by a scales it by a. Neither power can overflow (the
+    form d1**3 / d2**4 inside one fifth root can). d2 = 0 (or nan) gives no
+    time scale: h1 = inf, and the cap 100*h0 bounds the step. The fallback
+    h0 = 1e-6 for a state below 1e-5 tolerance units (it stays above the
+    floor) still carries the problem's time unit; no drive of B_p (about
+    1e8 tolerance units near I) takes it.
     """
     span = t1 - t0
     scale = atol + rtol * np.abs(y0)
@@ -136,7 +148,7 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     with np.errstate(over="ignore"):
         d2 = _rms((f1 - f0) / scale) / h0
-    h1 = (0.01 / max(d1, d2)) ** 0.2
+    h1 = 0.01 ** 0.2 * d1 ** -0.2 * (d1 / d2) ** 0.8 if d2 > 0.0 else math.inf
     return min(100.0 * h0, h1, span), 1
 
 

@@ -547,13 +547,17 @@ class TestDriveRelax:
         assert np.array_equal(t, traj.t)
 
     @pytest.mark.parametrize("eta", ["1e-3", "1e3"])
-    def test_fast_relax_rejects_stages_outside_the_spd_cone(self, capsys, eta):
-        # tau = eta / (2 mu_g): the automatic start takes the whole 5 tau hold, and a
-        # trial stage of that step left the SPD cone, which ended the relax with exit 3
+    def test_fast_relax_ends_at_the_reference_stress(self, capsys, eta):
+        # tau = eta / (2 mu_g) = 5e-12 s and 5 s: the relax once ended with exit 3 (its
+        # first step took the whole 5 tau hold and a trial stage left the SPD cone). The
+        # printed end stress is within rtol * mu_p = 3 Pa of a relax at rtol 1e-12
         code = run("relax", "--mu-p", "3e8", "--mu-g", "1e8", "--eta", eta,
                    "--lambda-hold", "1.01")
         assert code == 0
-        assert "T_axial(end) = 2.245829e+06 Pa" in capsys.readouterr().out
+        assert "T_axial(end) = 2.245830e+06 Pa" in capsys.readouterr().out
+        mp = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=float(eta))
+        ref = evolution.relax(1.01, mp, 5.0 * mp.retardation_time(), rtol=1e-12)
+        assert abs(2.245830e6 - ref.t_axial[-1]) <= 1e-8 * mp.mu_p_bar
 
     @pytest.mark.parametrize("argv, quantity", [
         (["drive", "--preset", "pmr15_288", "--protocol", "shear", "--amplitude", "1e20",

@@ -310,8 +310,9 @@ class TestDrive:
         assert ratio == pytest.approx(expected, rel=2e-3)
 
     def test_fast_relax_ends_where_a_slow_one_does(self):
-        # at eta = 1e-3 and 1e3 (tau = 5e-12 and 5 s) the automatic start takes the whole
-        # 5 tau hold, and a trial stage of that step left the SPD cone and ended the relax
+        # at eta = 1e-3 and 1e3 (tau = 5e-12 and 5 s) the automatic start once took the
+        # whole 5 tau hold, and a trial stage of that step left the SPD cone and ended the
+        # relax; the start is now free of the time unit (TestTimeUnit)
         ends = []
         for eta in (1e-3, 1e3, 1e13):
             mp = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=eta)
@@ -442,7 +443,16 @@ def recorded_samples(monkeypatch):
     return built
 
 
-FAST = MaterialParams(mu_p_bar=3e8, mu_g_bar=1e8, eta=1e-3)  # tau = 5e-12 s
+def rest_then_ramp(rest: float, ramp: float, lam: float):
+    """At rest over (0, rest), then a ramp to the stretch ``lam`` over ``ramp``: two pieces.
+
+    The rest piece grows its steps far beyond ``ramp``, and the ramp piece starts
+    with the rest's last step, so its first steps are cut down to the ramp's scale.
+    """
+    rate = (lam - 1.0) / ramp
+    return (MotionProtocol("uniaxial", (0.0, rest), lambda t: 1.0, lambda t: 0.0),
+            MotionProtocol("uniaxial", (rest, rest + ramp),
+                           lambda t: 1.0 + rate * (t - rest), lambda t: rate))
 
 
 def sampled_runs(mp: MaterialParams):
@@ -455,17 +465,17 @@ def sampled_runs(mp: MaterialParams):
         "relax": lambda: [relax(0.99, mp, 3.0 * tau)],
         "replay": lambda: replay_uniaxial(
             simulate_creep([(1.0e7, 2.0 * tau), (0.0, 2.0 * tau)], mp), mp),
+        "rest then ramp": lambda: [drive(rest_then_ramp(1000.0 * tau, 0.1 * tau, 2.0),
+                                         mp, np.eye(3))],
     }
 
 
 class TestSamples:
-    @pytest.mark.parametrize("mp, case", [
-        *((PMR15, case) for case in sampled_runs(PMR15)),
-        # the automatic start takes the whole hold and trial stages leave the SPD cone:
-        # a by-product kept from a rejected step's stage would be stale
-        (FAST, "relax"),
-    ], ids=[*sampled_runs(PMR15), "fast relax"])
-    def test_each_row_is_the_kernel_at_its_state(self, monkeypatch, mp, case):
+    # "rest then ramp" rejects steps, one of them on a trial stage outside the SPD
+    # cone: a by-product kept from a rejected step's stage would be stale
+    @pytest.mark.parametrize("case", list(sampled_runs(PMR15)))
+    def test_each_row_is_the_kernel_at_its_state(self, monkeypatch, case):
+        mp = PMR15
         built = recorded_samples(monkeypatch)
         trajs = sampled_runs(mp)[case]()
         assert len(built) == len(trajs)
@@ -480,7 +490,7 @@ class TestSamples:
                 for got, ref in ((f, f_ref), (traj.F[i], f_ref), (b_g, b_g_ref), (q, q_ref),
                                  (d_g, d_ref)):
                     assert got.tobytes() == ref.tobytes()
-        if mp is FAST:
+        if case == "rest then ramp":
             assert sum(sol.n_rejected for _, sols, _ in built for sol in sols) > 0
 
 
@@ -544,6 +554,19 @@ class TestPiecewiseDrive:
                     for lam in (1.002, 1.02, 1.05, 0.98))
         assert worst <= 1e-9
 
+    def test_a_flow_defect_shows_on_a_slow_drive(self, monkeypatch):
+        # max xi_m is 2.8e-10 W/m^3 here: the residual is relative to xi_m, and a floor
+        # on xi_m as high as 1e-3 W/m^3 read this 1e-3 defect as about 3e-10
+        mp = MaterialParams(PMR15.mu_p_bar, PMR15.mu_g_bar, PMR15.eta * 1e6)
+        tau = mp.retardation_time()
+        pieces = ramp_hold("uniaxial", 1.0001, tau, 5.0 * tau)
+        clean = drive(pieces, mp, np.eye(3))
+        assert np.max(clean.xi_m) < 1e-9
+        assert np.max(clean.identity_residual) <= 1e-6
+        flow = evolution._flow
+        monkeypatch.setattr(evolution, "_flow", lambda *args: flow(*args) * (1.0 + 1e-3))
+        assert np.max(drive(pieces, mp, np.eye(3)).identity_residual) > 1e-4
+
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(
         preset=st.sampled_from(sorted(presets())),
@@ -561,6 +584,91 @@ class TestPiecewiseDrive:
         traj = drive(ramp_hold(kind, amplitude, ramp_taus * tau, 5.0 * tau), mp,
                      np.eye(3))
         assert np.max(np.abs(traj.det_bp - 1.0)) <= 1e-8
+
+    def test_a_stage_outside_the_spd_cone_is_a_rejected_step(self, monkeypatch):
+        # the ramp piece's first step, inherited from the long rest, takes the whole
+        # ramp to lambda = 2, and a trial stage of it leaves the SPD cone
+        tau = PMR15.retardation_time()
+        pieces = rest_then_ramp(1000.0 * tau, 0.1 * tau, 2.0)
+        raised = []
+        kernel = evolution._rate_kernel
+
+        def recording(*args):
+            try:
+                return kernel(*args)
+            except DomainError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(evolution, "_rate_kernel", recording)
+        sols = traced_solutions(monkeypatch)
+        traj = drive(pieces, PMR15, np.eye(3))
+        assert raised and all("SPD" in str(exc) for exc in raised)
+        assert sols[1].n_rejected >= len(raised)
+        assert traj.t[-1] == pieces[1].span[1]
+        ref = drive(pieces, PMR15, np.eye(3), rtol=1e-11)
+        assert traj.t_axial[-1] == pytest.approx(ref.t_axial[-1], rel=1e-6)
+
+
+def scaled_run(sols, case: str, mp: MaterialParams, a: float = 1.0, k: float = 1.0):
+    """A preset drive with times scaled by ``a`` and moduli by ``k`` (eta by k*a).
+
+    ``sols`` is a ``traced_solutions`` list; returns the trajectory and its
+    accepted steps over all pieces.
+    """
+    tau = mp.retardation_time() * a
+    mp = MaterialParams(mp.mu_p_bar * k, mp.mu_g_bar * k, mp.eta * k * a)
+    runs = {
+        "uniaxial ramp-hold": lambda: drive(ramp_hold("uniaxial", 1.02, tau, 5.0 * tau), mp,
+                                            np.eye(3)),
+        "shear ramp-hold": lambda: drive(ramp_hold("shear", 0.05, tau, 5.0 * tau), mp,
+                                         np.eye(3)),
+        "relax": lambda: relax(1.02, mp, 5.0 * tau),
+    }
+    sols.clear()
+    traj = runs[case]()
+    return traj, sum(sol.n_accepted for sol in sols)
+
+
+class TestTimeUnit:
+    @pytest.mark.parametrize("case", ["uniaxial ramp-hold", "shear ramp-hold", "relax"])
+    @pytest.mark.parametrize("preset", sorted(presets()))
+    def test_drive_is_free_of_the_time_unit(self, monkeypatch, preset, case):
+        # the first step's rule once mixed rates of different time units, so the
+        # step counts followed the unit of time, and 2^60 or 1e100 s failed at t = 0
+        mp = get_preset(preset).params()
+        sols = traced_solutions(monkeypatch)
+        ref, n_ref = scaled_run(sols, case, mp)
+        t11 = ref.stress[:, 0, 0]
+        for a, k in ((2.0**60, 1.0), (2.0**-60, 1.0), (2.0**40, 2.0**-30), (1e100, 1e-100),
+                     (1e-100, 1e100)):
+            traj, n = scaled_run(sols, case, mp, a, k)
+            assert n == n_ref, (a, k)
+            assert np.max(np.abs(traj.stress[:, 0, 0] / k - t11)) <= 1e-6 * np.max(np.abs(t11))
+
+    def test_scaled_hfpe285_ramp_hold_solves(self, monkeypatch):
+        # times x 2^40 and moduli x 2^-30 failed at t = 0 with "step size underflow
+        # (h = 37.75...)" while the first step was 1e-5 tau: the floor is 1e-12 of the span
+        mp = get_preset("hfpe285").params()
+        sols = traced_solutions(monkeypatch)
+        ref, n_ref = scaled_run(sols, "uniaxial ramp-hold", mp)
+        traj, n = scaled_run(sols, "uniaxial ramp-hold", mp, 2.0**40, 2.0**-30)
+        assert n == n_ref
+        assert traj.t_axial[-1] * 2.0**30 == pytest.approx(ref.t_axial[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("preset", sorted(presets()))
+    def test_first_step_is_on_the_time_scale_of_the_drive(self, monkeypatch, preset):
+        # the default drive (ramp over half of 5 tau) and relax started at 1e-5 tau
+        # or less and grew x5 per step for five steps
+        mp = get_preset(preset).params()
+        tau = mp.retardation_time()
+        sols = traced_solutions(monkeypatch)
+        drive(ramp_hold("uniaxial", 1.02, 2.5 * tau, 5.0 * tau), mp, np.eye(3))
+        drive(ramp_hold("shear", 0.05, 2.5 * tau, 5.0 * tau), mp, np.eye(3))
+        relax(1.02, mp, 5.0 * tau)
+        assert len(sols) == 5
+        for sol in (sols[0], sols[2], sols[4]):  # each drive's first piece starts automatically
+            assert sol.ts[1] - sol.ts[0] >= 1e-3 * tau
 
 
 class TestScalarEquivalence:

@@ -226,6 +226,15 @@ class TestStepControls:
         assert sol.n_rhs == 1 + n_probe + 6 * (sol.n_accepted + sol.n_rejected)
         assert sol.ys[-1, 0] == pytest.approx(3.5 + 10.0 * rate, rel=1e-15)
 
+    @pytest.mark.parametrize("a", [2.0**-60, 2.0**40, 1e-100, 1e100])
+    def test_the_probed_start_scales_with_the_time_unit(self, a):
+        # y' = -5 y over (0, 1), and over (0, a) in a time unit a times smaller; the
+        # textbook rule (0.01 / max(d1, d2))**(1/5) compares a rate with its derivative
+        ref = solve(lambda t, y: -5.0 * y, (0.0, 1.0), [1.0])
+        sol = solve(lambda t, y: -5.0 / a * y, (0.0, a), [1.0])
+        assert sol.ts[1] / a == pytest.approx(ref.ts[1], rel=1e-12)
+        assert sol.n_accepted == ref.n_accepted
+
     def test_min_step_is_the_underflow_floor(self):
         problem = dict(rhs=lambda t, y: -y, span=(0.0, 1.0), y0=np.array([1.0]), first_step=1e-3)
         with pytest.raises(IntegrationError, match="step size underflow"):
