@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import List, Optional
@@ -296,9 +295,7 @@ def _cmd_fit(args) -> int:
             payload["holdout"][str(path)] = err
             print(f"holdout {path}: error = {err:.6e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dataio.save_json(payload, args.out)
         print(f"result written to {args.out}")
     return EXIT_OK
 

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import codecs
 import io
+import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -204,20 +207,45 @@ def _parse_number(s: str, lineno: int, what: str) -> float:
 
 
 def save_dataset(ds: ExperimentalDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# stress_pa={float(ds.stress)!r}\n")
-        if ds.temperature_c is not None:
-            fh.write(f"# temperature_c={float(ds.temperature_c)!r}\n")
-        if ds.unload_start is not None:
-            fh.write(f"# t_unload_s={float(ds.unload_start)!r}\n")
-        if ds.provenance:
-            fh.write(f"# provenance={ds.provenance}\n")
-        fh.write("segment,t_s,strain\n")
-        # full precision: fits treat these as exact observations
-        fh.writelines(f"load,{t!r},{e!r}\n"
-                      for t, e in zip(ds.t_load.tolist(), ds.eps_load.tolist()))
-        fh.writelines(f"unload,{t!r},{e!r}\n"
-                      for t, e in zip(ds.t_unload.tolist(), ds.eps_unload.tolist()))
+    lines = [f"# stress_pa={float(ds.stress)!r}\n"]
+    if ds.temperature_c is not None:
+        lines.append(f"# temperature_c={float(ds.temperature_c)!r}\n")
+    if ds.unload_start is not None:
+        lines.append(f"# t_unload_s={float(ds.unload_start)!r}\n")
+    if ds.provenance:
+        lines.append(f"# provenance={ds.provenance}\n")
+    lines.append("segment,t_s,strain\n")
+    # full precision: fits treat these as exact observations
+    lines += (f"load,{t!r},{e!r}\n" for t, e in zip(ds.t_load.tolist(), ds.eps_load.tolist()))
+    lines += (f"unload,{t!r},{e!r}\n"
+              for t, e in zip(ds.t_unload.tolist(), ds.eps_unload.tolist()))
+    _write_text(path, "".join(lines))
+
+
+def save_json(payload, path) -> None:
+    """Write a JSON document, indented and with sorted keys."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place; every writer ends here.
+
+    ``path`` is opened as ``open(path, "w")`` opens it but without O_TRUNC, and
+    a regular file still longer than ``text`` is then shortened to it. ext4
+    (``auto_da_alloc``) flushes a file truncated to zero and rewritten when it
+    is closed, about 100 us; in place it does not. A FIFO or device is never
+    truncated. Nothing is fsynced.
+    """
+    with open(path, "w", encoding="utf-8", opener=_open_without_truncation) as fh:
+        fh.write(text)
+        fh.flush()
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+            fh.truncate()
+
+
+def _open_without_truncation(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 # --------------------------------------------------------------------------
@@ -232,21 +260,21 @@ def save_curve(curve: CreepCurve, path) -> None:
     ``t_s`` is written with ``repr``, so it parses back exactly.
     """
     ts, eps = curve.samples
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s,strain\n")
-        for seg, t_row, e_row in zip(curve.segments, ts.tolist(), eps.tolist()):
-            fh.write(f"# segment {seg.index} stress_pa={seg.stress!r}\n")
-            fh.writelines(f"{t!r},{e:.9f}\n" for t, e in zip(t_row, e_row))
+    lines = ["t_s,strain\n"]
+    for seg, t_row, e_row in zip(curve.segments, ts.tolist(), eps.tolist()):
+        lines.append(f"# segment {seg.index} stress_pa={seg.stress!r}\n")
+        lines += (f"{t!r},{e:.9f}\n" for t, e in zip(t_row, e_row))
+    _write_text(path, "".join(lines))
 
 
 def save_trajectory(traj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pressure_convention={traj.pressure_convention}\n")
-        fh.write("t,eps_axial,T11_pa,detBp,xi_m,identity_residual\n")
-        cols = (traj.t, traj.eps_axial, traj.t_axial, traj.det_bp, traj.xi_m,
-                traj.identity_residual)
-        fh.writelines(f"{t!r},{e:.12e},{s:.6e},{d:.15f},{x:.6e},{r:.3e}\n"
-                      for t, e, s, d, x, r in zip(*(c.tolist() for c in cols)))
+    lines = [f"# pressure_convention={traj.pressure_convention}\n",
+             "t,eps_axial,T11_pa,detBp,xi_m,identity_residual\n"]
+    cols = (traj.t, traj.eps_axial, traj.t_axial, traj.det_bp, traj.xi_m,
+            traj.identity_residual)
+    lines += (f"{t!r},{e:.12e},{s:.6e},{d:.15f},{x:.6e},{r:.3e}\n"
+              for t, e, s, d, x, r in zip(*(c.tolist() for c in cols)))
+    _write_text(path, "".join(lines))
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +405,4 @@ def render_svg(curves: Sequence[CreepCurve]) -> str:
 
 
 def save_svg(curves: Sequence[CreepCurve], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        fh.write(render_svg(curves))
-        fh.write("\n")
+    _write_text(path, f'<?xml version="1.0" encoding="UTF-8"?>\n{render_svg(curves)}\n')

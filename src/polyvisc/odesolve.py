@@ -131,7 +131,8 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     time scale: h1 = inf, and the cap 100*h0 bounds the step. The fallback
     h0 = 1e-6 for a state below 1e-5 tolerance units (it stays above the
     floor) still carries the problem's time unit; no drive of B_p (about
-    1e8 tolerance units near I) takes it.
+    1e8 tolerance units near I) takes it. An infinite or nan rate takes no
+    fallback: h0 = 0.01*d0/d1 is 0 or nan, and the start fails unprobed.
     """
     span = t1 - t0
     scale = atol + rtol * np.abs(y0)
@@ -140,7 +141,8 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
         d1 = _rms(f0 / scale)
     if d1 * span <= 1.0:
         return _STATIONARY_FIRST_STEP * span, 0
-    h0 = max(1e-6, 10 * _MIN_STEP_FRACTION * span) if d0 < 1e-5 else 0.01 * d0 / d1
+    fallback = d0 < 1e-5 and d1 < math.inf
+    h0 = max(1e-6, 10 * _MIN_STEP_FRACTION * span) if fallback else 0.01 * d0 / d1
     h0 = min(h0, span)
     if not (h0 > 0.0):
         raise IntegrationError(

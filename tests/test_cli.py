@@ -465,6 +465,14 @@ class TestFit:
         result = json.loads(out.read_text())
         assert result["n_fev"] > result["iterations"] > 0
 
+    def test_out_over_a_longer_file_is_a_fresh_write(self, dataset_file, tmp_path):
+        fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+        over.write_bytes(b"x" * 100_000)
+        for out in (fresh, over):
+            assert run("fit", "--data", str(dataset_file), "--init", "hfpe285",
+                       "--max-iter", "20", "--out", str(out)) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+
     @settings(max_examples=100, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=mutated_dataset())
@@ -697,6 +705,34 @@ class TestPresetsAndValidate:
 
     def test_no_subcommand(self):
         assert run() == 1
+
+
+class TestOutputPaths:
+    def test_simulate_and_drive_write_to_the_null_device(self):
+        assert run("simulate", "--preset", "pmr15_288",
+                   "--out", os.devnull, "--plot", os.devnull) == 0
+        assert run("drive", "--preset", "pmr15_288", "--amplitude", "1.02",
+                   "--out", os.devnull) == 0
+        assert os.stat(os.devnull).st_size == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--preset", "pmr15_288", "--out"),
+        ("simulate", "--preset", "pmr15_288", "--plot"),
+        ("simulate", "--preset", "pmr15_288", "--export-dataset"),
+        ("drive", "--preset", "pmr15_288", "--amplitude", "1.02", "--out"),
+        ("relax", "--preset", "pmr15_288", "--lambda-hold", "1.02", "--out"),
+        ("fit", "--data", "DATA", "--init", "pmr15_288", "--max-iter", "5", "--out"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_a_directory_as_output_is_a_data_error(self, tmp_path, capsys, argv):
+        data = tmp_path / "data.csv"
+        save_dataset(make_synthetic_dataset(get_preset("pmr15_288").params(), 1e7, 1e4, 1e4,
+                                            n_load=10, n_unload=5), data)
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        capsys.readouterr()
+        assert run(*argv, str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestParserReuse:

@@ -1,3 +1,7 @@
+import os
+import stat
+import threading
+from types import SimpleNamespace
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -12,9 +16,11 @@ from polyvisc.dataio import (
     render_svg,
     save_curve,
     save_dataset,
+    save_json,
     save_svg,
     save_trajectory,
 )
+from polyvisc.evolution import relax
 from polyvisc.material import MaterialParams
 from polyvisc.uniaxial import CreepSegment, simulate_creep
 
@@ -262,3 +268,103 @@ class TestSvg:
         content = path.read_text()
         assert content.startswith('<?xml version="1.0"')
         ET.fromstring(content[content.index("<svg"):])
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """Each writer, bound to a valid document: ``write(path)``."""
+    curve = simulate_creep([CreepSegment(1.0e7, 100.0), CreepSegment(0.0, 100.0)], HFPE285)
+    traj = relax(1.01, HFPE285, hold_time=1.0e3)
+    ds = make_synthetic_dataset(HFPE285, 1e7, 1e3, 1e3, n_load=5, n_unload=3, noise=0.01)
+    return {
+        "save_curve": lambda path: save_curve(curve, path),
+        "save_svg": lambda path: save_svg([curve], path),
+        "save_trajectory": lambda path: save_trajectory(traj, path),
+        "save_dataset": lambda path: save_dataset(ds, path),
+        "save_json": lambda path: save_json({"b": [1.5, None], "a": "\u03bc"}, path),
+    }
+
+
+WRITERS = ("save_curve", "save_svg", "save_trajectory", "save_dataset", "save_json")
+
+
+def fresh_bytes(write, tmp_path) -> bytes:
+    path = tmp_path / "fresh"
+    write(path)
+    return path.read_bytes()
+
+
+class TestOutputFiles:
+    """Every writer writes over its path in place, as one document."""
+
+    @pytest.mark.parametrize("name", WRITERS)
+    @pytest.mark.parametrize("old_size", [1, 400_000])
+    def test_writing_over_a_file_leaves_the_bytes_of_a_fresh_write(
+            self, writers, tmp_path, name, old_size):
+        path = tmp_path / "over"
+        path.write_bytes(b"x" * old_size)
+        writers[name](path)
+        assert path.read_bytes() == fresh_bytes(writers[name], tmp_path)
+
+    def test_a_shorter_curve_over_a_longer_one(self, tmp_path):
+        long = simulate_creep([CreepSegment((-1) ** k * 1.0e7, 100.0) for k in range(8)], HFPE285)
+        short = simulate_creep([CreepSegment(1.0e7, 100.0), CreepSegment(0.0, 100.0)], HFPE285)
+        path, fresh = tmp_path / "over.csv", tmp_path / "fresh.csv"
+        save_curve(long, path)
+        save_curve(short, path)
+        save_curve(short, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_hard_link_sees_the_new_bytes(self, writers, tmp_path, name):
+        path, link = tmp_path / "out", tmp_path / "link"
+        path.write_bytes(b"x" * 100_000)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        writers[name](path)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == fresh_bytes(writers[name], tmp_path)
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_symlink_stays_a_symlink_to_the_updated_target(self, writers, tmp_path, name):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        writers[name](link)
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh_bytes(writers[name], tmp_path)
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_new_file_gets_the_mode_open_gives(self, writers, tmp_path, name):
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+        writers[name](tmp_path / "new")
+        assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_is_written_and_not_truncated(self, writers, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        writers["save_curve"](fifo)
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received == [fresh_bytes(writers["save_curve"], tmp_path)]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: save_svg([], path),
+        lambda path: save_json({"a": {1, 2}}, path),  # a set is not JSON
+        lambda path: save_curve(SimpleNamespace(samples=(np.zeros((1, 2)), np.zeros((1, 2)))),
+                                path),
+        lambda path: save_trajectory(SimpleNamespace(pressure_convention="tr T = 0"), path),
+        lambda path: save_dataset(SimpleNamespace(stress=None), path),
+    ], ids=["save_svg", "save_json", "save_curve", "save_trajectory", "save_dataset"])
+    def test_a_writer_that_raises_leaves_the_file_untouched(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous output\n")
+        with pytest.raises((ValueError, TypeError, AttributeError)):
+            write(path)
+        assert path.read_bytes() == b"previous output\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ class TestFailureModes:
             assert partial.n_accepted + partial.n_rejected == 6
         if case == "nan-at-start":
             assert partial.n_accepted == partial.n_rejected == 0 and partial.n_rhs == 1
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_a_non_finite_rate_at_a_zero_state_fails_unprobed(self, rate):
+        # y0 = 0 is below the probe's fallback threshold; an infinite rate
+        # once took the fallback h0, probed inf - inf and stepped on nan stages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError,
+                               match=r"^step size underflow at t = 0\.0 \(initial h") as err:
+                solve(lambda t, y: np.full_like(y, rate), (0.0, 1.0), [0.0])
+        assert err.value.partial.n_rhs == 1
 
     def test_a_stage_outside_the_domain_is_a_rejected_step(self):
         # y' = -5 y from y = 1 with a first step of the whole span: the second
