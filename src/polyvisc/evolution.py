@@ -17,12 +17,14 @@ the element type of ``Trajectory.b_p``. The kernel forms its 3x3 products
 with ``ndarray.dot``: the same BLAS call as ``@`` with less dispatch, which
 is most of the cost at this size.
 
-The kernel runs once per accepted state, as the right-hand side. Each
-state's F, B_G and D_G are what the right-hand side kept of its call at
-``odesolve``'s FSAL stage, made at exactly that state; the start state's
-come from the drive's first call. The trajectory is built in one pass over
-the stacked accepted states: stress, dissipation, the identity residual and
-det(B_p) are array expressions over the stack, and a state whose stress,
+The kernel runs once per accepted state, as the right-hand side. A drive
+keeps one record per accepted state, (t, B_p, F, B_G, Q, D_G): what the
+right-hand side kept of its call at ``odesolve``'s FSAL stage, made at
+exactly that state, appended by the step hook; the start state's comes
+from the drive's first call, and a piece join is recorded once, on the
+earlier piece. The trajectory is built in one pass over that list:
+stress, dissipation, the identity residual and det(B_p) are array
+expressions over the stacked records, and a state whose stress,
 dissipation or identity residual is not finite raises. Stress and dissipation
 come from ``material``; this module only fixes the pressure, by
 traction-freeness of the lateral face e_y for uniaxial motions and by
@@ -49,7 +51,6 @@ from .material import (
     stress,
 )
 from .odesolve import (
-    _MIN_STEP_FRACTION,
     DEFAULT_RTOL,
     IntegrationError,
     OdeProblem,
@@ -179,9 +180,10 @@ def drive(
     Each piece is one integration, so no step straddles a jump in the rate:
     it starts from the previous piece's end state, with the previous piece's
     last accepted step as its first step, and the breakpoint is recorded
-    once. The first piece takes ``odesolve``'s automatic start. The
-    step-size floor is taken from the shortest piece's span, so a short
-    ramp in a long drive can take steps shorter than the ramp.
+    once. The first piece takes ``odesolve``'s automatic start. Each piece's
+    step-size floor is ``odesolve``'s: 1e-12 of that piece's span, or the
+    carried first step where that is shorter, so a short ramp in a long
+    drive can take steps shorter than the ramp.
 
     Raises DomainError unless ``b_p0`` is a finite 3x3 matrix, symmetric
     within 1e-8 of its largest entry, and unless the viscous rates
@@ -206,9 +208,8 @@ def drive(
     for name, mu in (("mu_p_bar", mp.mu_p_bar), ("mu_g_bar", mp.mu_g_bar)):
         if not math.isfinite(2.0 * mu / mp.eta):  # the flow rule's (2/eta)*mu terms
             raise DomainError(f"viscous rate 2*{name}/eta = {2.0 * mu / mp.eta} is not finite")
-    min_step = _MIN_STEP_FRACTION * min(piece.span[1] - piece.span[0] for piece in pieces)
 
-    # (F, B_G, Q, D_G in Q's basis) of the start state and of each accepted state
+    # (t, y, F, B_G, Q, D_G in Q's basis) of the start state and of each accepted state
     samples = []
     latest = None
 
@@ -217,7 +218,7 @@ def drive(
             nonlocal latest
             f = piece.F(t)
             rate, b_g, q, d_g = _rate_kernel(y, f.dot(f.T), piece.L(t), mp)
-            latest = (f, b_g, q, d_g)
+            latest = (t, y, f, b_g, q, d_g)
             if not samples:  # the drive's first call is at its start state
                 samples.append(latest)
             return rate
@@ -229,27 +230,18 @@ def drive(
 
     # averaging removes the rounding asymmetry of a product such as J B_p J
     y = (0.5 * (b_p0 + b_p0.T)).take(_FLAT)
-    sols = []
     first_step = None
     for piece in pieces:
-        problem = OdeProblem(
-            rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
-            first_step=first_step, min_step=min_step,
-        )
+        problem = OdeProblem(rhs=rhs_of(piece), span=piece.span, y0=y, rtol=rtol,
+                             first_step=first_step)
         sol = integrate(problem, record)
-        sols.append(sol)
         y = sol.ys[-1]
         first_step = sol.ts[-1] - sol.ts[-2]
-    return _build_trajectory(pieces, sols, samples, mp)
+    return _build_trajectory(pieces[0].kind, samples, mp)
 
 
-def _build_trajectory(pieces, sols, samples, mp: MaterialParams) -> Trajectory:
-    # a later piece's first time is the previous piece's last: it is sampled once, on
-    # the earlier piece (F and the stretch are continuous there, so either gives the same)
-    rows = [(piece, t, y) for k, (piece, sol) in enumerate(zip(pieces, sols))
-            for t, y in zip(sol.ts[k > 0:], sol.ys[k > 0:])]
-    ts = np.array([t for _, t, _ in rows])
-    ys = np.array([y for _, _, y in rows])
+def _build_trajectory(kind: str, samples, mp: MaterialParams) -> Trajectory:
+    ts, ys, fs, b_g, q, d_g = (np.array(part) for part in zip(*samples))
     b_p = ys[:, _SYM_INDEX]
     det_bp = np.linalg.det(b_p)
     drifted = np.flatnonzero(np.abs(det_bp - 1.0) > DET_DRIFT_LIMIT)
@@ -257,17 +249,17 @@ def _build_trajectory(pieces, sols, samples, mp: MaterialParams) -> Trajectory:
         i = drifted[0]
         raise IntegrationError(f"det(B_p) drifted to {det_bp[i]} at t = {ts[i]}; "
                                "aborting instead of renormalizing")
-    fs, b_g, q, d_g = (np.array(part) for part in zip(*samples))
     d_g = q @ d_g @ q.transpose(0, 2, 1)  # to the lab frame
 
-    if pieces[0].kind == "shear":
+    if kind == "shear":
         p = pressure(b_p, mp)
         convention = "tr T = 0"
-        eps_ax = np.zeros(len(rows))
+        eps_ax = np.zeros(ts.size)
     else:
         p = pressure(b_p, mp, _I3[1])  # the lateral face e_y is traction-free
         convention = "lateral traction-free"
-        eps_ax = np.array([math.log(piece.drive(t)) for piece, t, _ in rows])
+        # uniaxial_F puts the stretch at [0, 0]; math.log, not np.log, which can differ by 1 ulp
+        eps_ax = np.array([math.log(lam) for lam in fs[:, 0, 0].tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the state
         t_sym = stress(b_p, p, mp)
         xi = dissipation_rate(b_p, d_g, mp)

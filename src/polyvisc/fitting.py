@@ -333,11 +333,12 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
     """Fit (mu_p_bar, mu_g_bar, eta) to one dataset by simplex search.
 
     The search runs over log-parameters so every trial set is positive. A
-    trial set that ``MaterialParams`` rejects (exp over- or underflowed) or
-    that has no creep solution (DomainError) scores PENALTY, here only. A
-    ConfigError about the data leaves the first evaluation, before any
-    search. Non-convergence is reported on the result, not raised. A search
-    whose every trial set was penalised has no result and raises DomainError.
+    trial set that ``MaterialParams`` rejects (exp over- or underflowed; the
+    search runs with numpy's overflow warning off) or that has no creep
+    solution (DomainError) scores PENALTY, here only. A ConfigError about
+    the data leaves the first evaluation, before any search. Non-convergence
+    is reported on the result, not raised. A search whose every trial set
+    was penalised has no result and raises DomainError.
     """
     w = cfg.weight if ds.has_unload else 1.0
     x0 = np.log(np.asarray(cfg.initial, dtype=float))
@@ -353,7 +354,8 @@ def fit_dataset(ds: ExperimentalDataset, cfg: FitConfig) -> FitResult:
         except DomainError:
             return PENALTY
 
-    res = nelder_mead(objective, x0, step=_FIT_STEP, max_iter=cfg.max_iter)
+    with np.errstate(over="ignore"):  # a trial exp that overflows is inf: ConfigError above
+        res = nelder_mead(objective, x0, step=_FIT_STEP, max_iter=cfg.max_iter)
     if not res.fun < PENALTY:
         raise DomainError(f"every trial parameter set was penalised ({res.n_fev} evaluations)")
     mu_p, mu_g, eta = np.exp(res.x)

@@ -7,7 +7,9 @@ tensor evolution (the scalar creep equation is solved in closed form in
 stage is evaluated at exactly its new state, and once accepted it is the
 next step's first. An optional ``step_hook`` sees every accepted state
 right after that evaluation and may abort the run. The module owns how a
-run starts, by one unit-free rule (``_initial_step``). A trial stage that
+run starts, by one unit-free rule (``_initial_step``), and where it stops:
+a step below ``_MIN_STEP_FRACTION`` of the span fails, unless the caller's
+own ``first_step`` was shorter still. A trial stage that
 leaves the right-hand side's domain (it raises ``DomainError``) rejects the
 step like a non-finite error estimate, as CVODE treats a recoverable
 right-hand-side failure; a start state outside the domain still raises.
@@ -65,9 +67,7 @@ class OdeProblem:
     """An initial-value problem dy/dt = f(t, y) over a time span.
 
     ``first_step`` replaces the automatic start (``_initial_step``); ``drive``
-    continues each piece with the previous piece's last step. ``min_step`` is
-    the step size below which integration fails as stiff or singular; it
-    defaults to ``_MIN_STEP_FRACTION`` of the span.
+    continues each piece with the previous piece's last step.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -76,7 +76,6 @@ class OdeProblem:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     first_step: Optional[float] = None
-    min_step: Optional[float] = None
 
     def __post_init__(self):
         t0, t1 = self.span
@@ -84,10 +83,8 @@ class OdeProblem:
             raise ValueError(f"span must be increasing, got {self.span}")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
-        for name in ("first_step", "min_step"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.first_step is not None and not (self.first_step > 0.0):
+            raise ValueError(f"first_step must be positive, got {self.first_step}")
 
 
 @dataclass
@@ -164,9 +161,16 @@ def integrate(
     right-hand-side call before it was made at exactly that ``(t, y)`` (the
     FSAL stage; ``t`` is the span's end on the landing step), so the hook
     can read what that call left behind. It may raise to abort, and its
-    return value is ignored. Every IntegrationError raised here, the hook's
-    too, carries the accepted states as ``partial``. ``n_rhs`` counts the
-    right-hand-side evaluations made, a failed one included.
+    return value is ignored. A state handed to the right-hand side or to the
+    hook is never written into afterwards, so both may keep it (``drive``
+    records each accepted state that way). A step shorter than
+    ``_MIN_STEP_FRACTION`` of the span, or than ``first_step`` where that is
+    smaller, fails as "step size underflow". The step loop, right-hand-side
+    calls included, runs with numpy's overflow and invalid-value warnings
+    off: a non-finite stage rejects the step. Every IntegrationError raised
+    here, the hook's too, carries the accepted states as ``partial``.
+    ``n_rhs`` counts the right-hand-side evaluations made, a failed one
+    included.
     """
     rhs = problem.rhs
     t0, t1 = float(problem.span[0]), float(problem.span[1])
@@ -184,9 +188,7 @@ def integrate(
     err_prev = 1e-4  # PI controller memory
 
     k = np.empty((7, dim))
-    min_step = problem.min_step
-    if min_step is None:
-        min_step = _MIN_STEP_FRACTION * (t1 - t0)
+    min_step = _MIN_STEP_FRACTION * (t1 - t0)
 
     def solution():
         return OdeSolution(
@@ -200,53 +202,57 @@ def integrate(
             n_rhs += n_probe
         else:
             h = problem.first_step
+            min_step = min(min_step, h)  # a start the caller chose is admissible
 
-        while t < t1:
-            if n_accepted + n_rejected > _MAX_STEPS:
-                raise IntegrationError(f"step budget exhausted at t = {t}")
-            if h < min_step:
-                raise IntegrationError(f"step size underflow at t = {t} (h = {h}); problem too "
-                                       "stiff or singular")
-            last = h >= t1 - t
-            if last:  # land on t1 exactly, so a following span starts where this one ends
-                h = t1 - t
+        # one errstate for the whole loop: a stage that overflows or meets inf - inf
+        # gives a non-finite error estimate, which rejects the step without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < t1:
+                if n_accepted + n_rejected > _MAX_STEPS:
+                    raise IntegrationError(f"step budget exhausted at t = {t}")
+                if h < min_step:
+                    raise IntegrationError(f"step size underflow at t = {t} (h = {h}); problem too "
+                                           "stiff or singular")
+                last = h >= t1 - t
+                if last:  # land on t1 exactly, so a following span starts where this one ends
+                    h = t1 - t
 
-            k[0] = f
-            t_new = t1 if last else t + h
-            try:
-                for i in range(1, 6):
+                k[0] = f
+                t_new = t1 if last else t + h
+                try:
+                    for i in range(1, 6):
+                        n_rhs += 1
+                        k[i] = rhs(t + _C[i] * h, y + h * _A[i].dot(k[:i]))
+                    # stage 7 is evaluated at exactly (t_new, y_new): first same as last (FSAL)
+                    y_new = y + h * _A[6].dot(k[:6])
                     n_rhs += 1
-                    k[i] = rhs(t + _C[i] * h, y + h * _A[i].dot(k[:i]))
-                # stage 7 is evaluated at exactly (t_new, y_new): first same as last (FSAL)
-                y_new = y + h * _A[6].dot(k[:6])
-                n_rhs += 1
-                k[6] = rhs(t_new, y_new)
-            except DomainError:  # a trial stage left the domain: as a non-finite estimate
-                err = math.inf
-            else:
-                err = _error_norm(h * _E.dot(k), y, y_new, rtol, atol)
+                    k[6] = rhs(t_new, y_new)
+                except DomainError:  # a trial stage left the domain: as a non-finite estimate
+                    err = math.inf
+                else:
+                    err = _error_norm(h * _E.dot(k), y, y_new, rtol, atol)
 
-            if not math.isfinite(err):
-                # overshot into a bad region; retry with a much smaller step
-                n_rejected += 1
-                h *= _MIN_FACTOR
-                continue
+                if not math.isfinite(err):
+                    # overshot into a bad region; retry with a much smaller step
+                    n_rejected += 1
+                    h *= _MIN_FACTOR
+                    continue
 
-            if err <= 1.0:
-                if step_hook is not None:
-                    step_hook(t_new, y_new)
-                t, y, f = t_new, y_new, k[6].copy()
-                ts.append(t)
-                ys.append(y.copy())
-                n_accepted += 1
+                if err <= 1.0:
+                    if step_hook is not None:
+                        step_hook(t_new, y_new)
+                    t, y, f = t_new, y_new, k[6].copy()
+                    ts.append(t)
+                    ys.append(y.copy())
+                    n_accepted += 1
 
-                factor = _SAFETY * err ** (-_EXPO) * err_prev ** _PI_BETA if err > 0.0 else _MAX_FACTOR
-                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev = max(err, 1e-4)
-            else:
-                n_rejected += 1
-                factor = _SAFETY * err ** (-0.2)
-                h *= min(1.0, max(_MIN_FACTOR, factor))
+                    factor = _SAFETY * err ** (-_EXPO) * err_prev ** _PI_BETA if err > 0.0 else _MAX_FACTOR
+                    h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                    err_prev = max(err, 1e-4)
+                else:
+                    n_rejected += 1
+                    factor = _SAFETY * err ** (-0.2)
+                    h *= min(1.0, max(_MIN_FACTOR, factor))
     except IntegrationError as exc:
         exc.partial = solution()
         raise

@@ -6,8 +6,10 @@ identity, agreement of the tensor integrator with the scalar creep module,
 and convergence to the linearized solid). The first checks run on a
 uniaxial replay, whose B_p stays coaxial with the load, so a defect in the
 shear components of the flow is invisible there; one shear ramp-hold gets
-the same three trajectory checks. ``quick=True`` shortens the time horizons
-and sample counts without loosening any pass criterion.
+the same three trajectory checks. Each check can fail on a defect of the
+kernel; tr D_G = 0 holds by construction (``evolution._flow``), so it is
+not a check. ``quick=True`` shortens the time horizons without loosening
+any pass criterion.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import numpy as np
 
 from . import uniaxial
 from .dataio import get_preset
-from .evolution import dG_rate, drive, replay_uniaxial
+from .evolution import drive, replay_uniaxial
 from .kinematics import ramp_hold
-from .material import MaterialParams
 from .odesolve import IntegrationError
 
 
@@ -30,13 +31,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_spd(rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    lam = rng.uniform(0.4, 2.5, size=3)
-    m = q @ np.diag(lam) @ q.T
-    return 0.5 * (m + m.T)
 
 
 def _diagnostics(traj) -> tuple:
@@ -109,18 +103,6 @@ def run_validation(quick: bool = False) -> List[CheckResult]:
     sls_dev = float(np.max(np.abs(eps_sim - eps_lin) / np.abs(eps_lin)))
     results.append(
         CheckResult("sls_limit", sls_dev <= 5e-3, f"max rel deviation = {sls_dev:.3e}")
-    )
-
-    # traceless flow direction on random states
-    rng = np.random.default_rng(42)
-    mp_unit = MaterialParams(mu_p_bar=1.0, mu_g_bar=0.8, eta=1.0)
-    n = 50 if quick else 500
-    worst = 0.0
-    for _ in range(n):
-        d_g = dG_rate(_random_spd(rng), _random_spd(rng), mp_unit)
-        worst = max(worst, abs(np.trace(d_g)))
-    results.append(
-        CheckResult("traceless_flow", worst <= 1e-12, f"max |tr D_G| = {worst:.3e}")
     )
 
     return results

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -246,6 +247,44 @@ def mutated_dataset(draw):
             t, e = draw(st.sampled_from(_FUZZ_TOKENS)), draw(st.sampled_from(_FUZZ_TOKENS))
             lines.insert(i, f"{label},{t},{e}")
     return "\n".join(lines) + "\n"
+
+
+# one argv per usage error that a command raises after parsing, with its message;
+# "{data}" stands for a valid dataset file, which fit reads before its --init
+USAGE_ERRORS = {
+    "params incomplete": (["simulate", "--mu-p", "1e8", "--segment", "1e7:10"],
+                          "provide --preset or all of --mu-p, --mu-g, --eta"),
+    "segment not numbers": (["simulate", "--preset", "pmr15_288", "--segment", "a:1"],
+                            "--segment values must be numbers"),
+    "segment and load fraction": (["simulate", "--preset", "hfpe285", "--segment", "1e7:10",
+                                   "--load-fraction", "0.4"],
+                                  "--segment conflicts with --load-fraction"),
+    "segment and t-load": (["simulate", "--preset", "pmr15_288", "--segment", "1e7:10",
+                            "--t-load", "5"], "--t-load/--t-unload only apply"),
+    "preset without UTS": (["simulate", "--preset", "pmr15_288", "--load-fraction", "0.4"],
+                           "preset 'pmr15_288' has no UTS on record"),
+    "fit without init": (["fit", "--data", "{data}"], "--init is required"),
+    "init pair": (["fit", "--data", "{data}", "--init", "1e8,1e9"],
+                  "--init triple must be MU_P,MU_G,ETA"),
+    "init not numbers": (["fit", "--data", "{data}", "--init", "1e8,x,1e13"],
+                         "--init values must be numbers"),
+    "ramp past duration": (["drive", "--preset", "pmr15_288", "--amplitude", "1.02",
+                            "--ramp-time", "20", "--duration", "10"],
+                           "--ramp-time must lie in (0, duration]"),
+    "stretch not positive": (["drive", "--preset", "pmr15_288", "--amplitude", "-1.02"],
+                             "uniaxial --amplitude must be a positive stretch"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_exits_1_with_its_message(tmp_path, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    data = tmp_path / "data.csv"
+    save_dataset(make_synthetic_dataset(HFPE285, stress=1.0e7, t_load=100.0, t_unload=0.0,
+                                        n_load=5, n_unload=0), data)
+    assert run(*(arg.replace("{data}", str(data)) for arg in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestFit:
@@ -655,8 +694,26 @@ class TestPresetsAndValidate:
     def test_validate_quick(self, capsys):
         assert run("validate", "--quick") == 0
         captured = capsys.readouterr().out
-        assert captured.count("[PASS]") == 7
+        assert captured.count("[PASS]") == 6
         assert "[FAIL]" not in captured
+
+    def test_validate_catches_a_flow_rule_defect(self, monkeypatch, capsys):
+        # mu_g_bar x 1.001 inside the flow rule only: stress and dissipation still use
+        # the true mu_g_bar, so the stress-power identity and both drives' states move
+        flow = evolution._flow
+
+        def perturbed(bpm, b_g, b_gt, lam, q, mp):
+            return flow(bpm, b_g, b_gt, lam, q,
+                        dataclasses.replace(mp, mu_g_bar=1.001 * mp.mu_g_bar))
+
+        monkeypatch.setattr(evolution, "_flow", perturbed)
+        code = run("validate", "--quick")
+        captured = capsys.readouterr().out
+        assert code == 4
+        # residual 1.7e-3 on the replay, 7.0e-3 on the shear ramp-hold
+        for name in ("dissipation_identity", "general_vs_scalar", "shear_ramp_hold"):
+            assert f"[FAIL] {name}" in captured
+        assert captured.count("[FAIL]") == 3
 
     def test_validate_negative_control(self, monkeypatch, capsys):
         # a sign flip in the scalar flow rule must break the

@@ -431,15 +431,20 @@ def traced_solutions(monkeypatch):
 
 
 def recorded_samples(monkeypatch):
-    """Record the (pieces, solutions, samples) of every trajectory that evolution builds."""
+    """Record the [pieces, samples] of every trajectory that ``evolution.drive`` builds."""
     built = []
-    build = evolution._build_trajectory
+    drive_, build = evolution.drive, evolution._build_trajectory
 
-    def recording(pieces, sols, samples, mp):
-        built.append((pieces, sols, samples))
-        return build(pieces, sols, samples, mp)
+    def recording_drive(protocol, *args, **kw):
+        built.append([(protocol,) if isinstance(protocol, MotionProtocol) else tuple(protocol)])
+        return drive_(protocol, *args, **kw)
 
-    monkeypatch.setattr(evolution, "_build_trajectory", recording)
+    def recording_build(kind, samples, mp):
+        built[-1].append(samples)
+        return build(kind, samples, mp)
+
+    monkeypatch.setattr(evolution, "drive", recording_drive)
+    monkeypatch.setattr(evolution, "_build_trajectory", recording_build)
     return built
 
 
@@ -458,15 +463,15 @@ def rest_then_ramp(rest: float, ramp: float, lam: float):
 def sampled_runs(mp: MaterialParams):
     tau = mp.retardation_time()
     return {
-        "uniaxial ramp-hold": lambda: [drive(ramp_hold("uniaxial", 1.02, tau, 3.0 * tau),
-                                             mp, np.eye(3))],
-        "shear ramp-hold": lambda: [drive(ramp_hold("shear", 0.05, 0.7 * tau, 3.0 * tau),
-                                          mp, np.eye(3))],
+        "uniaxial ramp-hold": lambda: [evolution.drive(
+            ramp_hold("uniaxial", 1.02, tau, 3.0 * tau), mp, np.eye(3))],
+        "shear ramp-hold": lambda: [evolution.drive(
+            ramp_hold("shear", 0.05, 0.7 * tau, 3.0 * tau), mp, np.eye(3))],
         "relax": lambda: [relax(0.99, mp, 3.0 * tau)],
         "replay": lambda: replay_uniaxial(
             simulate_creep([(1.0e7, 2.0 * tau), (0.0, 2.0 * tau)], mp), mp),
-        "rest then ramp": lambda: [drive(rest_then_ramp(1000.0 * tau, 0.1 * tau, 2.0),
-                                         mp, np.eye(3))],
+        "rest then ramp": lambda: [evolution.drive(
+            rest_then_ramp(1000.0 * tau, 0.1 * tau, 2.0), mp, np.eye(3))],
     }
 
 
@@ -476,22 +481,34 @@ class TestSamples:
     @pytest.mark.parametrize("case", list(sampled_runs(PMR15)))
     def test_each_row_is_the_kernel_at_its_state(self, monkeypatch, case):
         mp = PMR15
+        sols = traced_solutions(monkeypatch)
         built = recorded_samples(monkeypatch)
         trajs = sampled_runs(mp)[case]()
         assert len(built) == len(trajs)
-        for traj, (pieces, sols, samples) in zip(trajs, built):
-            assert len(samples) == len(traj)
-            for i, (f, b_g, q, d_g) in enumerate(samples):
-                t, b_p = traj.t[i], traj.b_p[i].as_matrix()
-                piece = next(p for p in pieces if t <= p.span[1])  # a breakpoint's is the earlier
+        k = 0
+        for traj, (pieces, samples) in zip(trajs, built):
+            # one row per accepted state of the pieces' meshes, a piece join once
+            mesh = sols[k:k + len(pieces)]
+            k += len(pieces)
+            assert np.array_equal(np.concatenate([mesh[0].ts] + [s.ts[1:] for s in mesh[1:]]),
+                                  traj.t)
+            ys = np.concatenate([mesh[0].ys] + [s.ys[1:] for s in mesh[1:]])
+            assert len(samples) == len(traj) == len(ys)
+            for i, (t, y, f, b_g, q, d_g) in enumerate(samples):
+                # the row's (t, y) is the state its F, B_G and D_G were computed at
+                assert t == traj.t[i] and y.tobytes() == ys[i].tobytes()
+                b_p = y[_SYM_INDEX]
+                assert b_p.tobytes() == traj.b_p[i].as_matrix().tobytes()
+                piece = next(p for p in pieces if t <= p.span[1])  # a join's is the earlier
                 f_ref = piece.F(t)
                 lam, q_ref, _, b_g_ref, b_gt = _elastic_split(b_p, f_ref.dot(f_ref.T))
                 d_ref = _flow(b_p, b_g_ref, b_gt, lam, q_ref, mp)
                 for got, ref in ((f, f_ref), (traj.F[i], f_ref), (b_g, b_g_ref), (q, q_ref),
                                  (d_g, d_ref)):
                     assert got.tobytes() == ref.tobytes()
+        assert k == len(sols)
         if case == "rest then ramp":
-            assert sum(sol.n_rejected for _, sols, _ in built for sol in sols) > 0
+            assert sum(sol.n_rejected for sol in sols) > 0
 
 
 class TestPiecewiseDrive:

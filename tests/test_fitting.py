@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyvisc.dataio import get_preset, make_synthetic_dataset, presets
 from polyvisc.fitting import (
+    PENALTY,
     ExperimentalDataset,
     FitConfig,
     creep_error,
@@ -547,6 +549,28 @@ class TestFitDataset:
         with pytest.raises(ConfigError, match="the load phase has weight 0.5"):
             fit_dataset(ds, FitConfig(initial=(3.76e8, 4.42e8, 6.22e12)))
         assert len(calls) == 1
+
+    def test_an_overflowing_trial_is_penalised_without_a_warning(self, monkeypatch):
+        # the reflected vertex of a guess at 1.7e308 has exp(log mu_p) = inf: numpy's
+        # "overflow encountered in exp" once escaped the ConfigError -> PENALTY branch
+        import polyvisc.fitting as fitting
+
+        rejected = []
+
+        def recording(**kw):
+            try:
+                return MaterialParams(**kw)
+            except ConfigError:
+                rejected.append(kw)
+                raise
+
+        monkeypatch.setattr(fitting, "MaterialParams", recording)
+        ds = synthetic(HFPE285, n_load=10, n_unload=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_dataset(ds, FitConfig(initial=(1.7e308, 1.43e9, 3.95e13), max_iter=3))
+        assert rejected and all(kw["mu_p_bar"] == math.inf for kw in rejected)
+        assert res.error < PENALTY and res.iterations == 3
 
     def test_every_trial_penalised_is_a_domain_error(self):
         # at -1e308 Pa the stretch B underflows for every parameter set, so

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -125,6 +126,16 @@ class TestFailureModes:
                 solve(lambda t, y: np.full_like(y, rate), (0.0, 1.0), [0.0])
         assert err.value.partial.n_rhs == 1
 
+    def test_an_infinite_trial_stage_is_a_rejected_step_without_a_warning(self):
+        # past t = 0.5 the rate is infinite: the stage sums meet inf - inf, which numpy
+        # reported as "invalid value encountered in dot" before the step was rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=r"^step size underflow at t = 0\.4"):
+                integrate(OdeProblem(
+                    rhs=lambda t, y: -y if t <= 0.5 else np.full_like(y, np.inf),
+                    span=(0.0, 1.0), y0=np.array([1.0])))
+
     def test_a_stage_outside_the_domain_is_a_rejected_step(self):
         # y' = -5 y from y = 1 with a first step of the whole span: the second
         # stage is at y = 1 - 5/5 = 0, outside the domain y > 0
@@ -151,7 +162,7 @@ class TestFailureModes:
             OdeProblem(rhs=lambda t, y: y, span=(1.0, 1.0), y0=np.array([1.0]))
         with pytest.raises(ValueError):
             OdeProblem(rhs=lambda t, y: y, span=(0.0, 1.0), y0=np.array([1.0]), rtol=-1.0)
-        for bad in ({"first_step": 0.0}, {"min_step": -1e-9}, {"first_step": math.nan}):
+        for bad in ({"first_step": 0.0}, {"first_step": -1e-9}, {"first_step": math.nan}):
             with pytest.raises(ValueError, match="must be positive"):
                 OdeProblem(rhs=lambda t, y: y, span=(0.0, 1.0), y0=np.array([1.0]), **bad)
 
@@ -247,11 +258,28 @@ class TestStepControls:
         assert sol.ts[1] / a == pytest.approx(ref.ts[1], rel=1e-12)
         assert sol.n_accepted == ref.n_accepted
 
-    def test_min_step_is_the_underflow_floor(self):
-        problem = dict(rhs=lambda t, y: -y, span=(0.0, 1.0), y0=np.array([1.0]), first_step=1e-3)
-        with pytest.raises(IntegrationError, match="step size underflow"):
-            integrate(OdeProblem(**problem, min_step=2e-3))
-        assert integrate(OdeProblem(**problem, min_step=1e-3)).ts[-1] == 1.0
+    def test_a_first_step_below_the_floor_is_admissible(self):
+        # 1e-14 of the span is below _MIN_STEP_FRACTION of it: a start the caller chose
+        # lowers the floor to itself
+        sol = integrate(OdeProblem(rhs=lambda t, y: -y, span=(0.0, 1.0), y0=np.array([1.0]),
+                                   first_step=1e-14))
+        assert sol.ts[1] == 1e-14 and sol.ts[-1] == 1.0
+        assert sol.ys[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+    @pytest.mark.parametrize("first_step, floor", [(None, 1e-12), (1e-3, 1e-12), (1e-14, 1e-14)])
+    def test_a_collapsing_step_fails_below_the_floor(self, first_step, floor):
+        # every stage past t = 0.5 leaves the domain, so the step shrinks at t = 0.5
+        # until it is below 1e-12 of the span, or below a shorter first step
+        def rhs(t, y):
+            if t > 0.5:
+                raise DomainError("past the wall")
+            return -y
+
+        with pytest.raises(IntegrationError, match=r"^step size underflow at t = 0\.4") as err:
+            integrate(OdeProblem(rhs=rhs, span=(0.0, 1.0), y0=np.array([1.0]),
+                                 first_step=first_step))
+        h = float(re.search(r"\(h = (\S+)\)", str(err.value)).group(1))
+        assert 0.2 * floor <= h < floor
 
     def test_last_step_lands_on_the_span_end(self):
         # a last step from below half the span can miss t1 by rounding in t + (t1 - t)

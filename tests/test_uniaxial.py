@@ -325,6 +325,28 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             simulate_creep([(1.0e7, 1.0e4)], mp)
 
+    def test_an_underflowed_denominator_is_a_domain_error(self):
+        # eta * sqrt(B) rounds to 0 in the creep rate: a ZeroDivisionError inside
+        with pytest.raises(DomainError, match="no finite creep solution in segment 0"):
+            simulate_creep([(-1.0e9, 1.0)], MaterialParams(mu_p_bar=1e8, mu_g_bar=1e8,
+                                                          eta=5e-324))
+
+    def test_non_finite_segment_constants_are_a_domain_error(self):
+        # Q(lam_start) = lam_start (lam_start + r) + q overflows
+        with pytest.raises(DomainError, match="no finite creep solution in segment 0"):
+            uniaxial.SegmentTrace(0, 0.0, 2.0, 0.0, 1.0, 1e200, 2.244924096618746, 1.0)
+
+    @pytest.mark.parametrize("read", [
+        lambda curve: curve.segments[0].lam_at(1.0e6),  # math.exp raises OverflowError
+        lambda curve: curve.strain_in_segment(0, [0.0, 1.0e6]),  # np.exp gives inf
+        lambda curve: curve.samples,
+    ], ids=["lam_at", "strain_in_segment", "samples"])
+    def test_an_overflowing_maxwell_stretch_is_a_domain_error(self, read):
+        # Maxwell flow under tension grows the stretch as exp(rate t), here exp(2e3)
+        curve = simulate_creep([(5.0e7, 1.0e6)], MaterialParams(1e8, 0.0, 1e10))
+        with pytest.raises(DomainError, match="creep solution left lambda > 0 in segment 0"):
+            read(curve)
+
     def test_rejects_times_outside_segment(self):
         curve = simulate_creep([(1.0e7, 1.0e4)], PMR15)
         with pytest.raises(ValueError):
@@ -802,6 +824,27 @@ class TestAnalyticCurve:
             sls_creep_analytic(0.04 * PMR15.mu_p_bar, PMR15, 0.0)  # no warning
         with pytest.warns(UserWarning):
             sls_creep_analytic(0.06 * PMR15.mu_p_bar, PMR15, 0.0)
+
+
+class TestZeroDiscriminant:
+    # at b = 2 this asymptote gives disc = r^2 - 4 b^1.5 / r == 0.0 exactly: the
+    # rational H term, between the atan term below it and the log term above it
+    R0 = 2.244924096618746
+
+    @pytest.mark.parametrize("lam_start", [1.5, 3.0])
+    def test_rational_term_matches_its_neighbours(self, lam_start):
+        traces = [uniaxial.SegmentTrace(0, 0.0, 2.0, 0.0, 10.0, lam_start, r, 1.0)
+                  for r in (math.nextafter(self.R0, 0.0), self.R0, math.nextafter(self.R0, 9.0))]
+        assert [t.term for t in traces] == [uniaxial._atan_term, uniaxial._rational_term,
+                                            uniaxial._log_term]
+        assert traces[1].disc == 0.0
+        ts = np.linspace(0.0, 10.0, 11)
+        lams = [np.array([t.lam_at(float(x)) for x in ts]) for t in traces]
+        batch = np.exp(uniaxial.CreepCurve([traces[1]]).strain_in_segment(0, ts))
+        assert np.max(np.abs(batch / lams[1] - 1.0)) <= 1e-15
+        for neighbour in (lams[0], lams[2]):
+            assert np.max(np.abs(lams[1] / neighbour - 1.0)) <= 1e-13
+        assert abs(lams[1][-1] / self.R0 - 1.0) < abs(lam_start / self.R0 - 1.0)
 
 
 class TestSegmentValidation:
