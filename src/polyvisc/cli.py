@@ -270,13 +270,12 @@ def _parse_init(init: Optional[str]) -> tuple:
 def _cmd_fit(args) -> int:
     if not args.data:
         raise UsageError("--data is required")
-    ds = dataio.load_dataset(args.data)
     cfg = fitting.FitConfig(
         initial=_parse_init(args.init),
         weight=args.weight,
         max_iter=args.max_iter,
     )
-    result = fitting.fit_dataset(ds, cfg)
+    result = fitting.fit_dataset(dataio.load_dataset(args.data), cfg)
     print(f"error = {result.error:.6e} ({'converged' if result.converged else 'NOT converged'}, "
           f"{result.iterations} iterations)")
     print(f"mu_p_bar = {result.params.mu_p_bar:.6e} Pa")

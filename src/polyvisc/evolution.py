@@ -322,7 +322,7 @@ def replay_uniaxial(curve: CreepCurve, mp: MaterialParams) -> List[Trajectory]:
     the full 3-D rule, so staying on the scalar manifold (and carrying the
     applied stress) is a genuine cross-check of the two reductions. Each
     segment is integrated at ``DEFAULT_RTOL``; its exact solution is
-    constant, so it starts stationary (``odesolve._initial_step``).
+    constant, so it starts stationary and takes its span in one step.
     """
     trajectories: List[Trajectory] = []
     b = curve.segments[0].b

@@ -47,7 +47,6 @@ _MAX_FACTOR = 5.0
 _PI_BETA = 0.04  # PI controller damping exponent
 _EXPO = 0.2 - 0.75 * _PI_BETA
 _MIN_STEP_FRACTION = 1e-12  # of the span; below this the problem is stiff/singular
-_STATIONARY_FIRST_STEP = 0.05  # of the span: the first step of a stationary start
 _MAX_STEPS = 1_000_000
 
 DEFAULT_RTOL = 1e-8
@@ -113,8 +112,8 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     """The first step, and the number of RHS evaluations spent on it.
 
     A start is stationary when its rate would move y by at most one tolerance
-    unit over the span (d1*span <= 1; never for a nan or inf rate): it takes
-    ``_STATIONARY_FIRST_STEP`` of the span, unprobed. Any other start takes
+    unit over the span (d1*span <= 1; never for a nan or inf rate): it tries
+    the whole span, unprobed (a rejection cuts it). Any other start takes
     the probed Hairer-Norsett-Wanner step (Solving ODEs I, sec. II.4),
     h1 = (0.01 / max(d1, d2))**(1/5), taken in the problem's own time unit.
     d1 = rms(f0/scale) is a rate (tolerance units per time) and the Euler
@@ -137,7 +136,7 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)
     if d1 * span <= 1.0:
-        return _STATIONARY_FIRST_STEP * span, 0
+        return span, 0
     fallback = d0 < 1e-5 and d1 < math.inf
     h0 = max(1e-6, 10 * _MIN_STEP_FRACTION * span) if fallback else 0.01 * d0 / d1
     h0 = min(h0, span)

@@ -250,7 +250,8 @@ def mutated_dataset(draw):
 
 
 # one argv per usage error that a command raises after parsing, with its message;
-# "{data}" stands for a valid dataset file, which fit reads before its --init
+# fit checks its --init before it reads --data, so a --data that is a directory or
+# a missing file ("{tmp}" is an empty directory) does not hide the usage error
 USAGE_ERRORS = {
     "params incomplete": (["simulate", "--mu-p", "1e8", "--segment", "1e7:10"],
                           "provide --preset or all of --mu-p, --mu-g, --eta"),
@@ -263,10 +264,12 @@ USAGE_ERRORS = {
                             "--t-load", "5"], "--t-load/--t-unload only apply"),
     "preset without UTS": (["simulate", "--preset", "pmr15_288", "--load-fraction", "0.4"],
                            "preset 'pmr15_288' has no UTS on record"),
-    "fit without init": (["fit", "--data", "{data}"], "--init is required"),
-    "init pair": (["fit", "--data", "{data}", "--init", "1e8,1e9"],
+    "fit without init": (["fit", "--data", "{tmp}"], "--init is required"),
+    "fit without init or data file": (["fit", "--data", "{tmp}/data.csv"],
+                                      "--init is required"),
+    "init pair": (["fit", "--data", "{tmp}/data.csv", "--init", "1e8,1e9"],
                   "--init triple must be MU_P,MU_G,ETA"),
-    "init not numbers": (["fit", "--data", "{data}", "--init", "1e8,x,1e13"],
+    "init not numbers": (["fit", "--data", "{tmp}/data.csv", "--init", "1e8,x,1e13"],
                          "--init values must be numbers"),
     "ramp past duration": (["drive", "--preset", "pmr15_288", "--amplitude", "1.02",
                             "--ramp-time", "20", "--duration", "10"],
@@ -279,10 +282,7 @@ USAGE_ERRORS = {
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
 def test_usage_error_exits_1_with_its_message(tmp_path, capsys, case):
     argv, message = USAGE_ERRORS[case]
-    data = tmp_path / "data.csv"
-    save_dataset(make_synthetic_dataset(HFPE285, stress=1.0e7, t_load=100.0, t_unload=0.0,
-                                        n_load=5, n_unload=0), data)
-    assert run(*(arg.replace("{data}", str(data)) for arg in argv)) == 1
+    assert run(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -714,6 +714,28 @@ class TestPresetsAndValidate:
         for name in ("dissipation_identity", "general_vs_scalar", "shear_ramp_hold"):
             assert f"[FAIL] {name}" in captured
         assert captured.count("[FAIL]") == 3
+
+    @pytest.mark.parametrize("strength", [1e-4, 1e-2])
+    def test_validate_reports_an_aborted_replay_as_failed_checks(self, monkeypatch, capsys,
+                                                                 strength):
+        # a trace defect in D_G drifts det(B_p) past DET_DRIFT_LIMIT in both drives,
+        # which abort; that is a failed check for each row they feed, not exit 3
+        flow = evolution._flow
+
+        def perturbed(*args):
+            d_g = flow(*args)
+            return d_g + strength * np.max(np.abs(d_g)) * np.eye(3)
+
+        monkeypatch.setattr(evolution, "_flow", perturbed)
+        code = run("validate", "--quick")
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "numerical failure" not in captured.err
+        for name in ("det_drift", "dissipation_positivity", "dissipation_identity",
+                     "general_vs_scalar"):
+            assert f"[FAIL] {name}: replay failed: det(B_p) drifted to " in captured.out
+        assert "[FAIL] shear_ramp_hold: drive failed: det(B_p) drifted to " in captured.out
+        assert "[PASS] sls_limit" in captured.out
 
     def test_validate_negative_control(self, monkeypatch, capsys):
         # a sign flip in the scalar flow rule must break the

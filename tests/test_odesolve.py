@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyvisc import odesolve
 from polyvisc.odesolve import IntegrationError, OdeProblem, OdeSolution, integrate
@@ -16,13 +18,13 @@ def solve(rhs, span, y0, rtol=1e-8, atol=1e-10, **kw):
 
 class TestClosedForms:
     def test_constant_solution_is_exact(self):
-        # spans past 1e6 once underflowed at t = 0; a stationary start's first
-        # step is 0.05 of the span, so the step count does not depend on it
+        # spans past 1e6 once underflowed at t = 0; a stationary start tries the
+        # whole span first, so one step and no probe, whatever the span
         for t1 in (1e-3, 10.0, 2.0e6, 1.0e12, 1.0e300):
             sol = solve(lambda t, y: np.zeros_like(y), (0.0, t1), [3.5])
             assert np.all(sol.ys == 3.5)
-            assert sol.ts[-1] == t1
-            assert sol.n_accepted == 3
+            assert sol.ts.tolist() == [0.0, t1]
+            assert (sol.n_accepted, sol.n_rejected, sol.n_rhs) == (1, 0, 7)
 
     def test_exponential_decay(self):
         sol = solve(lambda t, y: -y, (0.0, 1.0), [1.0])
@@ -240,14 +242,52 @@ class TestStepControls:
         assert sol.ys[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
 
     @pytest.mark.parametrize("rate, stationary", [(0.0, True), (1e-9, True), (1e-8, False)])
-    def test_a_stationary_start_takes_a_twentieth_of_the_span(self, rate, stationary):
+    def test_a_stationary_start_takes_the_whole_span(self, rate, stationary):
         # y0 = 3.5 is 1/3.51e-8 tolerance units: a rate of 1e-9 moves y by 0.28
-        # units over the span of 10 and 1e-8 by 2.8, which takes the probed start
+        # units over the span of 10 and 1e-8 by 2.8, which takes the probed start;
+        # with d2 = 0 only its caps, 100 h0 = 350 and the span, bound it: one step too
         sol = solve(lambda t, y: np.full_like(y, rate), (0.0, 10.0), [3.5])
-        assert bool(sol.ts[1] == 0.5) == stationary
+        assert sol.ts.tolist() == [0.0, 10.0]
         n_probe = 0 if stationary else 1
         assert sol.n_rhs == 1 + n_probe + 6 * (sol.n_accepted + sol.n_rejected)
         assert sol.ys[-1, 0] == pytest.approx(3.5 + 10.0 * rate, rel=1e-15)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(power=st.sampled_from([1, 2, 3, None]), log_omega_span=st.floats(0.0, 3.0),
+           log_amplitude=st.floats(-2.0, 2.0), y0=st.sampled_from([0.0, 1.0]),
+           t0=st.sampled_from([0.0, 0.5]), unit=st.integers(-60, 60))
+    # y' = sin(100 t) over (0, 10) from y = 1, in the time unit 10
+    @example(power=None, log_omega_span=3.0, log_amplitude=-2.0, y0=1.0, t0=0.0, unit=0)
+    def test_a_stationary_start_that_moves_is_cut_to_size(self, power, log_omega_span,
+                                                          log_amplitude, y0, t0, unit):
+        # y' = a (p + 1) u^p or y' = a w sin(w u), u = (t - t0) in units of the span,
+        # is 0 at the start, so the start is stationary and its whole-span step must
+        # be cut by the error control alone; w is omega * span
+        a, w = 10.0 ** log_amplitude, 10.0 ** log_omega_span
+
+        def run(scale):
+            start = t0 * scale
+            if power is None:
+                def rhs(t, y):
+                    return np.array([a * w / scale * math.sin(w * (t - start) / scale)])
+            else:
+                def rhs(t, y):
+                    return np.array([a * (power + 1) / scale * ((t - start) / scale) ** power])
+            return solve(rhs, (start, start + scale), [y0])
+
+        sol, ref = run(2.0 ** unit), run(1.0)
+        # a power-of-two time unit rescales every step exactly
+        assert sol.ys[-1, 0] == ref.ys[-1, 0]
+        assert (sol.n_accepted, sol.n_rejected) == (ref.n_accepted, ref.n_rejected)
+        if power is None:
+            exact, top, radians = y0 + a * (1.0 - math.cos(w)), y0 + 2.0 * a, w
+        else:  # a quartic at most, which the fifth-order pair integrates exactly
+            exact, top, radians = y0 + a, y0 + a, 0.0
+        # the error in tolerance units per radian, with a floor of 10 radians (the
+        # polynomials' bound): at most 0.0571 when a stationary start took 0.05 of the
+        # span, and 0.0574 now, on a grid of w in [1, 1e3], a in [1e-2, 1e2], y0 in {0, 1}
+        tol = 1e-10 + 1e-8 * top
+        assert abs(sol.ys[-1, 0] - exact) <= 0.06 * max(radians, 10.0) * tol
 
     @pytest.mark.parametrize("a", [2.0**-60, 2.0**40, 1e-100, 1e100])
     def test_the_probed_start_scales_with_the_time_unit(self, a):
